@@ -41,7 +41,8 @@ import weakref
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost import Cost
-from repro.core.ipartition import IPartition
+from repro.core.insertion import ARC_VALUES, illegal_crossing
+from repro.core.ipartition import S0, S1, SMINUS, SPLUS, IPartition
 from repro.engine import caches
 from repro.stg.signals import SignalEdge
 from repro.utils.deadline import poll_deadline
@@ -49,11 +50,19 @@ from repro.utils.deadline import poll_deadline
 State = Hashable
 Event = Hashable
 
-# side table codes (S0 -> ER(x+) -> S1 -> ER(x-) cycle of the I-partition)
-S0 = 0
-SPLUS = 1
-S1 = 2
-SMINUS = 3
+#: Side code of a state an object-space I-partition leaves uncovered
+#: (:meth:`IndexedStateGraph.side_table`); such an insertion is illegal.
+UNCOVERED = 4
+
+#: The rejection kinds of an insertion verdict, in check order.
+REJECTION_KINDS = (
+    "degenerate",
+    "input_delay",
+    "illegal",
+    "determinism",
+    "commutativity",
+    "persistency",
+)
 
 _MISSING = object()
 
@@ -78,9 +87,10 @@ class IndexedStateGraph:
     The constructor performs a single pass over the transition system;
     everything derived (per-event excitation masks, packed codes, repr
     sort keys, enabled-signal signatures, the persistent-event set) is
-    computed lazily and memoized on the instance, so a probe graph that
-    is only ever SIP-checked never pays for artifacts the solver did not
-    ask for.
+    computed lazily and memoized on the instance, so a graph pays only
+    for the artifacts the solver asks for.  Candidate insertions are
+    decided on the parent's index (:meth:`decide_insertion`) without
+    building the expanded graph at all.
     """
 
     __slots__ = (
@@ -89,6 +99,7 @@ class IndexedStateGraph:
         "position",
         "num_states",
         "full_mask",
+        "initial",
         "succ_masks",
         "und_masks",
         "succ_events",
@@ -111,6 +122,7 @@ class IndexedStateGraph:
         "_signatures",
         "_noninput_event",
         "_persistent_events",
+        "_commutative",
         "_succ_targets",
         "_in_sig_arcs",
         "_out_sig_arcs",
@@ -133,6 +145,7 @@ class IndexedStateGraph:
         n = len(states)
         self.num_states = n
         self.full_mask = (1 << n) - 1
+        self.initial: Optional[int] = position.get(ts.initial_state)
 
         succ_masks: List[int] = [0] * n
         und_masks: List[int] = [0] * n
@@ -220,6 +233,15 @@ class IndexedStateGraph:
         self._signatures: Optional[List[object]] = None
         self._noninput_event: Dict[Event, bool] = {}
         self._persistent_events: Optional[Set[Event]] = None
+        # An insertion keeps a deterministic commutative graph commutative
+        # (see decide_insertion), so a derived index inherits the flag.
+        self._commutative: Optional[bool] = (
+            True
+            if _derive_from is not None
+            and _derive_from.deterministic
+            and _derive_from._commutative
+            else None
+        )
         self._succ_targets: Optional[List[Tuple[int, ...]]] = None
         self._in_sig_arcs: Optional[List[List[Tuple[int, int]]]] = None
         self._out_sig_arcs: Optional[List[List[Tuple[int, int]]]] = None
@@ -491,21 +513,15 @@ class IndexedStateGraph:
     # behavioural properties (SIP checks)
     # ------------------------------------------------------------------
     def is_commutative(self) -> bool:
-        """Bitmask-era twin of :func:`repro.ts.properties.is_commutative`."""
-        succ_maps = self.succ_maps
-        for outgoing in self.succ_events:
-            for i, (event_a, after_a) in enumerate(outgoing):
-                map_a = succ_maps[after_a]
-                for event_b, after_b in outgoing[i + 1 :]:
-                    if event_a == event_b:
-                        continue
-                    ab = map_a.get(event_b)
-                    if ab is None:
-                        continue
-                    ba = succ_maps[after_b].get(event_a)
-                    if ba is not None and ab != ba:
-                        return False
-        return True
+        """Bitmask-era twin of :func:`repro.ts.properties.is_commutative`
+        (memoized)."""
+        commutative = self._commutative
+        if commutative is None:
+            commutative = _is_commutative(
+                range(self.num_states), self.succ_events, self.succ_maps
+            )
+            self._commutative = commutative
+        return commutative
 
     def is_event_persistent(self, event: Event) -> bool:
         """Twin of :func:`repro.ts.properties.is_event_persistent` (whole
@@ -529,6 +545,303 @@ class IndexedStateGraph:
             }
             self._persistent_events = persistent
         return persistent
+
+    # ------------------------------------------------------------------
+    # insertion decisions (SIP check and progress without materialising)
+    # ------------------------------------------------------------------
+    def side_table(self, partition: IPartition) -> bytearray:
+        """The per-state side codes of an object-space I-partition
+        (:data:`UNCOVERED` for states the partition leaves out)."""
+        side = bytearray([UNCOVERED]) * self.num_states
+        position = self.position
+        for code, block in (
+            (S0, partition.s0),
+            (SPLUS, partition.splus),
+            (S1, partition.s1),
+            (SMINUS, partition.sminus),
+        ):
+            for state in block:
+                i = position.get(state)
+                if i is not None:
+                    side[i] = code
+        return side
+
+    def decide_insertion(
+        self,
+        side: Sequence[int],
+        signal: str,
+        persistent_before: Set[Event],
+        check_commutativity: bool = True,
+        allow_input_delay: bool = False,
+        count_conflicts: bool = True,
+    ) -> "InsertionVerdict":
+        """Decide the insertion of ``signal`` along the side table ``side``
+        without building the expanded state graph.
+
+        The expanded graph of :func:`repro.core.insertion.insert_signal`
+        is replayed over integer nodes ``2 * i + x`` (parent state ``i``,
+        new-signal value ``x``), reachable from the initial node.  The
+        verdict runs the checks of :func:`repro.core.sip.check_insertion`
+        in its order, with its reasons: degenerate partition, delayed
+        input events, illegal crossing, determinism, commutativity,
+        persistency of the previously persistent non-input events (``x+``
+        and ``x-`` are persistent by construction).  ``persistent_before``
+        must be the persistent events of this graph.
+
+        With ``count_conflicts`` an accepted verdict also carries the
+        expanded graph's CSC conflict count, for a non-input ``signal``.
+        Two expanded states share a code only when their parents share
+        one and their ``x`` values agree, so only the parent's
+        code-sharing groups are visited.
+        """
+        if SPLUS not in side or SMINUS not in side:
+            return InsertionVerdict(
+                ["the inserted signal would never switch (empty ER(x+) or ER(x-))"],
+                "degenerate",
+                frozenset(),
+            )
+
+        # events leaving ER(x+) towards the x=1 side or ER(x-) towards the
+        # x=0 side fire only after the new signal (delayed_events)
+        succ_events = self.succ_events
+        delayed_set: Set[Event] = set()
+        for i, code in enumerate(side):
+            if code == SPLUS:
+                for event, j in succ_events[i]:
+                    if side[j] == S1 or side[j] == SMINUS:
+                        delayed_set.add(event)
+            elif code == SMINUS:
+                for event, j in succ_events[i]:
+                    if side[j] == S0 or side[j] == SPLUS:
+                        delayed_set.add(event)
+        delayed = frozenset(delayed_set)
+        input_signals = self.input_signals
+        if not allow_input_delay:
+            reasons = [
+                f"input event {event} would be delayed by the new signal"
+                for event in delayed
+                if isinstance(event, SignalEdge) and event.signal in input_signals
+            ]
+            if reasons:
+                return InsertionVerdict(reasons, "input_delay", delayed)
+
+        if signal in self.signal_positions:
+            raise ValueError(f"signal {signal!r} already exists in the state graph")
+        states = self.states
+        if UNCOVERED in side:
+            state = states[side.index(UNCOVERED)]
+            return InsertionVerdict(
+                [f"state {state!r} is not covered by the I-partition"], "illegal", delayed
+            )
+        for i, outgoing in enumerate(succ_events):
+            base = side[i] * 4
+            for _event, j in outgoing:
+                if not ARC_VALUES[base + side[j]]:
+                    error = illegal_crossing(side[i], states[i])
+                    return InsertionVerdict([str(error)], "illegal", delayed)
+
+        rise = SignalEdge.rise(signal)
+        fall = SignalEdge.fall(signal)
+        arcs_of, order, near_border = self._replay_insertion(side, rise, fall)
+
+        # Every arc keeps its x value, so both orders of a diamond end in
+        # the same copy of the parent's target: a deterministic parent gives
+        # a deterministic child, and a commutative one a commutative child.
+        deterministic = True
+        commutative = True
+        if not self.deterministic or (check_commutativity and not self.is_commutative()):
+            maps: List[Optional[Dict[Event, int]]] = [None] * len(arcs_of)
+            for node in order:
+                out_map: Dict[Event, int] = {}
+                for event, target in arcs_of[node]:
+                    if event in out_map:
+                        deterministic = False
+                    else:
+                        out_map[event] = target
+                maps[node] = out_map
+            if check_commutativity:
+                commutative = _is_commutative(order, arcs_of, maps)
+
+        # Persistency can only break near the border: elsewhere a node and
+        # its targets replay their parent states' arcs, so every diamond
+        # there repeats one of the parent, where the watched events are
+        # persistent.  x+ and x- cannot lose it: the only arcs (i, 0) in
+        # ER(x+) keeps at x = 0 lead into ER(x+), where x+ is enabled
+        # again (likewise for x-).
+        watched = {
+            event
+            for event in persistent_before
+            if not (isinstance(event, SignalEdge) and event.signal in input_signals)
+        }
+        enabled: Dict[int, Set[Event]] = {}
+        lost: Set[Event] = set()
+        for node in near_border:
+            arcs = arcs_of[node]
+            if len(arcs) < 2:
+                continue
+            for event_a, _after_a in arcs:
+                if event_a not in watched or event_a in lost:
+                    continue
+                for event_b, after_b in arcs:
+                    if event_b == event_a:
+                        continue
+                    events_b = enabled.get(after_b)
+                    if events_b is None:
+                        events_b = {event for event, _target in arcs_of[after_b]}
+                        enabled[after_b] = events_b
+                    if event_a not in events_b:
+                        lost.add(event_a)
+                        break
+
+        reasons = []
+        kinds = []
+        if not deterministic:
+            reasons.append("insertion breaks determinism")
+            kinds.append("determinism")
+        if not commutative:
+            reasons.append("insertion breaks commutativity")
+            kinds.append("commutativity")
+        for event in persistent_before:
+            if event in lost:
+                reasons.append(f"event {event} loses persistency")
+        if lost:
+            kinds.append("persistency")
+        if reasons:
+            return InsertionVerdict(reasons, kinds[0], delayed)
+
+        remaining = None
+        if count_conflicts:
+            remaining = self._expanded_conflict_count(side, arcs_of, rise, fall)
+        return InsertionVerdict([], None, delayed, remaining)
+
+    def _replay_insertion(self, side: Sequence[int], rise: Event, fall: Event):
+        """The expanded graph of a legal insertion, reachable from its
+        initial node: ``(arcs_of, order, near_border)`` with ``arcs_of[n]``
+        the ``(event, target)`` arcs of node ``n = 2 * i + x`` (``None``
+        when unreachable), ``order`` the reachable nodes and
+        ``near_border`` the incomplete nodes and their predecessors.
+
+        A node where x can fire -- ``(i, 0)`` in ER(x+), ``(i, 1)`` in
+        ER(x-) -- is *incomplete*: it lacks the arcs x delays.  Every other
+        node replays all of its parent state's arcs at its own x value and
+        has no x arc.
+        """
+        succ_events = self.succ_events
+        initial = self.initial
+        start = 2 * initial + (0 if side[initial] <= SPLUS else 1)
+        arcs_of: List[Optional[List[Tuple[Event, int]]]] = [None] * (2 * self.num_states)
+        arcs_of[start] = []
+        order = [start]
+        near_border: List[int] = []
+        for node in order:
+            i = node >> 1
+            value = node & 1
+            value_bit = 1 << value
+            incomplete_side = SMINUS if value else SPLUS
+            code = side[i]
+            base = code * 4
+            near = code == incomplete_side
+            arcs = arcs_of[node]
+            for event, j in succ_events[i]:
+                if ARC_VALUES[base + side[j]] & value_bit:
+                    target = 2 * j + value
+                    arcs.append((event, target))
+                    if side[j] == incomplete_side:
+                        near = True
+                    if arcs_of[target] is None:
+                        arcs_of[target] = []
+                        order.append(target)
+            if code == incomplete_side:
+                target = node - 1 if value else node + 1
+                arcs.append((fall if value else rise, target))
+                if arcs_of[target] is None:
+                    arcs_of[target] = []
+                    order.append(target)
+            if near:
+                near_border.append(node)
+        return arcs_of, order, near_border
+
+    def _expanded_conflict_count(
+        self, side: Sequence[int], arcs_of, rise: Event, fall: Event
+    ) -> int:
+        """CSC conflict pairs of a replayed expanded graph whose new signal
+        is non-input.  A node's code is its state's code plus x, so pairs
+        only form within one parent code group and one x value."""
+        remaining = 0
+        for members in self.code_groups_idx().values():
+            if len(members) < 2:
+                continue
+            for value in (0, 1):
+                tally: Dict[object, int] = {}
+                total = 0
+                for i in members:
+                    arcs = arcs_of[2 * i + value]
+                    if arcs is None:
+                        continue
+                    total += 1
+                    if side[i] != (SMINUS if value else SPLUS):
+                        # a complete node replays all of its state's arcs
+                        signature = self.noninput_signature(i)
+                    else:
+                        signature = frozenset(
+                            event
+                            for event, _target in arcs
+                            if event is rise or event is fall or self._is_noninput_event(event)
+                        )
+                    tally[signature] = tally.get(signature, 0) + 1
+                remaining += total * (total - 1) // 2
+                for count in tally.values():
+                    remaining -= count * (count - 1) // 2
+        return remaining
+
+
+def _is_commutative(nodes, arcs_of, maps) -> bool:
+    """No node has a diamond ``a b`` / ``b a`` ending in two different
+    nodes (``maps[n]``: first successor of ``n`` per event)."""
+    for node in nodes:
+        outgoing = arcs_of[node]
+        for i, (event_a, after_a) in enumerate(outgoing):
+            map_a = maps[after_a]
+            for event_b, after_b in outgoing[i + 1 :]:
+                if event_a == event_b:
+                    continue
+                ab = map_a.get(event_b)
+                if ab is None:
+                    continue
+                ba = maps[after_b].get(event_a)
+                if ba is not None and ab != ba:
+                    return False
+    return True
+
+
+class InsertionVerdict:
+    """Outcome of :meth:`IndexedStateGraph.decide_insertion`.
+
+    ``reasons`` lists every failed check (empty when the insertion is
+    valid), ``kind`` is the first failed check's entry of
+    :data:`REJECTION_KINDS` (``None`` when valid), ``delayed`` the events
+    the new signal delays, and ``remaining_conflicts`` the expanded
+    graph's CSC conflict count when it was asked for and the insertion
+    is valid.
+    """
+
+    __slots__ = ("reasons", "kind", "delayed", "remaining_conflicts")
+
+    def __init__(
+        self,
+        reasons: List[str],
+        kind: Optional[str],
+        delayed: FrozenSet[Event],
+        remaining_conflicts: Optional[int] = None,
+    ) -> None:
+        self.reasons = reasons
+        self.kind = kind
+        self.delayed = delayed
+        self.remaining_conflicts = remaining_conflicts
+
+    @property
+    def ok(self) -> bool:
+        return not self.reasons
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Tuple
 
-from repro.core.ipartition import IPartition
+from repro.core.ipartition import S0, S1, SMINUS, SPLUS, IPartition
 from repro.engine import caches as engine_caches
 from repro.stg.signals import SignalEdge, SignalType
 from repro.stg.state_graph import StateGraph
@@ -36,54 +36,53 @@ class IllegalInsertionError(ValueError):
     """Raised when the I-partition does not admit a consistent insertion."""
 
 
-def _target_values(partition: IPartition, source: State, target: State) -> Tuple[int, ...]:
-    """The values of the new signal with which an original transition
-    ``source -> target`` is replayed in the expanded state graph.
+#: The values of the new signal at which an original transition is
+#: replayed in the expanded state graph, indexed by
+#: ``source_side * 4 + target_side`` (I-partition side codes): bit ``v``
+#: set means ``source -> target`` is copied as ``(source, v) -> (target, v)``;
+#: 0 marks a crossing no consistent insertion allows.
+ARC_VALUES = bytes((
+    1, 1, 0, 0,  # from S0:     S0, S+ at x=0
+    0, 3, 2, 2,  # from ER(x+): S+ at both values, S1, S- at x=1
+    0, 0, 2, 2,  # from S1:     S1, S- at x=1
+    1, 1, 0, 3,  # from ER(x-): S0, S+ at x=0, S- at both values
+))
 
-    Returns a tuple of x-values ``v`` such that the transition is added
-    from ``(source, v)`` to ``(target, v)``.
-    """
-    in_s0 = source in partition.s0
-    in_splus = source in partition.splus
-    in_s1 = source in partition.s1
-    in_sminus = source in partition.sminus
+_VALUES_OF_BITS = {1: (0,), 2: (1,), 3: (0, 1)}
 
-    t_s0 = target in partition.s0
-    t_splus = target in partition.splus
-    t_s1 = target in partition.s1
-    t_sminus = target in partition.sminus
 
-    if in_s0:
-        if t_s0 or t_splus:
-            return (0,)
-        raise IllegalInsertionError(
-            f"transition from S0 state {source!r} escapes to the x=1 side"
-        )
-    if in_splus:
-        if t_splus:
-            return (0, 1)
-        if t_s1 or t_sminus:
-            return (1,)
-        raise IllegalInsertionError(
+def illegal_crossing(source_side: int, source: State) -> IllegalInsertionError:
+    """The error for an arc leaving ``source`` (in block ``source_side``)
+    across a crossing :data:`ARC_VALUES` forbids."""
+    if source_side == S0:
+        message = f"transition from S0 state {source!r} escapes to the x=1 side"
+    elif source_side == SPLUS:
+        message = (
             f"transition from ER(x+) state {source!r} re-enters S0 "
             "(exit border is not well-formed)"
         )
-    if in_s1:
-        if t_s1 or t_sminus:
-            return (1,)
-        raise IllegalInsertionError(
-            f"transition from S1 state {source!r} escapes to the x=0 side"
-        )
-    if in_sminus:
-        if t_sminus:
-            return (0, 1)
-        if t_s0 or t_splus:
-            return (0,)
-        raise IllegalInsertionError(
+    elif source_side == S1:
+        message = f"transition from S1 state {source!r} escapes to the x=0 side"
+    else:
+        message = (
             f"transition from ER(x-) state {source!r} re-enters S1 "
             "(exit border is not well-formed)"
         )
-    raise IllegalInsertionError(f"state {source!r} is not covered by the I-partition")
+    return IllegalInsertionError(message)
+
+
+def _side_table(partition: IPartition) -> Dict[State, int]:
+    """Every covered state mapped to the side code of its block."""
+    side: Dict[State, int] = {}
+    for code, block in (
+        (S0, partition.s0),
+        (SPLUS, partition.splus),
+        (S1, partition.s1),
+        (SMINUS, partition.sminus),
+    ):
+        for state in block:
+            side[state] = code
+    return side
 
 
 def insert_signal(
@@ -103,16 +102,20 @@ def insert_signal(
     if signal in sg.signals:
         raise ValueError(f"signal {signal!r} already exists in the state graph")
     check_deadline()  # replaying O(states x edges) transitions below; bail early on timeout
-    covered = partition.all_states
+    side = _side_table(partition)
     for state in sg.states:
-        if state not in covered:
+        if state not in side:
             raise IllegalInsertionError(f"state {state!r} is not covered by the I-partition")
 
     new_ts = TransitionSystem(name or f"{sg.name}+{signal}")
 
     # Replay the original transitions at the appropriate x values.
     for source, edge, target in sg.ts.transitions():
-        for value in _target_values(partition, source, target):
+        source_side = side[source]
+        values = ARC_VALUES[source_side * 4 + side[target]]
+        if not values:
+            raise illegal_crossing(source_side, source)
+        for value in _VALUES_OF_BITS[values]:
             new_ts.add_transition((source, value), edge, (target, value))
 
     # Add the transitions of the new signal itself.

@@ -17,6 +17,13 @@ from repro.ts.transition_system import TransitionSystem
 
 State = Hashable
 
+# Codes of the four I-partition blocks in per-state side tables (the
+# S0 -> ER(x+) -> S1 -> ER(x-) cycle of the inserted signal).
+S0 = 0
+SPLUS = 1
+S1 = 2
+SMINUS = 3
+
 
 def exit_border(ts: TransitionSystem, block: Iterable[State]) -> Set[State]:
     """``EB(block)``: states of ``block`` with a transition leaving it."""

@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tup
 from repro.core.bricks import brick_adjacency, compute_bricks
 from repro.core.cost import BlockEvaluation, Cost, evaluate_block, evaluate_partition
 from repro.core.csc import CSCConflict, csc_conflicts
+from repro.core.insertion import insert_signal
 from repro.core.ipartition import IPartition
 from repro.core.sip import InsertionCheck, check_insertion
 from repro.core import indexed
@@ -494,27 +495,36 @@ def _find_insertion_plan_indexed(
             # deeper input-preserving candidates get their chance.
             continue
         examined += 1
-        partition = candidate.evaluation.to_partition(index)
-        with span("search.sip", examined=examined):
-            check = check_insertion(
-                sg,
-                partition,
-                signal=signal,
-                signal_type=SignalType.INTERNAL,
-                persistent_before=persistent_before,
+        with span("search.sip", examined=examined) as attrs:
+            # Decided on the parent's index; only the committed candidate
+            # is materialised as an expanded state graph.
+            verdict = index.decide_insertion(
+                candidate.evaluation.side,
+                signal,
+                persistent_before,
                 check_commutativity=settings.check_commutativity,
                 allow_input_delay=settings.allow_input_delay,
+                count_conflicts=settings.require_actual_progress,
             )
-        if not check.ok:
-            continue
-        if settings.require_actual_progress and check.new_sg is not None:
-            # csc_conflicts re-analyses the expanded graph incrementally
-            # (only descendants of code-sharing groups are re-examined).
-            remaining_after = len(csc_conflicts(check.new_sg))
-            if remaining_after >= full_conflict_count:
+            outcome = verdict.kind or "ok"
+            if (
+                verdict.ok
+                and settings.require_actual_progress
+                and verdict.remaining_conflicts >= full_conflict_count
+            ):
                 # Valid but useless: it would not reduce the number of
                 # conflicts, so keep looking for a candidate that does.
-                continue
+                outcome = "no_progress"
+            attrs["outcome"] = outcome
+            if outcome == "ok":
+                partition = candidate.evaluation.to_partition(index)
+                check = InsertionCheck(
+                    ok=True,
+                    new_sg=insert_signal(sg, partition, signal, SignalType.INTERNAL),
+                    delayed=verdict.delayed,
+                )
+        if outcome != "ok":
+            continue
         block_states = frozenset(
             index.states[i] for i in index.states_of_mask(candidate.mask)
         )

@@ -6,9 +6,18 @@ process must preserve those properties.  The paper gives three structural
 sufficient conditions (Properties P1–P3: regions, persistent excitation
 regions, connected intersections of pre-regions with persistent exit
 events) — these are implemented here as fast predicates — and this module
-additionally provides the *exact* semantic check used by the solver: carry
-out the insertion and verify the properties directly, together with the
+additionally provides the *exact* semantic check used by the solver:
+verify the properties of the expanded graph directly, together with the
 requirement that no input transition gets delayed by the new signal.
+
+With the engine caches enabled the check is decided on the parent's
+index (:meth:`repro.core.indexed.IndexedStateGraph.decide_insertion`
+replays the expanded graph over integer nodes) and the expanded
+:class:`~repro.stg.state_graph.StateGraph` is materialised only when the
+insertion is valid; the Figure-4 search calls the same decision directly
+and materialises only the insertion it commits to.  Under
+``use_caches(False)`` the object-space branch — insert, then check the
+materialised graph — is the differential oracle.
 """
 
 from __future__ import annotations
@@ -116,6 +125,9 @@ class InsertionCheck:
     reasons: List[str] = field(default_factory=list)
     new_sg: Optional[StateGraph] = None
     delayed: FrozenSet[Event] = frozenset()
+    #: The first failed check, one of :data:`repro.core.indexed.REJECTION_KINDS`
+    #: (``None`` when the insertion is valid).
+    kind: Optional[str] = None
 
 
 def check_insertion(
@@ -127,7 +139,8 @@ def check_insertion(
     check_commutativity: bool = True,
     allow_input_delay: bool = False,
 ) -> InsertionCheck:
-    """Perform the insertion and verify that it preserves speed independence.
+    """Verify that the insertion preserves speed independence, and carry
+    it out (``new_sg``) when it does.
 
     Checks, in order:
 
@@ -139,6 +152,7 @@ def check_insertion(
        persistent (this subsumes output-persistency preservation and the
        persistency of the new signal itself).
 
+    Each failed check adds a reason; ``kind`` names the first failed one.
     ``persistent_before`` can be supplied to avoid recomputing the set of
     persistent events of ``sg`` for every candidate.  ``allow_input_delay``
     relaxes check (2): some specifications (pure toggles, counters) have no
@@ -146,11 +160,34 @@ def check_insertion(
     the paper mentions other tools resort to — and this switch makes that
     trade-off explicit instead of silently failing.
     """
+    if engine_caches.caches_enabled():
+        # Decide on the parent's index; materialise only a valid insertion.
+        index = indexed.indexed_state_graph(sg)
+        if persistent_before is None:
+            persistent_before = index.persistent_events()
+        verdict = index.decide_insertion(
+            index.side_table(partition),
+            signal,
+            persistent_before,
+            check_commutativity=check_commutativity,
+            allow_input_delay=allow_input_delay,
+            count_conflicts=False,
+        )
+        new_sg = insert_signal(sg, partition, signal, signal_type) if verdict.ok else None
+        return InsertionCheck(
+            ok=verdict.ok,
+            reasons=verdict.reasons,
+            new_sg=new_sg,
+            delayed=verdict.delayed,
+            kind=verdict.kind,
+        )
+
+    # Object-space oracle (use_caches(False)): materialise, then check.
     reasons: List[str] = []
 
     if not partition.splus or not partition.sminus:
         reasons.append("the inserted signal would never switch (empty ER(x+) or ER(x-))")
-        return InsertionCheck(ok=False, reasons=reasons)
+        return InsertionCheck(ok=False, reasons=reasons, kind="degenerate")
 
     delayed = frozenset(delayed_events(sg.ts, partition))
     if not allow_input_delay:
@@ -158,50 +195,20 @@ def check_insertion(
             if isinstance(event, SignalEdge) and sg.is_input_edge(event):
                 reasons.append(f"input event {event} would be delayed by the new signal")
     if reasons:
-        return InsertionCheck(ok=False, reasons=reasons, delayed=delayed)
+        return InsertionCheck(ok=False, reasons=reasons, delayed=delayed, kind="input_delay")
 
     try:
         new_sg = insert_signal(sg, partition, signal, signal_type)
     except IllegalInsertionError as error:
-        return InsertionCheck(ok=False, reasons=[str(error)], delayed=delayed)
+        return InsertionCheck(ok=False, reasons=[str(error)], delayed=delayed, kind="illegal")
 
-    if engine_caches.caches_enabled():
-        # Run the property checks on the expanded graph's indexed
-        # representation (derived by index arithmetic from the parent's):
-        # determinism falls out of the index construction, commutativity
-        # and persistency are dictionary-driven instead of scanning
-        # successor lists per query.  Identical verdicts to the
-        # object-space checks below, which remain the cache-disabled
-        # oracle.
-        child = indexed.indexed_state_graph(new_sg)
-        if not child.deterministic:
-            reasons.append("insertion breaks determinism")
-        if check_commutativity and not child.is_commutative():
-            reasons.append("insertion breaks commutativity")
-
-        if persistent_before is None:
-            persistent_before = indexed.indexed_state_graph(sg).persistent_events()
-        child_events = child.event_arcs
-        for event in persistent_before:
-            if isinstance(event, SignalEdge) and sg.is_input_edge(event):
-                # Input persistency is an assumption about the environment
-                # (see the object-space branch below).
-                continue
-            if event in child_events and not child.is_event_persistent(event):
-                reasons.append(f"event {event} loses persistency")
-
-        for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
-            if edge in child_events and not child.is_event_persistent(edge):
-                reasons.append(f"inserted transition {edge} is not persistent")
-
-        return InsertionCheck(
-            ok=not reasons, reasons=reasons, new_sg=new_sg, delayed=delayed
-        )
-
+    kinds: List[str] = []
     if not is_deterministic(new_sg.ts):
         reasons.append("insertion breaks determinism")
+        kinds.append("determinism")
     if check_commutativity and not is_commutative(new_sg.ts):
         reasons.append("insertion breaks commutativity")
+        kinds.append("commutativity")
 
     if persistent_before is None:
         persistent_before = {
@@ -216,10 +223,18 @@ def check_insertion(
             continue
         if event in new_sg.ts.events and not is_event_persistent(new_sg.ts, event):
             reasons.append(f"event {event} loses persistency")
+            kinds.append("persistency")
 
     # The inserted signal is an output of the circuit: it must be persistent.
     for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
         if edge in new_sg.ts.events and not is_event_persistent(new_sg.ts, edge):
             reasons.append(f"inserted transition {edge} is not persistent")
+            kinds.append("persistency")
 
-    return InsertionCheck(ok=not reasons, reasons=reasons, new_sg=new_sg, delayed=delayed)
+    return InsertionCheck(
+        ok=not reasons,
+        reasons=reasons,
+        new_sg=new_sg,
+        delayed=delayed,
+        kind=kinds[0] if kinds else None,
+    )

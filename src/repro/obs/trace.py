@@ -192,20 +192,22 @@ def collect_phases() -> Iterator[Dict[str, float]]:
 
 
 @contextmanager
-def span(span_name: str, **args: object) -> Iterator[None]:
+def span(span_name: str, **args: object) -> Iterator[Dict[str, object]]:
     """Time a phase.  Free (two attribute reads) when nothing listens.
 
     Keyword arguments become the event's ``args`` (so ``name=`` is a
     perfectly good annotation key — the positional is ``span_name``).
+    The context value is that ``args`` dict: entries added inside the
+    block (an outcome known only at the end) land on the event too.
     """
     stack = getattr(_tls, "phase_stack", None)
     if _writer is None and not stack:
-        yield
+        yield args
         return
     wall_us = time.time_ns() // 1000
     t0 = time.perf_counter()
     try:
-        yield
+        yield args
     finally:
         elapsed = time.perf_counter() - t0
         if stack:

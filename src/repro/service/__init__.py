@@ -181,7 +181,6 @@ class EncodingService:
         jobs: int = 1,
         timeout: Optional[float] = None,
         max_entries: Optional[int] = None,
-        poll_interval: float = 0.05,
         autostart: bool = True,
         search_jobs: Optional[int] = None,
         max_backlog: Optional[int] = None,
@@ -199,7 +198,6 @@ class EncodingService:
             self.store,
             jobs=jobs,
             timeout=timeout,
-            poll_interval=poll_interval,
             search_jobs=search_jobs,
             core_budget=core_budget,
         )

@@ -61,6 +61,7 @@ from repro.service import BacklogFull, FingerprintMismatch, QuotaExceeded
 from repro.service.events import SSE_HEADERS, format_sse, is_terminal_event
 from repro.service.metrics import render_service_metrics
 from repro.service.tenants import Tenant
+from repro.service.workers import POLL_INTERVAL
 
 __all__ = ["ApiError", "create_app", "AsgiHTTPServer", "serve_asgi"]
 
@@ -110,7 +111,6 @@ def _route_label(route: str) -> str:
 _MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Long-poll waits are capped so a stuck client cannot pin a slot forever.
 _MAX_LONGPOLL_WAIT = 60.0
-_EVENT_POLL_INTERVAL = 0.05
 _SSE_HEARTBEAT = 15.0
 
 #: Request headers a browser may send cross-origin to this API.
@@ -727,7 +727,7 @@ class _ServiceApp:
             events = await self._call(self.service.queue.events_for, job_id, after)
             if events or loop.time() >= deadline:
                 break
-            await asyncio.sleep(_EVENT_POLL_INTERVAL)
+            await asyncio.sleep(POLL_INTERVAL)
         payload = {
             "events": [event.as_dict() for event in events],
             "next_after": events[-1].seq if events else after,
@@ -772,7 +772,7 @@ class _ServiceApp:
                         }
                     )
                     last_beat = loop.time()
-                await asyncio.sleep(_EVENT_POLL_INTERVAL)
+                await asyncio.sleep(POLL_INTERVAL)
         finally:
             _SSE_SUBSCRIBERS.dec()
             disconnected.cancel()

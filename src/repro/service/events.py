@@ -1,20 +1,19 @@
-"""Job-event streaming helpers: SSE framing and long-poll waits.
+"""Job-event streaming helpers: SSE framing and terminal-event detection.
 
 The durable feed itself lives in the queue's ``job_events`` table
 (appended atomically with every status transition, readable from any
-process); this module turns that feed into the two wire formats the
-``GET /v1/jobs/{id}/events`` endpoint offers:
+process).  The ``GET /v1/jobs/{id}/events`` endpoint of the ASGI front
+offers it in two wire formats:
 
 * **Server-Sent Events** (``Accept: text/event-stream``): each event row
-  becomes one SSE frame with its queue sequence number as ``id:``, so a
-  dropped connection resumes exactly where it left off via the standard
-  ``Last-Event-ID`` header.  The stream closes itself once a terminal
-  event (``done`` / ``failed`` / ``timeout``) has been sent.
+  becomes one SSE frame (:func:`format_sse`) with its queue sequence
+  number as ``id:``, so a dropped connection resumes exactly where it
+  left off via the standard ``Last-Event-ID`` header.  The stream closes
+  itself once a terminal event (``done`` / ``failed`` / ``timeout``) has
+  been sent.
 * **Long-poll JSON** (the fallback for clients without an SSE parser):
-  ``?wait=SECONDS&after=SEQ`` blocks until the feed grows past ``SEQ``
-  (or the wait expires) and returns the new events plus the cursor for
-  the next call — one round-trip per state change instead of
-  tight GET-polling.
+  ``?wait=SECONDS&after=SEQ`` returns the events past ``SEQ`` plus the
+  cursor for the next call.
 
 Both formats deliver the same rows; :func:`is_terminal_event` defines
 when a job's feed is complete.
@@ -23,15 +22,12 @@ when a job's feed is complete.
 from __future__ import annotations
 
 import json
-import time
-from typing import List, Optional
 
-from repro.service.queue import FINAL_STATUSES, JobEvent, JobQueue
+from repro.service.queue import FINAL_STATUSES, JobEvent
 
 __all__ = [
     "format_sse",
     "is_terminal_event",
-    "wait_for_events",
     "SSE_HEADERS",
 ]
 
@@ -59,29 +55,3 @@ def format_sse(event: JobEvent) -> bytes:
     return (
         f"id: {event.seq}\nevent: {event.event}\ndata: {payload}\n\n".encode("utf-8")
     )
-
-
-def wait_for_events(
-    queue: JobQueue,
-    job_id: str,
-    after: int = 0,
-    wait: float = 0.0,
-    poll_interval: float = 0.05,
-    deadline: Optional[float] = None,
-) -> List[JobEvent]:
-    """Block until the job's feed grows past ``after`` (long-poll body).
-
-    Returns immediately-available events without waiting when there are
-    any; otherwise polls the shared table until something lands or
-    ``wait`` seconds elapse (an empty list then means "no change yet" —
-    the client re-arms with the same cursor).  ``deadline`` overrides the
-    computed wall-clock bound (used by the async front to share one
-    deadline across retries).
-    """
-    if deadline is None:
-        deadline = time.monotonic() + max(0.0, wait)
-    while True:
-        events = queue.events_for(job_id, after=after)
-        if events or time.monotonic() >= deadline:
-            return events
-        time.sleep(poll_interval)

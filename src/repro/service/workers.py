@@ -51,6 +51,12 @@ __all__ = ["WorkerPool"]
 
 _log = get_logger("service.workers")
 
+#: Seconds between queue polls of the idle dispatcher and of the ASGI event
+#: feed.  Both poll because other processes share the queue, and push
+#: wake-ups measured slower: the woken in-process solve takes the GIL from
+#: warm requests.
+POLL_INTERVAL = 0.05
+
 _CLAIM_LATENCY = REGISTRY.histogram(
     "pyetrify_claim_latency_seconds",
     "Queue wait between job submission and worker claim",
@@ -75,8 +81,6 @@ class WorkerPool:
     timeout:
         Per-job wall-clock bound in seconds (``None`` = unbounded),
         forwarded to the engine's cooperative deadline.
-    poll_interval:
-        Dispatcher sleep between queue polls when idle.
     search_jobs:
         Server-side default width for in-solve sharding, applied to
         jobs that carry no explicit width of their own (an explicit
@@ -103,7 +107,6 @@ class WorkerPool:
         store: ResultStore,
         jobs: int = 1,
         timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
         search_jobs: Optional[int] = None,
         name: Optional[str] = None,
         core_budget: Optional[int] = None,
@@ -114,7 +117,6 @@ class WorkerPool:
         self.store = store
         self.jobs = jobs
         self.timeout = timeout
-        self.poll_interval = poll_interval
         self.search_jobs = search_jobs
         self.core_budget = core_budget
         # Recorded on every claim (jobs.claimed_by): in a multi-process
@@ -172,7 +174,7 @@ class WorkerPool:
         while not self._stop.is_set():
             job = self._claim_one()
             if job is None:
-                self._stop.wait(self.poll_interval)
+                self._stop.wait(POLL_INTERVAL)
                 continue
             started = time.monotonic()
             try:
@@ -205,10 +207,10 @@ class WorkerPool:
                         continue
                     in_flight[future] = (job, time.monotonic())
                 if not in_flight:
-                    self._stop.wait(self.poll_interval)
+                    self._stop.wait(POLL_INTERVAL)
                     continue
                 done, _ = futures_wait(
-                    in_flight, timeout=self.poll_interval, return_when=FIRST_COMPLETED
+                    in_flight, timeout=POLL_INTERVAL, return_when=FIRST_COMPLETED
                 )
                 broken = False
                 for future in done:
@@ -244,7 +246,7 @@ class WorkerPool:
             claimed = self.queue.claim(limit=1, worker=self.name)
         except Exception as error:
             self._note_error(error)
-            self._stop.wait(self.poll_interval)
+            self._stop.wait(POLL_INTERVAL)
             return None
         if claimed:
             _CLAIM_LATENCY.observe(max(0.0, time.time() - claimed[0].submitted_at))

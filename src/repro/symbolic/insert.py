@@ -314,7 +314,7 @@ def _child_ledger(
         return "sminus"
 
     classes = {key: classify(key) for key in parent.states}
-    # the crossing table of core.insertion._target_values
+    # the crossing table of core.insertion.ARC_VALUES
     target_values = {
         ("s0", "s0"): (0,),
         ("s0", "splus"): (0,),

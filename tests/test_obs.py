@@ -249,6 +249,38 @@ class TestTrace:
         phases = [event["ph"] for event in events if event["name"] == "request"]
         assert sorted(phases) == ["b", "e"]
 
+    def test_span_args_set_inside_the_block_reach_the_event(self, tmp_path, active_trace):
+        with span("work", size=10) as attrs:
+            attrs["outcome"] = "ok"
+        out = tmp_path / "trace.json"
+        export_chrome_trace(str(out))
+        (event,) = json.loads(out.read_text())["traceEvents"]
+        assert event["args"] == {"size": 10, "outcome": "ok"}
+
+    def test_search_sip_spans_carry_outcome(self, tmp_path, active_trace):
+        """Every validity check is tagged: ``ok`` for the committed
+        insertion, ``no_progress`` for a valid one that leaves as many
+        conflicts, otherwise the first rejection kind."""
+        from repro.core import solve_csc
+        from repro.core.indexed import REJECTION_KINDS
+
+        inserted = 0
+        for name in ("par4", "master-read"):
+            case = get_case(name)
+            result = solve_csc(build_state_graph(case.build()), case.solver_settings())
+            inserted += result.num_inserted
+        out = tmp_path / "trace.json"
+        export_chrome_trace(str(out))
+        outcomes = [
+            event["args"]["outcome"]
+            for event in json.loads(out.read_text())["traceEvents"]
+            if event["name"] == "search.sip"
+        ]
+        assert set(outcomes) <= {"ok", "no_progress", *REJECTION_KINDS}
+        assert outcomes.count("ok") == inserted
+        assert "persistency" in outcomes  # par4
+        assert "no_progress" in outcomes  # master-read
+
     def test_trace_context_round_trip(self, active_trace):
         ctx = trace_context()
         assert ctx["trace_id"] == active_trace
