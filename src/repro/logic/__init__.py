@@ -33,6 +33,7 @@ from repro.logic.netlist import (
     CircuitEstimate,
     estimate_circuit,
     trigger_signal_count,
+    trigger_signals,
 )
 
 __all__ = [
@@ -50,4 +51,5 @@ __all__ = [
     "CircuitEstimate",
     "estimate_circuit",
     "trigger_signal_count",
+    "trigger_signals",
 ]

@@ -16,6 +16,15 @@ from typing import Iterable, List, Sequence, Tuple
 Minterm = Tuple[int, ...]
 
 
+def pack_minterm(minterm: Sequence[int]) -> int:
+    """The minterm as an integer: bit ``v`` is set when variable ``v`` is 1."""
+    packed = 0
+    for position, bit in enumerate(minterm):
+        if bit:
+            packed |= 1 << position
+    return packed
+
+
 @dataclass(frozen=True)
 class Cube:
     """A product term over ``width`` binary variables."""
@@ -66,7 +75,7 @@ class Cube:
 
     # -- queries ---------------------------------------------------------
     def literal_count(self) -> int:
-        return bin(self.care).count("1")
+        return self.care.bit_count()
 
     def literal(self, position: int) -> str:
         """``"0"``, ``"1"`` or ``"-"`` for the given variable position."""
@@ -75,11 +84,7 @@ class Cube:
         return "1" if (self.value >> position) & 1 else "0"
 
     def contains_minterm(self, minterm: Sequence[int]) -> bool:
-        packed = 0
-        for position, bit in enumerate(minterm):
-            if bit:
-                packed |= 1 << position
-        return (packed & self.care) == self.value
+        return (pack_minterm(minterm) & self.care) == self.value
 
     def contains_cube(self, other: "Cube") -> bool:
         """True iff every minterm of ``other`` is a minterm of this cube."""
@@ -144,7 +149,8 @@ class Cover:
         return sum(cube.literal_count() for cube in self.cubes)
 
     def contains_minterm(self, minterm: Sequence[int]) -> bool:
-        return any(cube.contains_minterm(minterm) for cube in self.cubes)
+        packed = pack_minterm(minterm)
+        return any((packed & cube.care) == cube.value for cube in self.cubes)
 
     def intersects_minterms(self, minterms: Iterable[Minterm]) -> bool:
         return any(self.contains_minterm(minterm) for minterm in minterms)

@@ -80,21 +80,26 @@ def _support(function: NextStateFunction) -> Set[str]:
     return support
 
 
-def trigger_signal_count(sg: StateGraph, signal: str) -> int:
-    """Number of distinct trigger signals over all ERs of ``signal``.
+def trigger_signals(sg: StateGraph, signal: str) -> Set[str]:
+    """Distinct trigger signals over all ERs of ``signal``.
 
     A trigger of an excitation region is a signal labelling a transition
     that enters the region; it necessarily appears in the gate's fan-in.
     """
     triggers: Set[str] = set()
-    for direction_edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
-        if direction_edge not in sg.ts.events:
+    for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
+        if edge not in sg.ts.events:
             continue
-        for region in excitation_regions(sg.ts, direction_edge):
+        for region in excitation_regions(sg.ts, edge):
             for event in trigger_events(sg.ts, region):
                 if isinstance(event, SignalEdge):
                     triggers.add(event.signal)
-    return len(triggers)
+    return triggers
+
+
+def trigger_signal_count(sg: StateGraph, signal: str) -> int:
+    """Number of distinct trigger signals over all ERs of ``signal``."""
+    return len(trigger_signals(sg, signal))
 
 
 def estimate_circuit(sg: StateGraph, name: str = "") -> CircuitEstimate:
@@ -106,18 +111,10 @@ def estimate_circuit(sg: StateGraph, name: str = "") -> CircuitEstimate:
     implementations: Dict[str, SignalImplementation] = {}
     for signal in sg.non_input_signals:
         function = extract_next_state_function(sg, signal)
-        triggers: Set[str] = set()
-        for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
-            if edge not in sg.ts.events:
-                continue
-            for region in excitation_regions(sg.ts, edge):
-                for event in trigger_events(sg.ts, region):
-                    if isinstance(event, SignalEdge):
-                        triggers.add(event.signal)
         implementations[signal] = SignalImplementation(
             signal=signal,
             function=function,
-            trigger_signals=triggers,
+            trigger_signals=trigger_signals(sg, signal),
             support=_support(function),
         )
     return CircuitEstimate(name=name or sg.name, implementations=implementations)

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.logic.netlist import CircuitEstimate, SignalImplementation, _support
+from repro.logic.netlist import CircuitEstimate, SignalImplementation, _support, trigger_signals
 from repro.logic.nextstate import classify_codes, function_from_codes
 from repro.obs import REGISTRY, span
 from repro.stg.state_graph import StateGraph
@@ -108,22 +108,25 @@ def synthesize(
     started = time.perf_counter()
     name = name or sg.name
     try:
+        # Everything that reads the state graph is extraction; the
+        # minimize span times the covers alone.
         with span("synth.extract", name=name):
             codes = {signal: classify_codes(sg, signal) for signal in sg.non_input_signals}
+            triggers = {signal: trigger_signals(sg, signal) for signal in codes}
         with span("synth.minimize", name=name):
             functions = {
                 signal: function_from_codes(sg, signal, on, off) for signal, (on, off) in codes.items()
             }
-            implementations = {
-                signal: SignalImplementation(
-                    signal=signal,
-                    function=fn,
-                    trigger_signals=_trigger_set(sg, signal),
-                    support=_support(fn),
-                )
-                for signal, fn in functions.items()
-            }
-            estimate = CircuitEstimate(name=name, implementations=implementations)
+        implementations = {
+            signal: SignalImplementation(
+                signal=signal,
+                function=fn,
+                trigger_signals=triggers[signal],
+                support=_support(fn),
+            )
+            for signal, fn in functions.items()
+        }
+        estimate = CircuitEstimate(name=name, implementations=implementations)
     except Exception:
         _SYNTH_RUNS.labels(status="error").inc()
         raise
@@ -172,19 +175,3 @@ def synthesize(
         _SYNTH_VERIFIED.inc()
     _SYNTH_LITERALS.observe(float(result.literals))
     return result
-
-
-def _trigger_set(sg: StateGraph, signal: str) -> set:
-    """Distinct trigger signals of ``signal`` (paper Section 5 figure)."""
-    from repro.core.excitation import excitation_regions, trigger_events
-    from repro.stg.signals import SignalEdge
-
-    triggers: set = set()
-    for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
-        if edge not in sg.ts.events:
-            continue
-        for region in excitation_regions(sg.ts, edge):
-            for event in trigger_events(sg.ts, region):
-                if isinstance(event, SignalEdge):
-                    triggers.add(event.signal)
-    return triggers
