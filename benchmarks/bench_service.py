@@ -40,7 +40,7 @@ WAIT_TIMEOUT = 300.0
 
 def _post_job(base: str, body: dict) -> tuple[int, dict]:
     request = urllib.request.Request(
-        f"{base}/jobs",
+        f"{base}/v1/jobs",
         data=json.dumps(body).encode("utf-8"),
         method="POST",
         headers={"Content-Type": "application/json"},
@@ -57,7 +57,7 @@ def _get(base: str, path: str) -> dict:
 def _await_result(base: str, job_id: str) -> dict:
     deadline = time.monotonic() + WAIT_TIMEOUT
     while time.monotonic() < deadline:
-        job = _get(base, f"/jobs/{job_id}")
+        job = _get(base, f"/v1/jobs/{job_id}")
         if job["status"] == "done":
             return job["result"]
         if job["status"] in ("failed", "timeout"):
@@ -111,7 +111,7 @@ def run_service_benchmark(record_path: pathlib.Path = RECORD_PATH) -> dict:
             try:
                 cold = _sweep(base, names, expect_cached=False)
                 warm = _sweep(base, names, expect_cached=True)
-                stats = _get(base, "/stats")
+                stats = _get(base, "/v1/stats")
             finally:
                 server.shutdown()
                 server.server_close()

@@ -1,6 +1,6 @@
 """Bench-regression gate: fail CI when a benchmark sweep regresses.
 
-Eight suites, selected by ``--suite``:
+Seven suites, selected by ``--suite``:
 
 ``table2`` (default)
     Runs the full Table-2 sweep three ways via
@@ -60,20 +60,6 @@ Eight suites, selected by ``--suite``:
     baseline — synthesis is derived output and must never perturb
     encodings — and gates the sweep wall-clock via the legacy
     yardstick.
-
-``syminsert``
-    Runs the symbolic-insertion sweep via
-    :func:`benchmarks.bench_syminsert.run_syminsert_benchmark`
-    (refreshing ``BENCH_syminsert.json``): the conflicted enumerable
-    library cases solved entirely in BDD space
-    (``mode="symbolic-insert"``, forced via ``core_budget=0``) against
-    the explicit solver.  Fails on any per-row verdict or
-    result-fingerprint drift, on a symbolic/explicit mismatch, or on
-    flagship-verdict drift (the committed pipeline4 row — the
-    beyond-``core_budget`` workload — is only re-measured under
-    ``SYMINSERT_FLAGSHIP=1``; its verdict fields are pinned either
-    way), and gates the sweep wall-clock against this suite's explicit
-    cache-off yardstick.
 
 ``swarm``
     Runs the concurrent-client service sweep via
@@ -135,10 +121,6 @@ from bench_swarm import (  # noqa: E402
     RECORD_PATH as SWARM_RECORD_PATH,
     WARM as SWARM_WARM_SEEDS,
     run_swarm_benchmark,
-)
-from bench_syminsert import (  # noqa: E402
-    RECORD_PATH as SYMINSERT_RECORD_PATH,
-    run_syminsert_benchmark,
 )
 from bench_table1_large_stgs import (  # noqa: E402
     RECORD_PATH as TABLE1_RECORD_PATH,
@@ -371,99 +353,6 @@ def check_kernel(baseline_path: pathlib.Path, tolerance: float) -> int:
     return 0
 
 
-#: Per-row symbolic-insert fields that must reproduce exactly across
-#: machines (the solve is deterministic; fingerprints pin it to the
-#: explicit engine byte for byte).
-_SYMINSERT_VERDICT_FIELDS = (
-    "mode",
-    "solved",
-    "inserted",
-    "fingerprint_sha256",
-    "matches_explicit",
-)
-
-#: Flagship verdict fields (wall-clock excluded: the row is only
-#: re-measured under ``SYMINSERT_FLAGSHIP=1``).
-_SYMINSERT_FLAGSHIP_FIELDS = (
-    "core_states",
-    "mode",
-    "solved",
-    "inserted",
-    "states_before",
-    "states_after",
-    "frontier_width",
-)
-
-
-def check_syminsert(baseline_path: pathlib.Path, tolerance: float) -> int:
-    baseline = json.loads(baseline_path.read_text())
-    record = run_syminsert_benchmark()
-
-    if not record["all_match_explicit"]:
-        print("FAIL: a symbolic-insert solve diverged from the explicit solver")
-        return 1
-
-    baseline_rows = {row["name"]: row for row in baseline["per_stg"]}
-    new_rows = {row["name"]: row for row in record["per_stg"]}
-    drifted = False
-    for name in baseline_rows.keys() - new_rows.keys():
-        print(f"FAIL: row {name} disappeared from the symbolic-insert sweep")
-        drifted = True
-    for row in record["per_stg"]:
-        base_row = baseline_rows.get(row["name"])
-        if base_row is None:
-            print(f"note: new symbolic-insert row {row['name']} (no baseline verdict)")
-            continue
-        for field in _SYMINSERT_VERDICT_FIELDS:
-            if row.get(field) != base_row.get(field):
-                print(
-                    f"FAIL: symbolic-insert drift on {row['name']}.{field}: "
-                    f"baseline {base_row.get(field)!r} -> now {row.get(field)!r}"
-                )
-                drifted = True
-
-    base_flagship = baseline.get("flagship")
-    new_flagship = record.get("flagship")
-    if base_flagship is not None:
-        if new_flagship is None:
-            print("FAIL: flagship pipeline4 row disappeared from the record")
-            drifted = True
-        else:
-            for field in _SYMINSERT_FLAGSHIP_FIELDS:
-                if new_flagship.get(field) != base_flagship.get(field):
-                    print(
-                        f"FAIL: flagship drift on pipeline4.{field}: "
-                        f"baseline {base_flagship.get(field)!r} -> "
-                        f"now {new_flagship.get(field)!r}"
-                    )
-                    drifted = True
-    if drifted:
-        return 1
-
-    ok = _gate(
-        "symbolic-insert sweep",
-        float(baseline["legacy_serial_seconds"]),
-        float(record["legacy_serial_seconds"]),
-        float(baseline["syminsert_sweep_seconds"]),
-        float(record["syminsert_sweep_seconds"]),
-        tolerance,
-    )
-    flagship_note = (
-        "re-measured"
-        if new_flagship is not None and new_flagship.get("refreshed")
-        else "carried forward"
-    )
-    print(
-        f"{len(record['per_stg'])} symbolic-insert rows match the explicit "
-        f"solver; flagship pipeline4 verdict {flagship_note}; "
-        f"refreshed {SYMINSERT_RECORD_PATH}"
-    )
-    if not ok:
-        return 1
-    print("OK: no bench regression")
-    return 0
-
-
 #: Per-row synthesis fields that must reproduce exactly across machines.
 _SYNTH_VERDICT_FIELDS = (
     "solved",
@@ -617,7 +506,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--suite",
-        choices=["table2", "table1", "search", "swarm", "obs", "kernel", "synth", "syminsert"],
+        choices=["table2", "table1", "search", "swarm", "obs", "kernel", "synth"],
         default="table2",
         help="which sweep to gate (default: the Table-2 engine sweep)",
     )
@@ -655,9 +544,6 @@ def main(argv=None) -> int:
     if args.suite == "synth":
         baseline_path = args.baseline or SYNTH_RECORD_PATH
         return check_synth(baseline_path, args.tolerance)
-    if args.suite == "syminsert":
-        baseline_path = args.baseline or SYMINSERT_RECORD_PATH
-        return check_syminsert(baseline_path, args.tolerance)
     baseline_path = args.baseline or RECORD_PATH
     return check_table2(baseline_path, args.tolerance)
 

@@ -27,7 +27,6 @@ returns a client for a running instance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -54,12 +53,6 @@ __all__ = [
     "BatchResult",
 ]
 
-#: Old attribute names kept as deprecated aliases of their successors.
-_RENAMED = {
-    "serve_http": "serve",
-}
-
-
 def __getattr__(name: str):
     # Lazy: the service tier pulls in sqlite3/asyncio plumbing that
     # plain library users of encode_stg/encode_many never need.
@@ -71,14 +64,6 @@ def __getattr__(name: str):
         from repro.service.client import ServiceClient
 
         return ServiceClient
-    if name in _RENAMED:
-        successor = _RENAMED[name]
-        warnings.warn(
-            f"repro.api.{name} was renamed to repro.api.{successor}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[successor]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -96,8 +81,7 @@ def serve(
     drive it from a thread — and stop it with ``shutdown()`` +
     ``server_close()``.  ``cors_origins`` is an optional list of allowed
     browser origins (``["*"]`` allows any); without it the API sends no
-    CORS headers.  The stable home of what used to live at
-    :func:`repro.service.http.serve`.
+    CORS headers.
     """
     from repro.service.asgi import serve_asgi
 

@@ -41,16 +41,6 @@ class BenchmarkCase:
     mode: str = "strict"  # "strict" (input-preserving) or "relaxed"
     solve: bool = True  # attempt CSC solving in the harness
     explicit_ok: bool = True  # False: count states symbolically only
-    #: ``solve=False`` rows the *symbolic* engines should still solve:
-    #: their conflict core is too large for the explicit harness regime
-    #: but the BDD-space insertion path (``mode="symbolic-insert"``)
-    #: handles them, so the suite keeps their signal budget.
-    symbolic_solve: bool = False
-    #: Frontier width for the symbolic solve of this case.  Block
-    #: evaluations cost far more in BDD space than in the indexed
-    #: explicit kernel, so symbolic-scale rows pin the narrowest width
-    #: the explicit twin proves sufficient (same insertions found).
-    symbolic_frontier_width: Optional[int] = None
 
     def build(self) -> STG:
         stg = self.builder()
@@ -117,7 +107,11 @@ TABLE1_CASES: List[BenchmarkCase] = [
     _case("pipe16", lambda: gen.independent_toggles(16), "sixteen independent toggle stages (pipeline analogue)", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipe24", lambda: gen.independent_toggles(24), "twenty-four independent toggle stages (pipeline analogue)", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipeline3", lambda: gen.pipeline(3), "three coupled pipeline toggle stages", "table1", mode="relaxed"),
-    _case("pipeline4", lambda: gen.pipeline(4), "four coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, symbolic_solve=True, symbolic_frontier_width=2),
+    # pipeline4 (750 states) is solvable: at library settings the indexed
+    # solver takes 5 s, but the ``use_caches(False)`` legacy oracle takes
+    # 317 s (2-vCPU VM), too slow for tests/test_conformance.py and the
+    # legacy-yardstick sweeps, so the harnesses only count it.
+    _case("pipeline4", lambda: gen.pipeline(4), "four coupled pipeline toggle stages", "table1", mode="relaxed", solve=False),
     _case("pipeline8", lambda: gen.pipeline(8), "eight coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipeline12", lambda: gen.pipeline(12), "twelve coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, explicit_ok=False),
 ]

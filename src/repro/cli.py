@@ -13,7 +13,8 @@ service and symbolic tiers grown on top of it:
 * ``check-csc``    — symbolic CSC verdict: USC/CSC conflict pair counts
   and witness cubes via the code-equality relation, again without
   enumeration;
-* ``bench NAME``   — run a named benchmark from the built-in library;
+* ``bench NAME``   — run a named benchmark from the built-in library
+  (relaxed rows with ``allow_input_delay``, like the table harnesses);
 * ``serve``        — run the encoding service front: a durable job
   queue, a content-addressed result store and the versioned ``/v1``
   JSON HTTP API over the batch engine
@@ -45,7 +46,7 @@ import sys
 from typing import List, Optional
 
 from repro.api import analyze_stg, encode_stg
-from repro.bench_stg.library import benchmark_names, load_benchmark
+from repro.bench_stg.library import benchmark_names, get_case, load_benchmark
 from repro.core.search import SearchSettings
 from repro.core.solver import SolverSettings
 from repro.engine.batch import run_benchmark_suite
@@ -64,7 +65,6 @@ def _solver_settings(args: argparse.Namespace) -> SolverSettings:
         verbose=args.verbose,
         search_jobs=args.search_jobs if getattr(args, "search_jobs", None) is not None else 1,
         kernel=getattr(args, "kernel", None) or "auto",
-        core_budget=getattr(args, "core_budget", None),
     )
 
 
@@ -243,13 +243,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.table == "all":
         print("error: --table all requires --all or --list", file=sys.stderr)
         return 2
-    stg = load_benchmark(args.name, table=args.table)
+    case = get_case(args.name, table=args.table)
+    stg = case.build()
+    settings = _solver_settings(args)
+    settings.search.allow_input_delay = case.solver_settings().search.allow_input_delay
     if args.engine != "explicit":
         from repro.engine.batch import encode_many
 
         batch = encode_many(
             [stg],
-            settings=[_solver_settings(args)],
+            settings=[settings],
             max_states=args.max_states,
             engine=args.engine,
         )
@@ -260,7 +263,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for key, value in item.table_row.items():
             print(f"{key:<12} : {value}")
         return 0 if item.solved else 2
-    report = encode_stg(stg, settings=_solver_settings(args), max_states=args.max_states)
+    report = encode_stg(stg, settings=settings, max_states=args.max_states)
     for key, value in report.table_row().items():
         print(f"{key:<12} : {value}")
     return 0 if report.solved else 2
@@ -343,7 +346,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         search_jobs=args.search_jobs,
         max_backlog=args.max_backlog,
         autostart=not args.no_workers,
-        core_budget=args.core_budget,
     )
     try:
         server = bind_server(
@@ -394,7 +396,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         timeout=args.timeout,
         search_jobs=args.search_jobs,
-        core_budget=args.core_budget,
         recover=False,
     )
     print(
@@ -485,11 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--frontier-width", type=int, default=None, help="FW parameter of the heuristic search (default 8; 16 in --all mode)")
         sub.add_argument("--bricks", choices=["regions", "excitation", "states"], default=None, help="granularity of the insertion search space (default regions)")
         sub.add_argument("--max-signals", type=int, default=None, help="maximum number of inserted state signals (default 32)")
-        sub.add_argument("--max-states", type=int, default=200000, help="bound on explicit state-graph size")
+        sub.add_argument("--max-states", type=int, default=200000, help="bound on explicit state-graph size; with a symbolic engine, on the conflict core materialized for the solver (a larger core gets the detection-only verdict)")
         sub.add_argument("--enlarge-concurrency", action="store_true", help="greedily increase concurrency of inserted signals")
         sub.add_argument("--search-jobs", type=int, default=None, metavar="N", help="shard each insertion search across N workers (results identical to serial; in --all mode clamped so --jobs x N fits the machine)")
         sub.add_argument("--kernel", choices=["auto", "bigint", "planes"], default=None, help="block-evaluation kernel: bit-plane batches (planes), the big-integer oracle (bigint), or planes when numpy is importable (auto, the default); results are byte-identical either way")
-        sub.add_argument("--core-budget", type=int, default=None, metavar="N", help="symbolic engines only: materialize conflict cores up to N states into the explicit solver (default 512); larger cores are solved fully in BDD space — results are conformance-pinned identical either way")
         sub.add_argument("--verbose", action="store_true", help="log per-insertion solver progress (debug level)")
         sub.add_argument("-q", "--quiet", action="store_true", help="log errors only")
 
@@ -515,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_symbolic_input(check)
     check.add_argument("--witnesses", type=int, default=4, metavar="N", help="conflict witness cubes to decode (default 4)")
-    check.add_argument("--core-budget", type=int, default=None, metavar="N", help="accepted for flag parity with solve/bench; the detection verdict and core size never depend on it")
     check.set_defaults(handler=_cmd_check_csc)
 
     solve = subparsers.add_parser("solve", help="insert state signals until CSC holds")
@@ -560,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default="pyetrify-service.db", metavar="PATH", help="sqlite file holding jobs and results (survives restarts)")
     serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="per-job wall-clock bound")
     serve.add_argument("--search-jobs", type=int, default=None, metavar="N", help="default in-solve sharding width for jobs that do not request one (clamped so --jobs x N fits the machine)")
-    serve.add_argument("--core-budget", type=int, default=None, metavar="N", help="default symbolic conflict-core bound for jobs that do not request one (default 512)")
     serve.add_argument("--max-entries", type=int, default=None, metavar="N", help="LRU bound on the result store (default unbounded)")
     serve.add_argument("--max-backlog", type=int, default=None, metavar="N", help="reject submissions with 503 when N jobs are already pending (default unbounded)")
     serve.add_argument("--no-workers", action="store_true", help="serve the API only; drain the queue with separate `pyetrify worker` processes")
@@ -574,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--jobs", type=int, default=1, help="concurrent encodings in this worker process")
     worker.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="per-job wall-clock bound")
     worker.add_argument("--search-jobs", type=int, default=None, metavar="N", help="default in-solve sharding width (clamped against --jobs)")
-    worker.add_argument("--core-budget", type=int, default=None, metavar="N", help="default symbolic conflict-core bound for jobs that do not request one (default 512)")
     worker.add_argument("--verbose", action="store_true", help="debug-level logging")
     worker.add_argument("-q", "--quiet", action="store_true", help="log errors only")
     worker.set_defaults(handler=_cmd_worker)

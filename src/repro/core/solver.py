@@ -61,16 +61,6 @@ class SolverSettings:
     Like ``search_jobs`` it is fingerprint-irrelevant: both kernels
     produce byte-identical evaluations, so the service strips it from
     the request identity.
-
-    ``core_budget`` bounds the conflict core the symbolic bridge will
-    materialize into the explicit solver (``mode="hybrid"``); larger
-    cores take the fully symbolic insertion path
-    (:mod:`repro.symbolic.insert`).  ``None`` falls back to
-    :data:`repro.symbolic.bridge.DEFAULT_CORE_BUDGET`.  It is
-    fingerprint-irrelevant like ``kernel``: the hybrid and symbolic
-    insertion paths are pinned byte-identical by the conformance
-    harness wherever both can run, so the budget only selects *how* the
-    same encoding is computed.
     """
 
     search: SearchSettings = field(default_factory=SearchSettings)
@@ -81,7 +71,6 @@ class SolverSettings:
     engine: str = "explicit"
     search_jobs: int = 1
     kernel: str = "auto"
-    core_budget: Optional[int] = None
 
 
 @dataclass

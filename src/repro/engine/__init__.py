@@ -7,9 +7,6 @@ benchmark libraries:
   canonical :class:`~repro.core.indexed.IndexedStateGraph`, brick
   decomposition, brick adjacency, CSC conflict analysis) with selective
   invalidation and index derivation across signal insertions;
-* :mod:`repro.engine.indexing` — compatibility shim for the PR-1 module
-  of that name; the indexed representation itself now lives in
-  :mod:`repro.core.indexed` and is what the core pipeline computes on;
 * :mod:`repro.engine.batch` — ``encode_many``: encode many STGs
   concurrently through a process pool, with byte-identical results
   between serial and parallel runs;

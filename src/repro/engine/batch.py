@@ -556,9 +556,7 @@ def run_benchmark_suite(
     cases the explicit engine must skip: ``explicit_ok=False`` rows get
     their census and CSC verdict symbolically, and ``solve=False`` rows
     run with a zero signal budget (detection-only) so the sweep stays
-    within a benchmark-sized time budget — except rows tagged
-    ``symbolic_solve``, which keep their budget and are solved end to
-    end by the BDD-space insertion path (``mode="symbolic-insert"``).
+    within a benchmark-sized time budget.
     """
     cases = suite_cases(table, engine=engine)
     if smallest is not None:
@@ -573,14 +571,7 @@ def run_benchmark_suite(
         if max_signals is not None:
             case_settings.max_signals = max_signals
         if engine != "explicit" and not case.solve:
-            if case.symbolic_solve:
-                # A conflict core beyond the explicit-harness regime but
-                # within reach of the BDD-space insertion path: keep the
-                # signal budget and pin the case's tuned frontier width.
-                if case.symbolic_frontier_width is not None:
-                    case_settings.search.frontier_width = case.symbolic_frontier_width
-            else:
-                case_settings.max_signals = 0
+            case_settings.max_signals = 0
         if enlarge_concurrency:
             case_settings.search.enlarge_concurrency = True
         if verbose:

@@ -20,8 +20,8 @@ This package turns the batch engine into a distributed service tier:
 * :mod:`repro.service.tenants` — API keys, per-tenant quotas, rate
   limits and accounting;
 * :mod:`repro.service.asgi` — the async ASGI front serving the
-  versioned ``/v1`` JSON API (SSE job-event streams included) plus the
-  deprecated legacy aliases (``pyetrify serve``);
+  versioned ``/v1`` JSON API, SSE job-event streams included
+  (``pyetrify serve``);
 * :mod:`repro.service.client` — a stdlib client for that API
   (:func:`repro.api.connect`).
 
@@ -185,7 +185,6 @@ class EncodingService:
         search_jobs: Optional[int] = None,
         max_backlog: Optional[int] = None,
         recover: bool = True,
-        core_budget: Optional[int] = None,
     ) -> None:
         self.backend = open_backend(store_path)
         self.store = self.backend.open_store(max_entries=max_entries)
@@ -199,7 +198,6 @@ class EncodingService:
             jobs=jobs,
             timeout=timeout,
             search_jobs=search_jobs,
-            core_budget=core_budget,
         )
         self._started_at = time.time()
         if autostart:
@@ -214,7 +212,6 @@ class EncodingService:
         engine: Optional[str] = None,
         search_jobs: Optional[int] = None,
         kernel: Optional[str] = None,
-        core_budget: Optional[int] = None,
         synth: bool = False,
         tenant: Optional[str] = None,
         expected_fingerprint: Optional[str] = None,
@@ -254,15 +251,6 @@ class EncodingService:
         Performance-only like ``search_jobs``: persisted on the job
         record, absent from the fingerprint — both kernels store the
         identical payload.
-
-        ``core_budget`` bounds the conflict core the symbolic bridge
-        materializes for the explicit solver (``None`` falls back to
-        ``settings.core_budget``, where ``None`` means "unspecified" and
-        inherits the server-wide default).  Execution-only like
-        ``kernel`` — it selects between the hybrid and fully symbolic
-        insertion paths, which are conformance-pinned to the same
-        encoding — so it is persisted on the job record, not in the
-        canonical settings.
 
         ``synth=True`` makes this a *synthesis* job: the worker runs the
         full :mod:`repro.synth` tier after the encode and the stored
@@ -333,14 +321,6 @@ class EncodingService:
                     f"unknown kernel {kernel!r}; expected one of {KERNELS}"
                 )
             request["kernel"] = kernel
-        # And for the core budget: ``None`` from the dataclass default is
-        # "unspecified", anything explicit rides on the job record.
-        if core_budget is None and settings is not None:
-            core_budget = settings.core_budget
-        if core_budget is not None:
-            if int(core_budget) < 1:
-                raise ValueError("core_budget must be a positive integer")
-            request["core_budget"] = int(core_budget)
         # Quota and backlog bounds only refuse *new* work: a submission
         # that coalesces onto an already-queued job adds no load, so it
         # goes through even when the tenant or the queue is at its cap.
@@ -378,7 +358,6 @@ class EncodingService:
         engine: Optional[str] = None,
         search_jobs: Optional[int] = None,
         kernel: Optional[str] = None,
-        core_budget: Optional[int] = None,
         synth: bool = False,
         tenant: Optional[str] = None,
         expected_fingerprint: Optional[str] = None,
@@ -413,7 +392,6 @@ class EncodingService:
             engine=engine,
             search_jobs=search_jobs,
             kernel=kernel,
-            core_budget=core_budget,
             synth=synth,
             tenant=tenant,
             expected_fingerprint=expected_fingerprint,

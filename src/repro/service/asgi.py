@@ -4,9 +4,9 @@ This replaces the PR-2 ``ThreadingHTTPServer`` with two cleanly split
 pieces, both stdlib-only:
 
 * :func:`create_app` — an **ASGI 3** application serving the versioned
-  ``/v1`` API (and the deprecated legacy aliases).  Being a plain ASGI
-  callable, it also runs under uvicorn/hypercorn unchanged when those
-  are available; nothing in this repo requires them.
+  ``/v1`` API.  Being a plain ASGI callable, it also runs under
+  uvicorn/hypercorn unchanged when those are available; nothing in this
+  repo requires them.
 * :class:`AsgiHTTPServer` / :func:`serve_asgi` — a minimal asyncio
   HTTP/1.1 server that hosts the app without any dependency, speaking
   keep-alive for framed responses and close-delimited streaming for
@@ -38,11 +38,8 @@ API surface (see ``API.md`` for schemas and curl examples)::
 Every ``/v1`` error is the uniform envelope ``{"error": {"code",
 "message", "detail"}}`` with the matching status (400 bad_request, 401
 unauthorized, 403 forbidden, 404 not_found, 409 conflict, 429
-rate_limited + ``Retry-After``, 503 unavailable).  The unversioned
-legacy routes (``/jobs``, ``/results/…``, ``/healthz``, ``/stats``) stay
-as thin aliases onto the same handlers: they emit a ``Deprecation``
-header plus a ``Link`` to their ``/v1`` successor and keep the PR-2
-error shape (``{"error": "<string>"}``) so pre-/v1 clients keep parsing.
+rate_limited + ``Retry-After``, 503 unavailable).  A path outside
+``/v1`` is a 404 in the same envelope.
 """
 
 from __future__ import annotations
@@ -138,8 +135,7 @@ _STATUS_PHRASES = {
 class ApiError(Exception):
     """One API failure, carried as (status, code, message, detail).
 
-    Rendered as the uniform ``/v1`` envelope or flattened to the legacy
-    string shape, depending on which route surface raised it.
+    Rendered as the uniform ``/v1`` envelope.
     """
 
     def __init__(
@@ -321,8 +317,7 @@ class _ServiceApp:
         request = _Request(scope, body)
         path = request.raw_path.rstrip("/") or "/"
         versioned = path == "/v1" or path.startswith("/v1/")
-        route = path[3:] if versioned else path
-        route = route or "/"
+        route = path[3:] or "/"
         observed = _ObservedSend(send, request.id, self._cors_headers(request))
         started = time.perf_counter()
         span_event(
@@ -334,18 +329,23 @@ class _ServiceApp:
                 raise ApiError.bad_request(
                     f"request body exceeds {_MAX_BODY_BYTES} bytes"
                 )
-            await self._dispatch(request, route, versioned, receive, observed)
+            if not versioned:
+                raise ApiError.not_found(
+                    f"no such endpoint: {request.method} {request.raw_path}"
+                    " (the API is served under /v1)"
+                )
+            await self._dispatch(request, route, receive, observed)
         except ApiError as error:
-            await self._send_error(observed, error, versioned, route)
+            await self._send_error(observed, error)
         except Exception as error:  # pragma: no cover - defensive catch-all
             fallback = ApiError(500, "internal", f"{type(error).__name__}: {error}")
-            await self._send_error(observed, fallback, versioned, route)
+            await self._send_error(observed, fallback)
         finally:
             elapsed = time.perf_counter() - started
             # a request that ended without a response start (client gone
             # mid-stream) is accounted under status 0
             status = observed.status if observed.status is not None else 0
-            label = _route_label(route)
+            label = _route_label(route) if versioned else "other"
             _HTTP_REQUESTS.labels(
                 route=label, method=request.method, status=str(status)
             ).inc()
@@ -392,13 +392,6 @@ class _ServiceApp:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, functools.partial(fn, *args, **kwargs))
 
-    @staticmethod
-    def _legacy_headers(route: str) -> List[Tuple[str, str]]:
-        return [
-            ("Deprecation", "true"),
-            ("Link", f'</v1{route}>; rel="successor-version"'),
-        ]
-
     async def _send_json(
         self,
         send,
@@ -425,18 +418,8 @@ class _ServiceApp:
         await send({"type": "http.response.start", "status": status, "headers": headers})
         await send({"type": "http.response.body", "body": blob})
 
-    async def _send_error(
-        self, send, error: ApiError, versioned: bool, route: str = "/"
-    ) -> None:
-        if versioned:
-            payload: Dict[str, object] = error.envelope()
-            headers = error.headers
-        else:
-            # the legacy surface predates the envelope: a plain string,
-            # as PR-2 clients (and their tests) parse it
-            payload = {"error": error.message}
-            headers = error.headers + self._legacy_headers(route)
-        await self._send_json(send, error.status, payload, headers)
+    async def _send_error(self, send, error: ApiError) -> None:
+        await self._send_json(send, error.status, error.envelope(), error.headers)
 
     # -- auth -----------------------------------------------------------
     async def _authenticate(self, request: _Request) -> Tenant:
@@ -459,48 +442,42 @@ class _ServiceApp:
         return tenant
 
     # -- routing --------------------------------------------------------
-    async def _dispatch(self, request, route: str, versioned: bool, receive, send) -> None:
+    async def _dispatch(self, request, route: str, receive, send) -> None:
         method = request.method
-        legacy = [] if versioned else self._legacy_headers(route)
         if method == "OPTIONS":
             await self._preflight(request, send)
             return
         if route == "/healthz" and method == "GET":
             from repro import __version__
 
-            payload = {"ok": True, "version": __version__}
-            if versioned:
-                payload["api"] = "v1"
-            await self._send_json(send, 200, payload, legacy)
+            await self._send_json(
+                send, 200, {"ok": True, "version": __version__, "api": "v1"}
+            )
             return
         if route == "/stats" and method == "GET":
             await self._authenticate(request)
             stats = await self._call(self.service.stats)
-            await self._send_json(send, 200, stats, legacy)
+            await self._send_json(send, 200, stats)
             return
-        if versioned and route == "/metrics" and method == "GET":
+        if route == "/metrics" and method == "GET":
             await self._authenticate(request)
             text = await self._call(render_service_metrics, self.service)
             await self._send_text(send, 200, text)
             return
         if route == "/jobs" and method == "POST":
-            await self._post_job(request, send, legacy)
+            await self._post_job(request, send)
             return
         if route.startswith("/jobs/") and method == "GET":
             rest = route[len("/jobs/"):]
             if rest.endswith("/events"):
-                if not versioned:
-                    raise ApiError.not_found(
-                        "event streams are a /v1 feature: GET /v1/jobs/{id}/events"
-                    )
                 await self._job_events(request, rest[: -len("/events")], receive, send)
                 return
-            await self._get_job(request, rest, send, legacy)
+            await self._get_job(request, rest, send)
             return
         if route.startswith("/results/") and method == "GET":
-            await self._get_result(request, route[len("/results/"):], send, legacy)
+            await self._get_result(request, route[len("/results/"):], send)
             return
-        if versioned and route == "/tenants/me" and method == "GET":
+        if route == "/tenants/me" and method == "GET":
             tenant = await self._authenticate(request)
             counters = await self._call(self.service.tenants.counters_for, tenant)
             active = await self._call(self.service.queue.active_count, tenant.id and tenant.name)
@@ -509,12 +486,12 @@ class _ServiceApp:
                 {"tenant": tenant.as_dict(), "counters": counters, "active_jobs": active},
             )
             return
-        if versioned and route == "/admin/stats" and method == "GET":
+        if route == "/admin/stats" and method == "GET":
             await self._require_admin(request)
             stats = await self._call(self.service.admin_stats)
             await self._send_json(send, 200, stats)
             return
-        if versioned and route == "/admin/tenants":
+        if route == "/admin/tenants":
             await self._admin_tenants(request, method, send)
             return
         raise ApiError.not_found(f"no such endpoint: {request.method} {request.raw_path}")
@@ -541,7 +518,7 @@ class _ServiceApp:
         await send({"type": "http.response.body", "body": b""})
 
     # -- handlers -------------------------------------------------------
-    async def _post_job(self, request: _Request, send, legacy) -> None:
+    async def _post_job(self, request: _Request, send) -> None:
         tenant = await self._authenticate(request)
         body = request.json_body()
         decision = self.service.tenants.spend_token(tenant)
@@ -552,7 +529,7 @@ class _ServiceApp:
             )
         outcome = await self._call(self._submit_body, body, tenant, request.id)
         status = 200 if outcome["cached"] else 202
-        await self._send_json(send, status, outcome, legacy)
+        await self._send_json(send, status, outcome)
 
     def _submit_body(
         self,
@@ -681,7 +658,7 @@ class _ServiceApp:
             raise ApiError.not_found(f"unknown job id {job_id!r}")
         return job
 
-    async def _get_job(self, request: _Request, job_id: str, send, legacy) -> None:
+    async def _get_job(self, request: _Request, job_id: str, send) -> None:
         tenant = await self._authenticate(request)
         job = await self._call(self._visible_job, job_id, tenant)
         payload: Dict[str, object] = job.as_dict()
@@ -692,14 +669,14 @@ class _ServiceApp:
             # max_entries-bounded store; tell the client to resubmit
             # instead of leaving an ambiguous null.
             payload["result_evicted"] = payload["result"] is None
-        await self._send_json(send, 200, payload, legacy)
+        await self._send_json(send, 200, payload)
 
-    async def _get_result(self, request: _Request, fingerprint: str, send, legacy) -> None:
+    async def _get_result(self, request: _Request, fingerprint: str, send) -> None:
         await self._authenticate(request)
         result = await self._call(self.service.result, fingerprint)
         if result is None:
             raise ApiError.not_found(f"no result for fingerprint {fingerprint!r}")
-        await self._send_json(send, 200, result, legacy)
+        await self._send_json(send, 200, result)
 
     # -- event streaming ------------------------------------------------
     async def _job_events(self, request: _Request, job_id: str, receive, send) -> None:

@@ -96,8 +96,6 @@ class ServiceClient:
                 code = str(envelope.get("code", code))
                 message = str(envelope.get("message", message))
                 detail = envelope.get("detail")
-            elif isinstance(envelope, str):  # a legacy (pre-/v1) surface
-                message = envelope
         except (ValueError, AttributeError):
             pass
         retry_after = None

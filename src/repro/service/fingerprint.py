@@ -11,7 +11,7 @@ that is independent of construction order (signals, transitions, arcs and
 markings are sorted) and of presentation-only settings (``verbose`` is
 dropped).  ``request_fingerprint`` hashes that canonical form with
 SHA-256; the hex digest is the key of the result store and the public
-``/results/{fingerprint}`` address of the HTTP API.
+``/v1/results/{fingerprint}`` address of the HTTP API.
 
 This extends the result-side identity introduced in PR 1
 (:meth:`repro.core.solver.EncodingResult.fingerprint` /
@@ -52,13 +52,9 @@ FINGERPRINT_VERSION = 2
 #: (the sharded Figure-4 search is byte-identical to the serial one by
 #: construction — see :mod:`repro.engine.shard`), and ``kernel`` selects
 #: between block-evaluation implementations that are byte-identical by
-#: the conformance harness (:mod:`repro.core.planes`), and
-#: ``core_budget`` only selects *which* symbolic path (hybrid
-#: materialization vs. fully symbolic insertion) computes the same
-#: encoding (:mod:`repro.symbolic.insert`, likewise pinned by the
-#: conformance harness), so requests differing only in these dedupe to
-#: the same fingerprint.
-_PRESENTATION_ONLY = {"verbose", "search_jobs", "kernel", "core_budget"}
+#: the conformance harness (:mod:`repro.core.planes`), so requests
+#: differing only in these dedupe to the same fingerprint.
+_PRESENTATION_ONLY = {"verbose", "search_jobs", "kernel"}
 
 
 def canonical_stg(stg: STG) -> Dict[str, object]:

@@ -19,7 +19,7 @@ The dispatcher is crash-proof by construction: every interaction with
 the queue, the store and the engine is guarded, an unexpected error
 fails the affected job (or is counted in ``dispatch_errors``) and the
 loop keeps running — a single poisonous job cannot silently wedge the
-service while ``/healthz`` keeps answering.
+service while ``/v1/healthz`` keeps answering.
 
 Every job runs under the per-job wall-clock ``timeout`` of the engine
 (:mod:`repro.utils.deadline`): an item that exceeds it comes back as
@@ -92,13 +92,6 @@ class WorkerPool:
         input: a client asking for ``search_jobs: 5000`` must not be
         able to fork 5000 workers per insertion search.
         Execution-only: it never changes a result or a fingerprint.
-    core_budget:
-        Server-side default for the symbolic bridge's conflict-core
-        bound (``SolverSettings.core_budget``), applied to jobs that
-        carry no explicit budget of their own (persisted on the job
-        record by ``submit``).  Execution-only like ``search_jobs``:
-        it selects between the hybrid and fully symbolic insertion
-        paths, never the encoding.
     """
 
     def __init__(
@@ -109,7 +102,6 @@ class WorkerPool:
         timeout: Optional[float] = None,
         search_jobs: Optional[int] = None,
         name: Optional[str] = None,
-        core_budget: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -118,7 +110,6 @@ class WorkerPool:
         self.jobs = jobs
         self.timeout = timeout
         self.search_jobs = search_jobs
-        self.core_budget = core_budget
         # Recorded on every claim (jobs.claimed_by): in a multi-process
         # deployment each ``pyetrify worker`` names itself host:pid so
         # /v1 job records show which process ran what.
@@ -271,13 +262,6 @@ class WorkerPool:
                 # fingerprint strips execution-only knobs) — reapply the
                 # requested block-evaluation kernel before solving.
                 settings = dataclasses.replace(settings, kernel=str(kernel))
-            core_budget = job.request.get("core_budget")
-            if core_budget is None:
-                core_budget = self.core_budget
-            if core_budget is not None and core_budget != settings.core_budget:
-                # Same treatment as ``kernel``: the budget rides on the
-                # job record, with the server-wide default as fallback.
-                settings = dataclasses.replace(settings, core_budget=int(core_budget))
             obs = _obs_envelope(
                 progress=(self.queue.path, job.id, job.request_id)
             )

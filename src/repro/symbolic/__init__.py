@@ -16,21 +16,12 @@ enumeration:
   code-equality relation on the primed/unprimed variable pairs, never
   by pairwise state comparison: USC/CSC pair counts, conflict states,
   witness cubes, and the conflict-reachable core;
-* :mod:`repro.symbolic.regions` — the region machinery of the explicit
-  solver (excitation regions, minimal pre/post-regions, bricks, exit
-  borders, I-partitions and the Figure-4 cost terms) rebuilt as
-  image/preimage fixpoints over state-set BDDs, pinned order-identical
-  to the explicit engine on enumerable graphs;
-* :mod:`repro.symbolic.insert` — signal insertion, the SIP validity
-  check and the full Figure-4 search/solve loop in BDD space
-  (:func:`solve_csc_symbolic`), the back half for cores too large to
-  materialize;
 * :mod:`repro.symbolic.bridge` — :func:`symbolic_encode`, the hybrid
   driver: symbolic census and detection always; when conflicts exist
-  and the core fits the state budget, only that core is materialized
-  into the explicit representation so the region/insertion solver
-  finishes the job; beyond the budget the solve itself goes symbolic
-  (``mode="symbolic-insert"``).
+  and the core has at most ``max_states`` states, only that core is
+  materialized into the explicit representation so the region/insertion
+  solver finishes the job (``mode="hybrid"``); a larger core gets the
+  detection-only verdict (``mode="symbolic-only"``).
 
 The tier plugs into the stack as ``engine="symbolic"`` / ``"auto"`` of
 :func:`repro.engine.batch.encode_many`, the ``pyetrify census`` /
@@ -50,8 +41,6 @@ from repro.symbolic.csc import (
     detect_csc_conflicts,
     ensure_core,
 )
-from repro.symbolic.insert import SymbolicEncodingResult, solve_csc_symbolic
-from repro.symbolic.regions import SymbolicGraphView, conflict_context
 from repro.symbolic.stategraph import (
     SymbolicCensus,
     SymbolicStateGraph,
@@ -62,16 +51,12 @@ __all__ = [
     "DEFAULT_STATE_BUDGET",
     "SymbolicCensus",
     "SymbolicConflictReport",
-    "SymbolicEncodingResult",
-    "SymbolicGraphView",
     "SymbolicOutcome",
     "SymbolicStateGraph",
-    "conflict_context",
     "conflict_core",
     "detect_csc_conflicts",
     "ensure_core",
     "materialize_core",
-    "solve_csc_symbolic",
     "state_variable_order",
     "symbolic_census",
     "symbolic_check_csc",

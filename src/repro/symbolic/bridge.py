@@ -10,14 +10,16 @@ census and conflict detection symbolically, and
   and no state was ever enumerated (``mode="symbolic"``);
 * with conflicts whose *conflict-reachable core* (every state on a
   trajectory through a conflict, :func:`repro.symbolic.csc.conflict_core`)
-  fits the state budget, materializes exactly that core into an explicit
-  :class:`~repro.stg.state_graph.StateGraph` — whose canonical
+  has at most ``max_states`` states, materializes exactly that core into
+  an explicit :class:`~repro.stg.state_graph.StateGraph` — whose canonical
   integer/bitset :class:`~repro.core.indexed.IndexedStateGraph` the
   PR-3 pipeline then computes on — and lets :func:`repro.core.solver.solve_csc`
   finish the job (``mode="hybrid"``);
-* otherwise reports a structured symbolic-only verdict: state count,
-  USC/CSC pair counts, conflict-state and core sizes, witness cubes
-  (``mode="symbolic-only"``).
+* otherwise — a larger core, or a detection-only request
+  (``max_signals == 0``) — reports a structured symbolic-only verdict:
+  state count, USC/CSC pair counts, conflict-state and core sizes,
+  witness cubes (``mode="symbolic-only"``; a core over the budget also
+  logs ``core_exceeds_budget``).
 
 Materialization is a breadth-first replay of the Petri-net token game
 restricted to core members (membership is one BDD evaluation per
@@ -60,32 +62,14 @@ __all__ = [
     "materialize_core",
     "symbolic_encode",
     "DEFAULT_STATE_BUDGET",
-    "DEFAULT_CORE_BUDGET",
 ]
 
 #: State-count budget under which ``engine="auto"`` still routes a
-#: request through the explicit pipeline (used when the caller passes
+#: request through the explicit pipeline, and up to which the bridge
+#: materializes a conflict core (used when the caller passes
 #: ``max_states=None`` — the symbolic tier exists precisely because
 #: "unbounded explicit" is not a thing for its workloads).
 DEFAULT_STATE_BUDGET = 200000
-
-#: Default bound on the conflict core the hybrid bridge will materialize
-#: for the *insertion solver*.  Deliberately much smaller than the
-#: census/exploration budget: enumerating a hundred thousand states is
-#: cheap, but the Figure-4 insertion search on them is not — beyond
-#: roughly this size the solve itself goes symbolic
-#: (``mode="symbolic-insert"``, :mod:`repro.symbolic.insert`).
-DEFAULT_CORE_BUDGET = 512
-
-#: State ceiling for the fully symbolic insertion path.  The BDD-space
-#: Figure-4 search never enumerates states, but its block evaluations
-#: still scale with graph size; beyond this census the search is not a
-#: benchmark-sized computation and a detection-only verdict is the
-#: honest default answer.  Matches the canonical-enumeration limit of
-#: :mod:`repro.symbolic.regions`, so every graph the solver accepts by
-#: default is also one whose search order is pinned to the explicit
-#: engine's.
-DEFAULT_SYMBOLIC_SOLVE_BUDGET = 20000
 
 
 def materialize_core(
@@ -154,13 +138,12 @@ class SymbolicOutcome:
     """Everything produced by one :func:`symbolic_encode` run."""
 
     stg: STG
-    mode: str  # "symbolic" | "hybrid" | "symbolic-insert" | "symbolic-only"
+    mode: str  # "symbolic" | "hybrid" | "symbolic-only"
     census: SymbolicCensus
     report: SymbolicConflictReport
-    #: hybrid mode: an :class:`EncodingResult`; symbolic-insert mode: a
-    #: :class:`~repro.symbolic.insert.SymbolicEncodingResult` (same
-    #: fingerprint/summary surface); otherwise ``None``.
-    result: Optional[object] = None
+    #: hybrid mode: the explicit solver's :class:`EncodingResult`;
+    #: otherwise ``None``.
+    result: Optional[EncodingResult] = None
     materialized_states: Optional[int] = None
     total_seconds: float = 0.0
 
@@ -231,8 +214,6 @@ def symbolic_encode(
     settings: Optional[SolverSettings] = None,
     max_states: Optional[int] = DEFAULT_STATE_BUDGET,
     witness_limit: int = 4,
-    hybrid: bool = True,
-    core_budget: Optional[int] = None,
     ssg: Optional[SymbolicStateGraph] = None,
 ) -> SymbolicOutcome:
     """Run the CSC pipeline with a symbolic front half (module docstring).
@@ -246,43 +227,21 @@ def symbolic_encode(
         disables solving just as it does explicitly, leaving a
         detection-only verdict.
     max_states:
-        Hard cap on any explicit enumeration (a safety bound, like the
-        explicit pipeline's ``max_states``); ``None`` falls back to
+        Bound on the conflict core the bridge materializes for the
+        explicit solver (the same safety bound as the explicit
+        pipeline's ``max_states``); ``None`` falls back to
         :data:`DEFAULT_STATE_BUDGET` — the symbolic tier never
-        materializes unboundedly.
+        materializes unboundedly.  A larger core gets the
+        detection-only verdict (``mode="symbolic-only"``).
     witness_limit:
         Conflict witness cubes to decode into the verdict.
-    hybrid:
-        Allow bridging to the explicit solver at all; ``False`` forces a
-        detection-only run regardless of core size.
-    core_budget:
-        Bound on the conflict core the bridge materializes for the
-        explicit insertion solver; ``None`` falls back to
-        ``settings.core_budget`` and then :data:`DEFAULT_CORE_BUDGET`
-        (solver-sized, far below ``max_states``).  A larger core takes
-        the fully symbolic insertion path (``mode="symbolic-insert"``,
-        :mod:`repro.symbolic.insert`) instead.
     ssg:
         A pre-built (possibly pre-explored) symbolic graph to reuse —
         the ``engine="auto"`` path builds one for the census and hands
         it over instead of re-exploring.
     """
     settings = settings or SolverSettings()
-    hard_cap = max_states if max_states is not None else DEFAULT_STATE_BUDGET
-    if core_budget is None:
-        core_budget = settings.core_budget
-    requested = core_budget if core_budget is not None else DEFAULT_CORE_BUDGET
-    solver_budget = min(requested, hard_cap)
-    if solver_budget < requested:
-        # Surface the clamp: the caller asked for a bigger core than the
-        # explicit-enumeration safety bound allows.
-        _log.warning(
-            "core_budget_clamped",
-            name=stg.name,
-            requested=requested,
-            max_states=hard_cap,
-            effective=solver_budget,
-        )
+    budget = max_states if max_states is not None else DEFAULT_STATE_BUDGET
     started = time.perf_counter()
     with span("symbolic.census", name=stg.name):
         if ssg is None:
@@ -301,28 +260,20 @@ def symbolic_encode(
         core = ensure_core(ssg, report)
     if not report.csc_holds:
         mode = "symbolic-only"
-        if hybrid and settings.max_signals > 0:
-            if report.core_states <= solver_budget:
+        if settings.max_signals > 0:
+            if report.core_states <= budget:
                 with span("symbolic.materialize", name=stg.name):
-                    sg = materialize_core(ssg, core, max_states=solver_budget)
+                    sg = materialize_core(ssg, core, max_states=budget)
                 materialized = sg.num_states
                 with span("symbolic.solve", name=stg.name):
                     result = solve_csc(sg, settings)
                 mode = "hybrid"
-            elif census.states <= DEFAULT_SYMBOLIC_SOLVE_BUDGET:
-                # Core too large to hand to the explicit solver: run the
-                # whole Figure-4 insertion search in BDD space instead.
-                from repro.symbolic.insert import solve_csc_symbolic
-
-                with span("symbolic.insert", name=stg.name):
-                    result = solve_csc_symbolic(ssg, settings)
-                mode = "symbolic-insert"
             else:
                 _log.warning(
-                    "symbolic_insert_skipped",
+                    "core_exceeds_budget",
                     name=stg.name,
-                    states=census.states,
-                    budget=DEFAULT_SYMBOLIC_SOLVE_BUDGET,
+                    core_states=report.core_states,
+                    max_states=budget,
                 )
     return SymbolicOutcome(
         stg=stg,

@@ -25,7 +25,7 @@ from repro.core.csc import (
 from repro.core.search import find_insertion_plan
 from repro.engine import caches, use_caches
 from repro.engine.batch import run_benchmark_suite, select_smallest_cases, suite_cases
-from repro.engine.indexing import IndexedEvaluator, get_index
+from repro.core.indexed import IndexedEvaluator, indexed_state_graph
 from repro.core.cost import evaluate_block
 from repro.stg.state_graph import build_state_graph
 
@@ -57,7 +57,7 @@ def test_indexed_evaluator_matches_object_space(vme_sg):
     memo returns the identical result object on a repeat evaluation."""
     conflicts = csc_conflicts(vme_sg)
     evaluator = IndexedEvaluator(vme_sg, conflicts, allow_input_delay=False)
-    index = get_index(vme_sg)
+    index = indexed_state_graph(vme_sg)
     bricks = caches.get_bricks(vme_sg, "regions", 20000)
     assert bricks, "vme must decompose into bricks"
     for brick in bricks:

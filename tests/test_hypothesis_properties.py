@@ -155,7 +155,7 @@ def _candidate_kernels():
         import repro.core.planes as planes_mod
         from repro.bench_stg import generators as gen
         from repro.core.csc import csc_conflicts
-        from repro.engine.indexing import IndexedEvaluator
+        from repro.core.indexed import IndexedEvaluator
         from repro.stg.state_graph import build_state_graph
 
         sg = build_state_graph(gen.vme_controller())

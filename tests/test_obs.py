@@ -403,24 +403,6 @@ def test_unclamped_budget_stays_silent(captured_log):
     assert "search_jobs_clamped" not in captured_log.getvalue()
 
 
-def test_core_budget_clamp_warns(captured_log):
-    """Asking for a bigger conflict core than ``max_states`` allows is
-    silently impossible to honour — the bridge must say so."""
-    from repro.symbolic import symbolic_encode
-
-    symbolic_encode(gen.vme_controller(), core_budget=500, max_states=100)
-    output = captured_log.getvalue()
-    assert "core_budget_clamped" in output
-    assert "requested=500" in output and "effective=100" in output
-
-
-def test_core_budget_within_bounds_stays_silent(captured_log):
-    from repro.symbolic import symbolic_encode
-
-    symbolic_encode(gen.vme_controller(), core_budget=50, max_states=100)
-    assert "core_budget_clamped" not in captured_log.getvalue()
-
-
 # ----------------------------------------------------------------------
 # service surface
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the HTTP front end of the encoding service.
 
-Boots a real :class:`~repro.service.http.ServiceHTTPServer` on an
-ephemeral port with an in-process worker pool and exercises the JSON API
-with ``urllib`` — the same path a curl user takes.
+Boots a real :class:`~repro.service.asgi.AsgiHTTPServer` on an
+ephemeral port with an in-process worker pool and exercises the ``/v1``
+JSON API with ``urllib`` — the same path a curl user takes.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import urllib.request
 
 import pytest
 
+from repro.api import serve
 from repro.service import EncodingService
-from repro.service.http import serve
 from repro.bench_stg.library import load_benchmark
 from repro.stg.writer import stg_to_g_text
 
@@ -42,7 +42,7 @@ def _await_done(base, job_id, timeout=120.0):
 
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, job = _request(base, "GET", f"/jobs/{job_id}")
+        status, job = _request(base, "GET", f"/v1/jobs/{job_id}")
         assert status == 200
         if job["status"] == "done":
             return job
@@ -64,25 +64,25 @@ def _request(base, method, path, body=None):
 
 def test_healthz_reports_version(service_server):
     _, base = service_server
-    status, body = _request(base, "GET", "/healthz")
+    status, body = _request(base, "GET", "/v1/healthz")
     from repro import __version__
 
     assert status == 200
-    assert body == {"ok": True, "version": __version__}
+    assert body == {"ok": True, "version": __version__, "api": "v1"}
 
 
 def test_submit_g_body_then_duplicate_hits_store(service_server):
     service, base = service_server
     g_text = stg_to_g_text(load_benchmark("vme2int"))
 
-    status, first = _request(base, "POST", "/jobs", {"g": g_text})
+    status, first = _request(base, "POST", "/v1/jobs", {"g": g_text})
     assert status == 202
     assert first["status"] == "pending" and first["job_id"]
 
     payload = service.wait(first["fingerprint"], timeout=120.0)
 
     # the duplicate answers instantly with 200 and the embedded result
-    status, second = _request(base, "POST", "/jobs", {"g": g_text})
+    status, second = _request(base, "POST", "/v1/jobs", {"g": g_text})
     assert status == 200
     assert second["cached"] is True
     assert second["result"] == payload
@@ -95,11 +95,11 @@ def test_submit_g_body_then_duplicate_hits_store(service_server):
 
 def test_submit_benchmark_and_fetch_result_by_fingerprint(service_server):
     service, base = service_server
-    status, outcome = _request(base, "POST", "/jobs", {"benchmark": "nak-pa"})
+    status, outcome = _request(base, "POST", "/v1/jobs", {"benchmark": "nak-pa"})
     assert status == 202
     service.wait(outcome["fingerprint"], timeout=120.0)
 
-    status, result = _request(base, "GET", f"/results/{outcome['fingerprint']}")
+    status, result = _request(base, "GET", f"/v1/results/{outcome['fingerprint']}")
     assert status == 200
     assert result["name"] == "nak-pa"
     assert result["fingerprint"] == outcome["fingerprint"]
@@ -108,12 +108,12 @@ def test_submit_benchmark_and_fetch_result_by_fingerprint(service_server):
 
 def test_stats_endpoint_counts_queue_and_store(service_server):
     service, base = service_server
-    status, outcome = _request(base, "POST", "/jobs", {"benchmark": "nak-pa"})
+    status, outcome = _request(base, "POST", "/v1/jobs", {"benchmark": "nak-pa"})
     assert status == 202
     _await_done(base, outcome["job_id"])
-    _request(base, "POST", "/jobs", {"benchmark": "nak-pa"})  # store hit
+    _request(base, "POST", "/v1/jobs", {"benchmark": "nak-pa"})  # store hit
 
-    status, stats = _request(base, "GET", "/stats")
+    status, stats = _request(base, "GET", "/v1/stats")
     assert status == 200
     assert stats["queue"]["depth"] == 0
     assert stats["queue"]["by_status"]["done"] == 1
@@ -125,10 +125,10 @@ def test_settings_influence_fingerprint(service_server):
     _, base = service_server
     g_text = stg_to_g_text(load_benchmark("vme2int"))
     _, narrow = _request(
-        base, "POST", "/jobs", {"g": g_text, "settings": {"search": {"frontier_width": 2}}}
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search": {"frontier_width": 2}}}
     )
     _, wide = _request(
-        base, "POST", "/jobs", {"g": g_text, "settings": {"search": {"frontier_width": 16}}}
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search": {"frontier_width": 16}}}
     )
     assert narrow["fingerprint"] != wide["fingerprint"]
 
@@ -136,10 +136,10 @@ def test_settings_influence_fingerprint(service_server):
 def test_engine_is_fingerprint_relevant(service_server):
     _, base = service_server
     g_text = stg_to_g_text(load_benchmark("vme2int"))
-    _, explicit = _request(base, "POST", "/jobs", {"g": g_text})
-    _, symbolic = _request(base, "POST", "/jobs", {"g": g_text, "engine": "symbolic"})
+    _, explicit = _request(base, "POST", "/v1/jobs", {"g": g_text})
+    _, symbolic = _request(base, "POST", "/v1/jobs", {"g": g_text, "engine": "symbolic"})
     _, via_settings = _request(
-        base, "POST", "/jobs", {"g": g_text, "settings": {"engine": "symbolic"}}
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"engine": "symbolic"}}
     )
     assert explicit["fingerprint"] != symbolic["fingerprint"]
     # top-level "engine" and settings.engine are the same request
@@ -151,7 +151,7 @@ def test_symbolic_job_roundtrip_and_per_engine_stats(service_server):
     # par16 is infeasible explicitly (131074 states); the symbolic engine
     # answers with a census + CSC verdict.
     status, outcome = _request(
-        base, "POST", "/jobs", {"benchmark": "par16", "table": "table1", "engine": "symbolic"}
+        base, "POST", "/v1/jobs", {"benchmark": "par16", "table": "table1", "engine": "symbolic"}
     )
     assert status == 202
     result = service.wait(outcome["fingerprint"], timeout=120.0)
@@ -161,56 +161,19 @@ def test_symbolic_job_roundtrip_and_per_engine_stats(service_server):
     assert result["summary"]["csc_holds"] is False
     assert result["census"]["states"] == 131074
 
-    status, stats = _request(base, "GET", "/stats")
+    status, stats = _request(base, "GET", "/v1/stats")
     assert status == 200
     assert stats["queue"]["by_engine"].get("symbolic", 0) >= 1
-
-
-def test_core_budget_reaches_the_bridge_but_not_the_fingerprint(service_server):
-    service, base = service_server
-    g_text = stg_to_g_text(load_benchmark("vme2int"))
-    # vme2int's conflict core is 14 states; a budget of 4 forces the
-    # bridge past hybrid materialization onto the fully symbolic
-    # insertion path — proof the knob travelled HTTP -> settings ->
-    # worker -> symbolic_encode.
-    status, budgeted = _request(
-        base,
-        "POST",
-        "/jobs",
-        {"g": g_text, "engine": "symbolic", "settings": {"core_budget": 4}},
-    )
-    assert status == 202
-    result = service.wait(budgeted["fingerprint"], timeout=120.0)
-    assert result["summary"]["engine_mode"] == "symbolic-insert"
-    assert result["summary"]["solved"] is True
-
-    # core_budget is presentation-only: the same request without it
-    # dedupes onto the already-stored job instead of re-solving.
-    status, plain = _request(base, "POST", "/jobs", {"g": g_text, "engine": "symbolic"})
-    assert plain["fingerprint"] == budgeted["fingerprint"]
-    assert status == 200 and plain["cached"] is True
-
-
-def test_core_budget_must_be_positive(service_server):
-    _, base = service_server
-    g_text = stg_to_g_text(load_benchmark("vme2int"))
-    status, payload = _request(
-        base,
-        "POST",
-        "/jobs",
-        {"g": g_text, "engine": "symbolic", "settings": {"core_budget": 0}},
-    )
-    assert status == 400
-    assert "core_budget" in payload["error"]
 
 
 def test_unknown_engine_is_a_400(service_server):
     _, base = service_server
     status, payload = _request(
-        base, "POST", "/jobs", {"benchmark": "nak-pa", "engine": "quantum"}
+        base, "POST", "/v1/jobs", {"benchmark": "nak-pa", "engine": "quantum"}
     )
     assert status == 400
-    assert "engine" in payload["error"]
+    assert payload["error"]["code"] == "bad_request"
+    assert "engine" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -231,15 +194,16 @@ def test_unknown_engine_is_a_400(service_server):
 )
 def test_error_statuses(service_server, method, path, body, expected):
     _, base = service_server
-    status, payload = _request(base, method, path, body)
+    status, payload = _request(base, method, "/v1" + path, body)
     assert status == expected
-    assert "error" in payload
+    assert payload["error"]["code"] == {400: "bad_request", 404: "not_found"}[expected]
+    assert payload["error"]["message"]
 
 
 def test_malformed_json_body_is_a_400(service_server):
     _, base = service_server
     request = urllib.request.Request(
-        base + "/jobs",
+        base + "/v1/jobs",
         data=b"this is not json",
         method="POST",
         headers={"Content-Type": "application/json"},
@@ -257,7 +221,7 @@ def test_search_jobs_width_is_forwarded_and_fingerprint_neutral(service_server):
     g_text = stg_to_g_text(load_benchmark("vme2int"))
 
     status, first = _request(
-        base, "POST", "/jobs", {"g": g_text, "settings": {"search_jobs": 2}}
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": 2}}
     )
     assert status == 202
     job = service.job(first["job_id"])
@@ -267,12 +231,12 @@ def test_search_jobs_width_is_forwarded_and_fingerprint_neutral(service_server):
 
     # width-only variation: instant store hit, same fingerprint
     status, second = _request(
-        base, "POST", "/jobs", {"g": g_text, "settings": {"search_jobs": 1}}
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": 1}}
     )
     assert status == 200 and second["cached"]
     assert second["fingerprint"] == first["fingerprint"]
 
     status, bad = _request(
-        base, "POST", "/jobs", {"g": g_text, "settings": {"search_jobs": 0}}
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": 0}}
     )
     assert status == 400

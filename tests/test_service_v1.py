@@ -1,11 +1,10 @@
 """Tests for the versioned ``/v1`` API of the ASGI service front.
 
 Boots the real asyncio server (:mod:`repro.service.asgi`) on an
-ephemeral port and exercises every ``/v1`` route plus the deprecated
-legacy aliases with ``urllib`` — asserting the uniform error envelope
-``{"error": {"code", "message", "detail"}}`` on every ``/v1`` error
-path, the SSE and long-poll event feeds, and the ``Deprecation``
-headers of the legacy surface.
+ephemeral port and exercises every ``/v1`` route with ``urllib`` —
+asserting the uniform error envelope ``{"error": {"code", "message",
+"detail"}}`` on every error path (unversioned paths included) and the
+SSE and long-poll event feeds.
 """
 
 from __future__ import annotations
@@ -265,44 +264,44 @@ def test_v1_events_404_before_streaming(service_server):
 
 
 # ----------------------------------------------------------------------
-# legacy aliases
+# unversioned paths and old clients
 # ----------------------------------------------------------------------
-def test_legacy_routes_carry_deprecation_headers(service_server):
+def test_unversioned_paths_are_a_v1_404(service_server):
     _, base = service_server
     for method, path, body in (
         ("GET", "/healthz", None),
         ("GET", "/stats", None),
         ("POST", "/jobs", {"benchmark": "nak-pa"}),
+        ("GET", "/jobs/nope", None),
+        ("GET", "/jobs/nope/events", None),
+        ("GET", "/results/deadbeef", None),
     ):
-        status, headers, _ = _request(base, method, path, body)
-        assert status in (200, 202)
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == f'</v1{path}>; rel="successor-version"'
-    # /v1 routes do not
-    status, headers, _ = _request(base, "GET", "/v1/healthz")
-    assert "Deprecation" not in headers
+        status, headers, payload = _request(base, method, path, body)
+        assert status == 404, path
+        _assert_envelope(payload, "not_found")
+        assert "/v1" in payload["error"]["message"]
+        assert "Deprecation" not in headers
 
 
-def test_legacy_errors_keep_string_shape_with_deprecation(service_server):
-    _, base = service_server
-    status, headers, payload = _request(base, "GET", "/jobs/nope")
-    assert status == 404
-    assert isinstance(payload["error"], str)  # NOT the envelope
-    assert headers["Deprecation"] == "true"
-
-    status, _, payload = _request(
-        base, "POST", "/jobs", {"benchmark": "nak-pa", "engine": "bogus"}
+def test_old_clients_sending_core_budget_are_accepted(service_server):
+    """``core_budget`` is no longer a setting; a request that still
+    carries it is the same request as one without it."""
+    service, base = service_server
+    g_text = stg_to_g_text(load_benchmark("vme2int"))
+    status, _, budgeted = _request(
+        base,
+        "POST",
+        "/v1/jobs",
+        {"g": g_text, "engine": "symbolic", "settings": {"core_budget": 4}},
     )
-    assert status == 400
-    assert isinstance(payload["error"], str)
-    assert "engine" in payload["error"]
-
-
-def test_legacy_event_stream_is_v1_only(service_server):
-    _, base = service_server
-    status, _, payload = _request(base, "GET", "/jobs/nope/events")
-    assert status == 404
-    assert isinstance(payload["error"], str)
+    assert status == 202
+    result = service.wait(budgeted["fingerprint"], timeout=120.0)
+    assert result["summary"]["engine_mode"] == "hybrid"
+    status, _, plain = _request(
+        base, "POST", "/v1/jobs", {"g": g_text, "engine": "symbolic"}
+    )
+    assert status == 200 and plain["cached"] is True
+    assert plain["fingerprint"] == budgeted["fingerprint"]
 
 
 # ----------------------------------------------------------------------
@@ -332,25 +331,8 @@ def test_api_module_surface():
 
     assert "serve" in api.__all__ and "connect" in api.__all__
     assert callable(api.serve) and callable(api.connect)
-    # renamed entry points warn but keep working
-    with pytest.warns(DeprecationWarning, match="renamed to repro.api.serve"):
-        assert api.serve_http is api.serve
     with pytest.raises(AttributeError):
         api.no_such_attribute
-
-
-def test_http_module_is_a_deprecated_shim(tmp_path):
-    from repro.service import asgi, http
-
-    assert http.ServiceHTTPServer is asgi.AsgiHTTPServer
-    service = EncodingService(str(tmp_path / "svc.db"), autostart=False)
-    try:
-        with pytest.warns(DeprecationWarning, match="repro.api.serve"):
-            server = http.serve(service, port=0)
-        assert server.port > 0
-        server.server_close()
-    finally:
-        service.close()
 
 
 def test_backend_url_round_trip(tmp_path):

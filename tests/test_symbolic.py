@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import io
+import sys
+
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.bench_stg import generators as gen
+from repro.bench_stg.library import get_case
+from repro.core.solver import solve_csc
 from repro.engine.batch import encode_many, run_benchmark_suite, suite_cases
+from repro.obs import configure_logging
 from repro.petri.reachability import build_reachability_graph
 from repro.stg import build_state_graph
 from repro.stg.state_graph import InconsistentSTGError
@@ -343,8 +349,7 @@ class TestBridge:
         from repro.core.solver import SolverSettings
 
         # Zero signal budget keeps par8 detection-only (its 514-state
-        # core exceeds the default materialization budget, and a full
-        # symbolic solve is not a unit-test-sized computation).
+        # core would otherwise be materialized and solved).
         outcome = symbolic_encode(
             gen.parallel_toggles(8), settings=SolverSettings(max_signals=0)
         )
@@ -354,15 +359,35 @@ class TestBridge:
         assert outcome.report.core_states == 514  # computed on every path
         assert outcome.conflicts_remaining == outcome.report.csc_pairs
 
-    def test_core_budget_override_redirects_the_solve(self):
-        small = symbolic_encode(gen.mixed_controller(2, 2))
-        assert small.mode == "hybrid"  # 228 states fit the default budget
-        # Shrinking the budget below the core no longer bails to a
-        # detection-only verdict: the solve itself goes symbolic.
-        forced = symbolic_encode(gen.vme_controller(), core_budget=4)
-        assert forced.mode == "symbolic-insert"
-        assert forced.solved
-        assert forced.result.inserted_signals == ["csc0"]
+    def test_core_over_budget_is_detection_only(self):
+        stream = io.StringIO()
+        configure_logging("debug", stream=stream)
+        try:
+            outcome = symbolic_encode(gen.vme_controller(), max_states=4)
+        finally:
+            configure_logging("info", stream=sys.stderr)
+        assert outcome.mode == "symbolic-only"
+        assert outcome.result is None
+        assert not outcome.solved
+        assert outcome.materialized_states is None
+        assert outcome.report.core_states == 14
+        line = stream.getvalue()
+        assert "core_exceeds_budget" in line
+        assert "core_states=14" in line and "max_states=4" in line
+
+    def test_pipeline4_core_is_solved_explicitly(self):
+        """pipeline4's 750-state conflict core is the whole graph: the
+        bridge materializes it and returns the explicit encoding."""
+        case = get_case("pipeline4", table="table1")
+        settings = case.solver_settings(frontier_width=2)
+        outcome = symbolic_encode(case.build(), settings=settings)
+        assert outcome.mode == "hybrid"
+        assert outcome.materialized_states == 750
+        explicit = solve_csc(build_state_graph(case.build()), settings)
+        assert outcome.result.fingerprint() == explicit.fingerprint()
+        assert outcome.solved
+        assert outcome.result.num_inserted == 5
+        assert outcome.result.final_sg.num_states == 2144
 
     def test_zero_signal_budget_is_detection_only(self):
         from repro.core.solver import SolverSettings

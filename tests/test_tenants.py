@@ -148,9 +148,9 @@ def test_missing_or_bad_key_is_401(auth_server):
     # healthz stays open for liveness probes
     status, _, _ = _request(base, "GET", "/v1/healthz")
     assert status == 200
-    # legacy routes enforce auth too, with the legacy error shape
-    status, _, payload = _request(base, "GET", "/stats")
-    assert status == 401 and isinstance(payload["error"], str)
+    # submission enforces auth too, with the same envelope
+    status, _, payload = _request(base, "POST", "/v1/jobs", {"benchmark": "nak-pa"})
+    assert status == 401 and payload["error"]["code"] == "unauthorized"
     # X-API-Key works as an alternative to the Authorization header
     request = urllib.request.Request(
         base + "/v1/stats", headers={"X-API-Key": keys["plain"]}
