@@ -130,7 +130,7 @@ def run_kernel_benchmark(record_path: pathlib.Path = RECORD_PATH) -> dict:
         "benchmark": "bench_kernel",
         "suite": SUITE,
         "cores": os.cpu_count(),
-        "plane_backend": "numpy" if numpy_available() else "pure",
+        "plane_backend": "numpy" if numpy_available() else "bigint",
         "cases": [item.name for item in bigint.items],
         "legacy_serial_seconds": round(legacy.wall_seconds, 3),
         "bigint_sweep_seconds": round(bigint.wall_seconds, 3),

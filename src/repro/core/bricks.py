@@ -12,11 +12,21 @@ which by Properties P1 and P3 are exactly the sets known to behave well
 as insertion material.  Excitation regions are added as well: they are
 the intersections of pre-regions in excitation-closed systems and the
 only material coarser methods (the ASSASSIN baseline) can use.
+
+The functions here work on object frozensets of states and are the
+differential oracle (they run behind ``use_caches(False)``).  The search
+itself keeps bricks as int bitmasks over the graph's
+:class:`~repro.core.indexed.IndexedStateGraph` from generation to
+ranking: the engine cache (:mod:`repro.engine.caches`) assembles them
+per event (:func:`event_region_brick_masks` and the excitation-region
+masks), and the canonical order and the adjacency have mask twins in
+:mod:`repro.core.indexed` (``deduplicate_brick_masks``,
+``brick_adjacency_bitsets``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set
 
 from repro.core.excitation import excitation_regions
 from repro.core.regions import (
@@ -60,9 +70,7 @@ def event_region_bricks(
 
     Minimal pre- and post-regions of ``event`` together with their
     per-event intersection closures — the per-event unit of work of
-    ``compute_bricks(mode="regions")``, exposed separately so the engine
-    cache (:mod:`repro.engine.caches`) can recompute only the events an
-    insertion touched.
+    ``compute_bricks(mode="regions")``.
     """
     pre = minimal_preregions(ts, event, max_explored=max_explored)
     post = minimal_postregions(ts, event, max_explored=max_explored)
@@ -88,20 +96,16 @@ def _intersection_closure_masks(masks: Sequence[int], max_per_event: int = 64) -
     return closure
 
 
-def event_region_bricks_indexed(isg, event, max_explored: int = 20000) -> List[Brick]:
-    """Indexed twin of :func:`event_region_bricks`.
+def event_region_brick_masks(isg, event, max_explored: int = 20000) -> List[int]:
+    """Mask twin of :func:`event_region_bricks`.
 
     Pre/post-regions are expanded and closed under intersection entirely
-    in bitmask space on the :class:`~repro.core.indexed.IndexedStateGraph`;
-    only the final bricks are materialised as object frozensets (the
-    shape the per-event cache of :mod:`repro.engine.caches` stores and
-    carries across insertions).  Byte-identical to the object-space
-    function.
+    in bitmask space on the :class:`~repro.core.indexed.IndexedStateGraph`.
+    The same sets, in the same order, as the object-space function.
     """
     pre = minimal_preregion_masks(isg, event, max_explored=max_explored)
     post = minimal_postregion_masks(isg, event, max_explored=max_explored)
-    masks = _intersection_closure_masks(pre) + _intersection_closure_masks(post)
-    return [isg.frozenset_of_mask(mask) for mask in masks]
+    return _intersection_closure_masks(pre) + _intersection_closure_masks(post)
 
 
 def compute_bricks(
@@ -144,11 +148,6 @@ def _deduplicate(bricks: Iterable[Brick]) -> List[Brick]:
     unique = list(dict.fromkeys(b for b in bricks if b))
     unique.sort(key=lambda b: (len(b), sorted(map(repr, b))))
     return unique
-
-
-def deduplicate_bricks(bricks: Iterable[Brick]) -> List[Brick]:
-    """Drop empty/duplicate bricks and sort canonically (public alias)."""
-    return _deduplicate(bricks)
 
 
 def brick_adjacency(

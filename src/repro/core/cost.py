@@ -16,7 +16,7 @@ borders mean a less intrusive state signal).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, Hashable, Iterable, NamedTuple, Optional, Sequence, Set
 
 from repro.core.csc import CSCConflict
 from repro.core.ipartition import IPartition, ipartition_from_block
@@ -26,9 +26,12 @@ from repro.stg.state_graph import StateGraph
 State = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class Cost:
+class Cost(NamedTuple):
     """Lexicographic cost of an insertion candidate (smaller is better).
+
+    A named tuple, so ranking, frontier acceptance and the greedy merge
+    compare costs with the C tuple comparison, field by field in the
+    declared order.
 
     ``input_delays`` counts input signals the candidate would delay; it is
     zero in ``allow_input_delay`` mode and otherwise ranks input-preserving

@@ -101,12 +101,6 @@ def switching_region_masks(isg, event: Event) -> List[int]:
     return isg.components_of_mask(isg.sr_mask(event))
 
 
-def excitation_regions_indexed(isg, event: Event) -> List[FrozenSet[State]]:
-    """Excitation regions via the indexed pipeline, as object frozensets
-    (byte-identical to :func:`excitation_regions`)."""
-    return [isg.frozenset_of_mask(mask) for mask in excitation_region_masks(isg, event)]
-
-
 def trigger_events(ts: TransitionSystem, region: FrozenSet[State]) -> Set[Event]:
     """Events labelling transitions that *enter* ``region``.
 

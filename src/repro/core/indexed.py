@@ -71,13 +71,32 @@ _MISSING = object()
 MISSING = _MISSING
 
 
+_WORD = (1 << 60) - 1
+
+
 def bits_of(mask: int) -> List[int]:
-    """The set bit positions of ``mask`` in ascending order."""
+    """The set bit positions of ``mask`` in ascending order.
+
+    Isolating the lowest bit of a wide int costs time linear in its
+    width, so a mask with many members is walked in 60-bit words, each
+    isolated once.
+    """
     indices = []
+    if mask.bit_count() <= 64:
+        while mask:
+            low = mask & -mask
+            indices.append(low.bit_length() - 1)
+            mask ^= low
+        return indices
+    base = 0
     while mask:
-        low = mask & -mask
-        indices.append(low.bit_length() - 1)
-        mask ^= low
+        word = mask & _WORD
+        mask >>= 60
+        while word:
+            low = word & -word
+            indices.append(base + low.bit_length() - 1)
+            word ^= low
+        base += 60
     return indices
 
 
@@ -114,11 +133,13 @@ class IndexedStateGraph:
         "event_list",
         "event_arcs",
         "_event_arc_bits",
+        "_arc_bits_by_event",
         "parent",
         "parent_positions",
         "_er_masks",
         "_sr_masks",
         "_state_reprs",
+        "_repr_ranks",
         "_signatures",
         "_noninput_event",
         "_persistent_events",
@@ -198,6 +219,7 @@ class IndexedStateGraph:
         self.event_list = event_list
         self.event_arcs = event_arcs
         self._event_arc_bits: Dict[Event, List[Tuple[int, int]]] = {}
+        self._arc_bits_by_event: Optional[List[List[Tuple[int, int]]]] = None
 
         # Signal-layout snapshot (the code-vector geometry of ``sg``).
         self.signal_positions: Dict[str, int] = {
@@ -230,6 +252,7 @@ class IndexedStateGraph:
         self._er_masks: Dict[Event, int] = {}
         self._sr_masks: Dict[Event, int] = {}
         self._state_reprs: Optional[List[str]] = None
+        self._repr_ranks: Optional[List[int]] = None
         self._signatures: Optional[List[object]] = None
         self._noninput_event: Dict[Event, bool] = {}
         self._persistent_events: Optional[Set[Event]] = None
@@ -296,11 +319,6 @@ class IndexedStateGraph:
         for state in members:
             mask |= 1 << position[state]
         return mask
-
-    def states_of_mask(self, mask: int) -> List[int]:
-        """Set bit positions of ``mask`` (kept under the historical name
-        for compatibility with the PR-1 ``StateIndex`` API)."""
-        return bits_of(mask)
 
     def frozenset_of_mask(self, mask: int) -> FrozenSet[State]:
         states = self.states
@@ -434,6 +452,16 @@ class IndexedStateGraph:
             self._event_arc_bits[event] = bits
         return bits
 
+    @property
+    def arc_bits_by_event(self) -> List[List[Tuple[int, int]]]:
+        """:meth:`event_arc_bits` of every event, in ``event_list`` order
+        (memoized) — one legality pass of the region expansion."""
+        lists = self._arc_bits_by_event
+        if lists is None:
+            lists = [self.event_arc_bits(event) for event in self.event_list]
+            self._arc_bits_by_event = lists
+        return lists
+
     # ------------------------------------------------------------------
     # connected components / canonical ordering
     # ------------------------------------------------------------------
@@ -445,9 +473,28 @@ class IndexedStateGraph:
             self._state_reprs = reprs
         return reprs
 
+    @property
+    def repr_ranks(self) -> List[int]:
+        """Dense rank of every state's repr among all state reprs (equal
+        reprs share a rank): comparing sorted rank lists orders state sets
+        exactly as comparing their sorted repr lists does."""
+        ranks = self._repr_ranks
+        if ranks is None:
+            reprs = self.state_reprs
+            ranks = [0] * self.num_states
+            rank = -1
+            previous = None
+            for i in sorted(range(self.num_states), key=reprs.__getitem__):
+                if reprs[i] != previous:
+                    rank += 1
+                    previous = reprs[i]
+                ranks[i] = rank
+            self._repr_ranks = ranks
+        return ranks
+
     def repr_key(self, mask: int) -> List[str]:
-        """``sorted(map(repr, states))`` of a mask — the canonical brick
-        ordering key of :func:`repro.core.bricks.deduplicate_bricks`."""
+        """``sorted(map(repr, states))`` of a mask (the component ordering
+        key of :meth:`components_of_mask`)."""
         reprs = self.state_reprs
         return sorted(reprs[i] for i in bits_of(mask))
 
@@ -875,69 +922,67 @@ def indexed_state_graph(sg) -> IndexedStateGraph:
 
 def indexed_brick_bundle(
     sg, mode: str = "regions", max_explored: int = 20000
-) -> Tuple[List[FrozenSet[State]], List[int], List[Tuple[int, ...]]]:
-    """Bricks of ``sg`` with their bitmasks and sorted adjacency lists.
+) -> Tuple[List[int], List[int]]:
+    """Brick masks of ``sg`` with one adjacency bitset per brick.
 
-    Returns ``(bricks, masks, adjacency)`` where ``bricks`` is the
-    object-space list of :func:`repro.engine.caches.get_bricks` (itself
-    assembled from indexed per-event computations with carry-over across
-    insertions), ``masks[i]`` is the bitmask of ``bricks[i]`` and
-    ``adjacency[i]`` the sorted tuple of adjacent brick indices, computed
-    by bitmask algebra.
+    Returns ``(masks, adjacency)``: ``masks`` are the bricks of
+    :func:`repro.engine.caches.get_brick_masks` (canonical order, carried
+    over across insertions), and bit ``j`` of ``adjacency[i]`` says brick
+    ``j`` is adjacent to brick ``i`` in the sense of
+    :func:`repro.core.bricks.brick_adjacency`.  Both are cached on the
+    graph.
     """
-    key = ("indexed-bricks", mode, max_explored)
-    cache = caches.get_cache(sg) if caches.caches_enabled() else None
-    if cache is not None:
-        bundle = cache.extras.get(key)
-        if bundle is not None:
-            return bundle
-    bricks = caches.get_bricks(sg, mode, max_explored)
-    isg = indexed_state_graph(sg)
-    masks = [isg.mask_of(brick) for brick in bricks]
-    adjacency = brick_adjacency_masks(isg, masks)
-    bundle = (bricks, masks, adjacency)
-    if cache is not None:
-        cache.extras[key] = bundle
-    return bundle
+    masks = caches.get_brick_masks(sg, mode, max_explored)
+    cache = caches.get_cache(sg)
+    key = (mode, max_explored)
+    adjacency = cache.adjacency.get(key)
+    if adjacency is None:
+        adjacency = brick_adjacency_bitsets(indexed_state_graph(sg), masks)
+        cache.adjacency[key] = adjacency
+    return masks, adjacency
 
 
-def brick_adjacency_masks(
-    isg: IndexedStateGraph, masks: Sequence[int]
-) -> List[Tuple[int, ...]]:
-    """Brick adjacency on bitmasks (twin of
-    :func:`repro.core.bricks.brick_adjacency`, as sorted index tuples).
+def deduplicate_brick_masks(isg: IndexedStateGraph, masks: Sequence[int]) -> List[int]:
+    """Drop empty and duplicate brick masks and sort them in the canonical
+    order of :func:`repro.core.bricks.compute_bricks` (stable on ``(size,
+    sorted member reprs)``), keyed on repr ranks instead of reprs."""
+    unique = list(dict.fromkeys(mask for mask in masks if mask))
+    ranks = isg.repr_ranks
+    unique.sort(
+        key=lambda mask: (mask.bit_count(), sorted([ranks[i] for i in bits_of(mask)]))
+    )
+    return unique
+
+
+def brick_adjacency_bitsets(isg: IndexedStateGraph, masks: Sequence[int]) -> List[int]:
+    """Brick adjacency as one bitset per brick (twin of
+    :func:`repro.core.bricks.brick_adjacency`).
 
     Two bricks are adjacent when they overlap or an arc connects them in
-    either direction; ``mask | successors(mask)`` of each brick reduces
-    both tests to two integer ANDs per pair.
+    either direction.  Through a state → bricks inverted index, each
+    state's *touch* bitset holds the bricks containing the state or one
+    of its neighbours; a brick's row is the OR of its members' touch
+    bitsets, without itself.
     """
-    succ_masks = isg.succ_masks
-    count = len(masks)
-    reach: List[int] = []
-    for mask in masks:
-        expanded = mask
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            expanded |= succ_masks[low.bit_length() - 1]
-        reach.append(expanded)
-    neighbours: List[List[int]] = [[] for _ in range(count)]
-    for i in range(count):
+    bricks_at = [0] * isg.num_states
+    for b, mask in enumerate(masks):
+        bit = 1 << b
+        for i in bits_of(mask):
+            bricks_at[i] |= bit
+    touch = []
+    for i, neighbours in enumerate(isg.und_masks):
+        row = bricks_at[i]
+        for j in bits_of(neighbours):
+            row |= bricks_at[j]
+        touch.append(row)
+    rows: List[int] = []
+    for b, mask in enumerate(masks):
         poll_deadline()
-        mask_i = masks[i]
-        reach_i = reach[i]
-        for j in range(i + 1, count):
-            if (reach_i & masks[j]) or (reach[j] & mask_i):
-                neighbours[i].append(j)
-                neighbours[j].append(i)
-    return [tuple(sorted(row)) for row in neighbours]
-
-
-def adjacency_dict_from_bundle(adjacency: Sequence[Tuple[int, ...]]) -> Dict[int, Set[int]]:
-    """The ``Dict[int, Set[int]]`` view of a bundle adjacency (the shape
-    of :func:`repro.core.bricks.brick_adjacency`)."""
-    return {i: set(row) for i, row in enumerate(adjacency)}
+        row = 0
+        for i in bits_of(mask):
+            row |= touch[i]
+        rows.append(row & ~(1 << b))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -10,33 +10,27 @@ stable-side derivation, solved-pair counting, trigger/delay accounting)
 then becomes whole-plane bitwise algebra shared by all lanes, with
 per-lane results read back by vertical popcounts.
 
-Two interchangeable backends implement the same algorithm:
+Planes are 1-D ``uint64`` numpy arrays (explicitly little-endian so the
+byte-level unpack/pack steps are host-independent); closures are
+fixpoints of gather + ``np.bitwise_or.reduceat`` over CSR adjacency, and
+vertical popcounts are ``np.unpackbits`` column sums.  The boundaries of
+a pass are whole-chunk operations too: the masks enter as one joined
+byte string unpacked into the ``(n, 64)`` bit matrix in a single call,
+and the per-lane sizes, costs and side tables leave as one ``tolist()``
+per quantity and one contiguous transposed side buffer sliced per lane.
 
-``numpy``
-    Planes are 1-D ``uint64`` arrays (explicitly little-endian so the
-    byte-level unpack/pack steps are host-independent); closures are
-    fixpoints of gather + ``np.bitwise_or.reduceat`` over CSR adjacency,
-    and vertical popcounts are ``np.unpackbits`` column sums.
-
-``pure``
-    Planes are ``array('Q')`` rows driven by plain loops — the fallback
-    when numpy is not importable, so ``kernel="planes"`` never requires
-    a third-party dependency.  Same passes, same results.
-
-Both produce **byte-identical** :class:`~repro.core.indexed.IndexedEvaluation`
-records (side tables and all four cost fields) to the big-int oracle;
-the differential and conformance suites pin that equality.
+The evaluations are **byte-identical** to the big-int oracle
+(:class:`~repro.core.indexed.IndexedEvaluation` side tables and all four
+cost fields); the differential and conformance suites pin that equality.
 
 Kernel selection (:func:`resolve_kernel`) is performance-only: the
 ``SolverSettings.kernel`` knob never enters the request fingerprint.
-``"auto"`` picks the plane kernel when numpy is importable and the
-big-int kernel otherwise (the pure backend is correct but exists for
-explicit opt-in and for proving the no-numpy path in CI).
+The plane kernel needs numpy (the ``fast`` extra); without it both
+``"auto"`` and ``"planes"`` resolve to the big-int kernel.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional, Sequence
 
 from repro.core.cost import Cost
@@ -62,34 +56,21 @@ _ALL = (1 << _LANES) - 1
 
 
 def numpy_available() -> bool:
-    """Whether the numpy backend can be used in this process."""
+    """Whether the plane kernel can be used in this process."""
     return _np is not None
 
 
 def resolve_kernel(name: str) -> str:
     """Resolve a ``SolverSettings.kernel`` value to a concrete kernel.
 
-    ``"auto"`` means planes-when-numpy-is-importable: without numpy the
-    scalar big-int kernel beats the pure-Python plane backend on the
-    small batches the search generates, so auto never picks it.  An
-    explicit ``"planes"`` is honoured either way (pure backend without
-    numpy) — that is what the fallback CI leg runs.
+    ``"auto"`` and ``"planes"`` mean planes-when-numpy-is-importable and
+    the scalar big-int kernel otherwise; ``"bigint"`` is always honoured.
     """
     if name not in KERNELS:
         raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
-    if name == "auto":
-        return "planes" if _np is not None else "bigint"
-    return name
-
-
-def _bit_lanes(word: int) -> List[int]:
-    """Set bit positions of a lane word."""
-    lanes = []
-    while word:
-        low = word & -word
-        lanes.append(low.bit_length() - 1)
-        word ^= low
-    return lanes
+    if name == "bigint" or _np is None:
+        return "bigint"
+    return "planes"
 
 
 class PlaneKernel:
@@ -104,65 +85,21 @@ class PlaneKernel:
     as its parent and rides along with it into shard workers.
     """
 
-    __slots__ = (
-        "num_states",
-        "full_mask",
-        "pair_count",
-        "count_input_delays",
-        "backend",
-        "_succ_lists",
-        "_pred_lists",
-        "_arcs_by_signal",
-        "_pairs",
-        "_input_signals",
-        "_np_tables",
-    )
+    __slots__ = ("num_states", "pair_count", "count_input_delays", "_tables")
 
     def __init__(self, kernel) -> None:
+        np = _np
         n = kernel.num_states
         self.num_states = n
-        self.full_mask = kernel.full_mask
         self.pair_count = kernel.pair_count
         self.count_input_delays = kernel.count_input_delays
-        self.backend = "numpy" if _np is not None else "pure"
 
         succ: List[Sequence[int]] = list(kernel.succ_targets)
         preds: List[List[int]] = [[] for _ in range(n)]
         for i, targets in enumerate(succ):
             for t in targets:
                 preds[t].append(i)
-        self._succ_lists = succ
-        self._pred_lists = preds
 
-        # Signal arcs, grouped by signal id (reconstructed from the
-        # per-state incoming lists — the kernel keeps no flat arc table).
-        num_signals = len(kernel.signal_is_input)
-        arcs_by_signal: List[List] = [[] for _ in range(num_signals)]
-        for target, incoming in enumerate(kernel.in_sig_arcs):
-            for source, signal in incoming:
-                arcs_by_signal[signal].append((source, target))
-        self._arcs_by_signal = arcs_by_signal
-        self._input_signals = [
-            g for g, is_input in enumerate(kernel.signal_is_input) if is_input
-        ]
-
-        pairs: List = []
-        for idx, first in enumerate(kernel.first_sides):
-            second_mask = kernel.second_masks[idx]
-            while second_mask:
-                low = second_mask & -second_mask
-                pairs.append((first, low.bit_length() - 1))
-                second_mask ^= low
-        self._pairs = pairs
-
-        self._np_tables = self._build_np_tables() if _np is not None else None
-
-    # ------------------------------------------------------------------
-    # numpy precompiled tables
-    # ------------------------------------------------------------------
-    def _build_np_tables(self):
-        np = _np
-        n = self.num_states
         # CSR with a dummy row ``n`` padding empty segments: reduceat has
         # no identity element for empty slices (it returns the element at
         # the offset), so every segment is made non-empty by pointing it
@@ -178,23 +115,35 @@ class PlaneKernel:
                     flat.append(n)
             return np.asarray(flat, dtype=np.intp), starts
 
-        succ_flat, succ_starts = csr(self._succ_lists)
-        pred_flat, pred_starts = csr(self._pred_lists)
-
+        # Signal arcs, grouped by signal id (reconstructed from the
+        # per-state incoming lists — the kernel keeps no flat arc table).
+        num_signals = len(kernel.signal_is_input)
+        arcs_by_signal: List[List] = [[] for _ in range(num_signals)]
+        for target, incoming in enumerate(kernel.in_sig_arcs):
+            for source, signal in incoming:
+                arcs_by_signal[signal].append((source, target))
         arc_src: List[int] = []
         arc_tgt: List[int] = []
-        arc_starts = np.empty(len(self._arcs_by_signal), dtype=np.intp)
-        for g, arcs in enumerate(self._arcs_by_signal):
+        arc_starts = np.empty(num_signals, dtype=np.intp)
+        for g, arcs in enumerate(arcs_by_signal):
             arc_starts[g] = len(arc_src)
             for source, target in arcs:
                 arc_src.append(source)
                 arc_tgt.append(target)
-        if self._pairs:
-            pair_first = np.asarray([p[0] for p in self._pairs], dtype=np.intp)
-            pair_second = np.asarray([p[1] for p in self._pairs], dtype=np.intp)
-        else:
-            pair_first = pair_second = np.empty(0, dtype=np.intp)
-        return {
+
+        pair_first: List[int] = []
+        pair_second: List[int] = []
+        for idx, first in enumerate(kernel.first_sides):
+            second_mask = kernel.second_masks[idx]
+            while second_mask:
+                low = second_mask & -second_mask
+                pair_first.append(first)
+                pair_second.append(low.bit_length() - 1)
+                second_mask ^= low
+
+        succ_flat, succ_starts = csr(succ)
+        pred_flat, pred_starts = csr(preds)
+        self._tables = {
             "succ_flat": succ_flat,
             "succ_starts": succ_starts,
             "pred_flat": pred_flat,
@@ -202,14 +151,14 @@ class PlaneKernel:
             "arc_src": np.asarray(arc_src, dtype=np.intp),
             "arc_tgt": np.asarray(arc_tgt, dtype=np.intp),
             "arc_starts": arc_starts,
-            "input_sigs": np.asarray(self._input_signals, dtype=np.intp),
-            "pair_first": pair_first,
-            "pair_second": pair_second,
+            "input_sigs": np.asarray(
+                [g for g, is_input in enumerate(kernel.signal_is_input) if is_input],
+                dtype=np.intp,
+            ),
+            "pair_first": np.asarray(pair_first, dtype=np.intp),
+            "pair_second": np.asarray(pair_second, dtype=np.intp),
         }
 
-    # ------------------------------------------------------------------
-    # batch entry point
-    # ------------------------------------------------------------------
     def evaluate_batch(self, masks: Sequence[int]) -> List[Optional[object]]:
         """Evaluate ``masks``; ``result[i]`` matches ``masks[i]``.
 
@@ -219,42 +168,35 @@ class PlaneKernel:
         if self.num_states == 0:
             return [None] * len(masks)
         results: List[Optional[object]] = []
-        chunk_eval = (
-            self._evaluate_chunk_numpy
-            if self._np_tables is not None
-            else self._evaluate_chunk_pure
-        )
         for start in range(0, len(masks), _LANES):
             poll_deadline()
-            results.extend(chunk_eval(masks[start : start + _LANES]))
+            results.extend(self._evaluate_chunk(masks[start : start + _LANES]))
         return results
 
-    # ------------------------------------------------------------------
-    # numpy backend
-    # ------------------------------------------------------------------
-    def _evaluate_chunk_numpy(self, masks: Sequence[int]):
+    def _evaluate_chunk(self, masks: Sequence[int]):
         from repro.core.indexed import IndexedEvaluation
 
         np = _np
-        tables = self._np_tables
+        tables = self._tables
         n = self.num_states
         nbytes = (n + 7) // 8
 
-        # B: bit w of row i <=> state i is in candidate w.  Built by
-        # unpacking each mask into a column of a (n, 64) bit matrix and
-        # packing the rows into little-endian lane words.
-        bitcols = np.zeros((n, _LANES), dtype=np.uint8)
-        for w, mask in enumerate(masks):
-            bitcols[:, w] = np.unpackbits(
-                np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-                count=n,
-            )
-        planes = np.zeros(n + 1, dtype="<u8")
-        planes[:n] = (
-            np.packbits(bitcols, axis=1, bitorder="little").view("<u8").ravel()
+        # B: bit w of row i <=> state i is in candidate w.  All masks are
+        # joined into one byte string (padding lanes are all-zero), which
+        # is unpacked into the (64, n) lane-major bit matrix in one call;
+        # its transpose packs row-wise into little-endian lane words.
+        raw = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
+        raw += bytes(nbytes * (_LANES - len(masks)))
+        lane_bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(_LANES, nbytes),
+            axis=1,
+            count=n,
+            bitorder="little",
         )
-        B = planes
+        B = np.zeros(n + 1, dtype="<u8")
+        B[:n] = np.ascontiguousarray(
+            np.packbits(lane_bits.T, axis=1, bitorder="little")
+        ).view("<u8").ravel()
         C = np.bitwise_not(B)
         C[n] = 0  # the dummy row must never seed anything
 
@@ -299,14 +241,10 @@ class PlaneKernel:
 
         # solved pairs: first and second endpoints on opposite stable sides
         pair_first = tables["pair_first"]
-        if pair_first.size:
-            pair_second = tables["pair_second"]
-            solved = _np_vcount(
-                (S0p[pair_first] & S1p[pair_second])
-                | (S1p[pair_first] & S0p[pair_second])
-            )
-        else:
-            solved = np.zeros(_LANES, dtype=np.int64)
+        pair_second = tables["pair_second"]
+        solved = _np_vcount(
+            (S0p[pair_first] & S1p[pair_second]) | (S1p[pair_first] & S0p[pair_second])
+        )
 
         # trigger/delay accounting, one OR-reduction run per signal
         arc_src = tables["arc_src"]
@@ -329,184 +267,43 @@ class PlaneKernel:
                 + _np_vcount(entering_minus)
                 + _np_vcount(delayed)
             )
-            input_sigs = tables["input_sigs"]
-            if self.count_input_delays and input_sigs.size:
-                input_delays = _np_vcount(delayed[input_sigs])
+            if self.count_input_delays:
+                input_delays = _np_vcount(delayed[tables["input_sigs"]])
             else:
                 input_delays = np.zeros(_LANES, dtype=np.int64)
         else:
             triggers = input_delays = np.zeros(_LANES, dtype=np.int64)
 
-        sizes = _np_vcount(B[:n])
-        plus_counts = _np_vcount(SP[:n])
-        minus_counts = _np_vcount(SM[:n])
+        plus_bits = _np_unpack(SP[:n])
+        minus_bits = _np_unpack(SM[:n])
+        # side tables: S0=0, SPLUS=1, S1=2, SMINUS=3 per state per lane,
+        # transposed into one lane-major buffer of 64 rows of n bytes
+        sides = memoryview(
+            (plus_bits + minus_bits + 2 * (1 - lane_bits.T)).T.tobytes()
+        )
 
-        # side tables: S0=0, SPLUS=1, S1=2, SMINUS=3 per state per lane
-        side_matrix = (
-            _np_unpack(SP[:n])
-            + _np_unpack(SM[:n])
-            + 2 * (1 - bitcols)
-        ).astype(np.uint8)
+        # per-lane read-back: one tolist() per quantity
+        sizes = lane_bits.sum(axis=1, dtype=np.int64).tolist()
+        unsolved = (self.pair_count - solved).tolist()
+        input_delays = input_delays.tolist()
+        triggers = triggers.tolist()
+        borders = (
+            plus_bits.sum(axis=0, dtype=np.int64) + minus_bits.sum(axis=0, dtype=np.int64)
+        ).tolist()
 
-        pair_count = self.pair_count
         out: List[Optional[object]] = []
         for w, mask in enumerate(masks):
-            if not (valid >> w) & 1:
-                out.append(None)
-                continue
-            cost = Cost(
-                unsolved_conflicts=pair_count - int(solved[w]),
-                input_delays=int(input_delays[w]),
-                trigger_estimate=int(triggers[w]),
-                border_size=int(plus_counts[w]) + int(minus_counts[w]),
-            )
-            out.append(
-                IndexedEvaluation(
-                    mask,
-                    int(sizes[w]),
-                    bytearray(side_matrix[:, w].tobytes()),
-                    cost,
+            if (valid >> w) & 1:
+                out.append(
+                    IndexedEvaluation(
+                        mask,
+                        sizes[w],
+                        bytearray(sides[w * n : (w + 1) * n]),
+                        Cost(unsolved[w], input_delays[w], triggers[w], borders[w]),
+                    )
                 )
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # pure-Python backend (array('Q') planes)
-    # ------------------------------------------------------------------
-    def _evaluate_chunk_pure(self, masks: Sequence[int]):
-        from repro.core.indexed import IndexedEvaluation, S1, SMINUS, SPLUS
-
-        n = self.num_states
-        B = array("Q", bytes(8 * (n + 1)))
-        for w, mask in enumerate(masks):
-            lane_bit = 1 << w
-            m = mask
-            while m:
-                low = m & -m
-                B[low.bit_length() - 1] |= lane_bit
-                m ^= low
-        C = array("Q", (word ^ _ALL for word in B))
-        C[n] = 0
-
-        succ = self._succ_lists
-        preds = self._pred_lists
-        SP = array("Q", bytes(8 * (n + 1)))
-        SM = array("Q", bytes(8 * (n + 1)))
-        for i in range(n):
-            targets = succ[i]
-            if not targets:
-                continue
-            block = B[i]
-            if block:
-                acc = 0
-                for t in targets:
-                    acc |= C[t]
-                SP[i] = block & acc
-            comp = C[i]
-            if comp:
-                acc = 0
-                for t in targets:
-                    acc |= B[t]
-                SM[i] = comp & acc
-        for domain, plane in ((B, SP), (C, SM)):
-            changed = True
-            while changed:
-                poll_deadline()
-                changed = False
-                for t in range(n):
-                    dom = domain[t]
-                    if not dom:
-                        continue
-                    current = plane[t]
-                    if current == dom:
-                        continue  # saturated: nothing left to grow
-                    acc = 0
-                    for s in preds[t]:
-                        acc |= plane[s]
-                    grown = current | (dom & acc)
-                    if grown != current:
-                        plane[t] = grown
-                        changed = True
-
-        any_b = 0
-        all_b = _ALL
-        any_sp = 0
-        any_sm = 0
-        for i in range(n):
-            any_b |= B[i]
-            all_b &= B[i]
-            any_sp |= SP[i]
-            any_sm |= SM[i]
-        valid = any_b & (all_b ^ _ALL) & any_sp & any_sm
-        if not valid:
-            return [None] * len(masks)
-
-        S0p = [B[i] & (SP[i] ^ _ALL) for i in range(n)]
-        S1p = [C[i] & (SM[i] ^ _ALL) for i in range(n)]
-
-        solved = [0] * _LANES
-        for first, second in self._pairs:
-            word = (
-                (S0p[first] & S1p[second]) | (S1p[first] & S0p[second])
-            ) & valid
-            for lane in _bit_lanes(word):
-                solved[lane] += 1
-
-        triggers = [0] * _LANES
-        input_delays = [0] * _LANES
-        input_flags = set(self._input_signals)
-        count_inputs = self.count_input_delays
-        for g, arcs in enumerate(self._arcs_by_signal):
-            entering_plus = entering_minus = delayed = 0
-            for source, target in arcs:
-                sp_s, sp_t = SP[source], SP[target]
-                sm_s, sm_t = SM[source], SM[target]
-                entering_plus |= sp_t & (sp_s ^ _ALL)
-                entering_minus |= sm_t & (sm_s ^ _ALL)
-                delayed |= (
-                    (sp_t & sm_s)
-                    | (sp_s & S1p[target])
-                    | (sm_t & sp_s)
-                    | (sm_s & S0p[target])
-                )
-            for lane in _bit_lanes(entering_plus & valid):
-                triggers[lane] += 1
-            for lane in _bit_lanes(entering_minus & valid):
-                triggers[lane] += 1
-            delayed &= valid
-            for lane in _bit_lanes(delayed):
-                triggers[lane] += 1
-            if count_inputs and g in input_flags:
-                for lane in _bit_lanes(delayed):
-                    input_delays[lane] += 1
-
-        pair_count = self.pair_count
-        out: List[Optional[object]] = []
-        for w, mask in enumerate(masks):
-            if not (valid >> w) & 1:
+            else:
                 out.append(None)
-                continue
-            lane_bit = 1 << w
-            side = bytearray(n)
-            size = border_plus = border_minus = 0
-            for i in range(n):
-                if B[i] & lane_bit:
-                    size += 1
-                    if SP[i] & lane_bit:
-                        side[i] = SPLUS
-                        border_plus += 1
-                elif SM[i] & lane_bit:
-                    side[i] = SMINUS
-                    border_minus += 1
-                else:
-                    side[i] = S1
-            cost = Cost(
-                unsolved_conflicts=pair_count - solved[w],
-                input_delays=input_delays[w],
-                trigger_estimate=triggers[w],
-                border_size=border_plus + border_minus,
-            )
-            out.append(IndexedEvaluation(mask, size, side, cost))
         return out
 
 

@@ -304,7 +304,7 @@ def minimal_region_masks_containing(
     if not seed_mask:
         return []
     full_mask = isg.full_mask
-    event_arc_bits = [isg.event_arc_bits(event) for event in isg.event_list]
+    event_arc_bits = isg.arc_bits_by_event
 
     found: List[int] = []
     visited: Set[int] = set()

@@ -309,20 +309,24 @@ def _find_insertion_plan_legacy(
 
 
 class _IndexedCandidate:
-    """Index-space twin of :class:`_BlockCandidate` (block as a bitmask)."""
+    """Index-space twin of :class:`_BlockCandidate`: the block is a
+    bitmask, and ``bricks`` / ``neighbours`` are brick-index bitsets (its
+    bricks, and the union of their adjacency rows)."""
 
-    __slots__ = ("mask", "size", "brick_indices", "evaluation", "seq")
+    __slots__ = ("mask", "size", "bricks", "neighbours", "evaluation", "seq")
 
     def __init__(
         self,
         mask: int,
-        brick_indices: FrozenSet[int],
+        bricks: int,
+        neighbours: int,
         evaluation: "indexed.IndexedEvaluation",
         seq: int = 0,
     ) -> None:
         self.mask = mask
         self.size = evaluation.size
-        self.brick_indices = brick_indices
+        self.bricks = bricks
+        self.neighbours = neighbours
         self.evaluation = evaluation
         self.seq = seq
 
@@ -388,11 +392,16 @@ def _find_insertion_plan_indexed(
     evaluation batch walks the generated candidates in generation order,
     which reproduces the serial search decision for decision.
     """
-    with span("search.bricks", mode=settings.brick_mode):
-        bricks, masks, adjacency = indexed.indexed_brick_bundle(
+    stats = engine_caches.STATS
+    carries, misses = stats.brick_carries, stats.brick_misses
+    with span("search.bricks", mode=settings.brick_mode) as attrs:
+        masks, adjacency = indexed.indexed_brick_bundle(
             sg, mode=settings.brick_mode, max_explored=settings.region_budget
         )
-    if not bricks:
+        attrs["bricks"] = len(masks)
+        attrs["carried"] = stats.brick_carries - carries
+        attrs["recomputed"] = stats.brick_misses - misses
+    if not masks:
         return None
     index = indexed.indexed_state_graph(sg)
     num_states = index.num_states
@@ -417,7 +426,7 @@ def _find_insertion_plan_indexed(
             seen_blocks.add(mask)
             good.append(
                 _IndexedCandidate(
-                    mask, frozenset([brick_index]), evaluation, next(next_seq)
+                    mask, 1 << brick_index, adjacency[brick_index], evaluation, next(next_seq)
                 )
             )
         if not good:
@@ -433,11 +442,10 @@ def _find_insertion_plan_indexed(
             with span("search.generate", frontier=len(frontier)):
                 for candidate in frontier:
                     check_deadline()
-                    neighbour_indices: Set[int] = set()
-                    for brick_index in candidate.brick_indices:
-                        neighbour_indices.update(adjacency[brick_index])
-                    neighbour_indices -= set(candidate.brick_indices)
-                    for brick_index in sorted(neighbour_indices):
+                    # neighbour bricks in ascending index order
+                    for brick_index in indexed.bits_of(
+                        candidate.neighbours & ~candidate.bricks
+                    ):
                         grown_mask = candidate.mask | masks[brick_index]
                         if grown_mask in seen_blocks or grown_mask.bit_count() >= num_states:
                             continue
@@ -455,7 +463,8 @@ def _find_insertion_plan_indexed(
                 if evaluation.cost < candidate.cost:
                     grown = _IndexedCandidate(
                         grown_mask,
-                        candidate.brick_indices | {brick_index},
+                        candidate.bricks | (1 << brick_index),
+                        candidate.neighbours | adjacency[brick_index],
                         evaluation,
                         next(next_seq),
                     )
@@ -525,20 +534,18 @@ def _find_insertion_plan_indexed(
                 )
         if outcome != "ok":
             continue
-        block_states = frozenset(
-            index.states[i] for i in index.states_of_mask(candidate.mask)
-        )
+        block_states = index.frozenset_of_mask(candidate.mask)
         cost = candidate.cost
         if settings.enlarge_concurrency:
             object_candidate = _BlockCandidate(
                 block_states,
-                candidate.brick_indices,
+                frozenset(indexed.bits_of(candidate.bricks)),
                 BlockEvaluation(block=block_states, partition=partition, cost=cost),
             )
             partition, cost, check = _enlarge_concurrency(
                 sg,
                 object_candidate,
-                bricks,
+                [index.frozenset_of_mask(mask) for mask in masks],
                 conflicts,
                 settings,
                 persistent_before,
@@ -568,7 +575,8 @@ def _greedy_merge_indexed(
         return None
     best = ranked[0]
     current_mask = best.mask
-    current_bricks = best.brick_indices
+    current_bricks = best.bricks
+    current_neighbours = best.neighbours
     current_eval = best.evaluation
     improved = False
     for other in ranked[1 : settings.max_merge_candidates]:
@@ -580,12 +588,13 @@ def _greedy_merge_indexed(
             continue
         if evaluation.cost < current_eval.cost:
             current_mask = union_mask
-            current_bricks = current_bricks | other.brick_indices
+            current_bricks |= other.bricks
+            current_neighbours |= other.neighbours
             current_eval = evaluation
             improved = True
     if not improved:
         return None
-    return _IndexedCandidate(current_mask, current_bricks, current_eval)
+    return _IndexedCandidate(current_mask, current_bricks, current_neighbours, current_eval)
 
 
 def _greedy_merge(

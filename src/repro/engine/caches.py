@@ -9,7 +9,9 @@ most of its time.  This module attaches a cache to each
 
 * holds the graph's canonical :class:`~repro.core.indexed.IndexedStateGraph`
   (the integer/bitset representation the core pipeline computes on),
-* memoizes brick decomposition (per event) and brick adjacency,
+* memoizes the brick decomposition as bitmasks over that index — the
+  excitation regions per event, the canonical brick list per ``(mode,
+  budget)``, and one adjacency bitset per brick,
 * memoizes the CSC conflict list and the code groups backing it,
 * records the *provenance* of a graph produced by signal insertion
   (parent graph, I-partition, inserted signal), which enables
@@ -20,18 +22,24 @@ most of its time.  This module attaches a cache to each
   - incremental CSC re-analysis (:func:`repro.core.csc.csc_conflicts`
     only re-examines states descending from previously code-sharing
     groups), and
-  - selective carry-over of per-event brick entries: an event's cached
-    bricks survive the insertion when none of their states was split by
-    the insertion (i.e. none lies in ``ER(x+)`` or ``ER(x-)``); only the
+  - selective carry-over of per-event excitation regions: an event's
+    cached region masks survive the insertion when none of their states
+    was split by it (i.e. none lies in ``ER(x+)`` or ``ER(x-)``); they are
+    mapped into the child's index by index arithmetic, and only the
     touched entries are recomputed on the expanded graph.
 
-Caches never change results: excitation-region carry-over is exact (the
+Caches never change results.  Excitation-region carry-over is exact: the
 untouched part of the graph is replayed isomorphically at the stable
-value of the new signal), and region-brick carry-over is verified against
-a from-scratch recomputation by the regression tests.  The global switch
-(:func:`disable_caches` / :func:`use_caches`) restores the original
-recompute-everything behaviour, which the batch benchmark uses as its
-serial baseline.
+value of the new signal, and an event enabled in no split state keeps
+its enabling set.  Minimal pre/post-regions are *not* carried: the
+expanded graph can have new minimal regions around the split states, so
+region bricks are recomputed on every graph.  The regression tests check
+the brick masks against a from-scratch
+:func:`repro.core.bricks.compute_bricks` after every insertion of the
+Table-2 solves.  Object frozensets are built only at the API edge
+(:func:`get_bricks`).  The global switch (:func:`disable_caches` /
+:func:`use_caches`) restores the original recompute-everything
+object-space behaviour, the differential oracle.
 """
 
 from __future__ import annotations
@@ -39,27 +47,16 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.core.bricks import (
-    brick_adjacency,
-    compute_bricks,
-    deduplicate_bricks,
-    event_region_bricks_indexed,
-)
-from repro.core.excitation import excitation_regions_indexed
+from repro.core.bricks import compute_bricks, event_region_brick_masks
+from repro.core.excitation import excitation_region_masks
 from repro.utils.ordered import stable_sorted
 
 State = Hashable
 Brick = FrozenSet[State]
 
 _CACHE_ATTR = "_repro_cache"
-
-# Region-brick carry-over is exact on every library benchmark (see
-# tests/test_engine.py); the flag exists so the conservative behaviour
-# (recompute all pre/post-region bricks after every insertion) can be
-# restored without code changes if a future workload disproves that.
-CARRY_REGION_BRICKS = True
 
 _state = threading.local()
 
@@ -72,7 +69,7 @@ class CacheStats:
     observability surfaces, never control flow.
     """
 
-    __slots__ = ("brick_hits", "brick_misses", "brick_carries", "adjacency_hits", "adjacency_misses")
+    __slots__ = ("brick_hits", "brick_misses", "brick_carries")
 
     def __init__(self) -> None:
         self.reset()
@@ -81,16 +78,12 @@ class CacheStats:
         self.brick_hits = 0
         self.brick_misses = 0
         self.brick_carries = 0
-        self.adjacency_hits = 0
-        self.adjacency_misses = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
             "brick_hits": self.brick_hits,
             "brick_misses": self.brick_misses,
             "brick_carries": self.brick_carries,
-            "adjacency_hits": self.adjacency_hits,
-            "adjacency_misses": self.adjacency_misses,
         }
 
     def hit_rate(self) -> float:
@@ -148,10 +141,9 @@ class SGCache:
         "conflicts",
         "code_groups",
         "er_bricks",
-        "region_bricks",
         "brick_lists",
         "adjacency",
-        "extras",
+        "carry_bits",
     )
 
     def __init__(self) -> None:
@@ -170,11 +162,16 @@ class SGCache:
         self.indexed: Optional[object] = None
         self.conflicts: Optional[list] = None
         self.code_groups: Optional[Dict[tuple, list]] = None
-        self.er_bricks: Dict[object, List[Brick]] = {}
-        self.region_bricks: Dict[Tuple[object, int], List[Brick]] = {}
-        self.brick_lists: Dict[Tuple[str, int], List[Brick]] = {}
-        self.adjacency: Dict[Tuple[str, int], Dict[int, Set[int]]] = {}
-        self.extras: Dict[object, object] = {}
+        # Brick masks over ``indexed``: the excitation regions per event
+        # (the carried unit), the canonical list per (mode, budget), and
+        # one adjacency bitset per brick of that list.
+        self.er_bricks: Dict[object, List[int]] = {}
+        self.brick_lists: Dict[Tuple[str, int], List[int]] = {}
+        self.adjacency: Dict[Tuple[str, int], List[int]] = {}
+        # Per parent state index, the child bit its stable copy maps to
+        # (0 where the insertion split the state); empty when the child's
+        # index is not derived from the parent's.  Built on first carry.
+        self.carry_bits: Optional[List[int]] = None
 
 
 def get_cache(sg) -> SGCache:
@@ -224,37 +221,6 @@ def provenance_parent(cache: "SGCache"):
 # ----------------------------------------------------------------------
 # brick decomposition
 # ----------------------------------------------------------------------
-def _carried_bricks(sg, bricks: List[Brick], partition) -> Optional[List[Brick]]:
-    """Map a parent-graph brick list into ``sg``, or ``None`` if touched.
-
-    A brick list survives the insertion untouched when none of its states
-    lies in ``ER(x+)`` / ``ER(x-)``: every remaining state ``s`` appears
-    in the expanded graph exactly once, as ``(s, 0)`` (``s in S0``) or
-    ``(s, 1)`` (``s in S1``), and the subgraph induced on those states is
-    replayed unchanged, so the mapped sets are the bricks the expanded
-    graph would compute for the same event.
-    """
-    splus = partition.splus
-    sminus = partition.sminus
-    s0 = partition.s0
-    mapped: List[Brick] = []
-    has_state = sg.ts.has_state
-    for brick in bricks:
-        new_brick = []
-        for state in brick:
-            if state in splus or state in sminus:
-                return None
-            new_state = (state, 0) if state in s0 else (state, 1)
-            if not has_state(new_state):
-                # Defensive: every stable-side state stays reachable at
-                # its canonical value; if that invariant ever fails we
-                # recompute rather than serve a wrong cache entry.
-                return None
-            new_brick.append(new_state)
-        mapped.append(frozenset(new_brick))
-    return mapped
-
-
 def _indexed_module():
     """Deferred import of :mod:`repro.core.indexed` (which imports this
     module at load time, so the dependency must point upward lazily)."""
@@ -263,105 +229,113 @@ def _indexed_module():
     return indexed
 
 
-def _er_bricks_for(sg, cache: SGCache, event) -> List[Brick]:
-    bricks = cache.er_bricks.get(event)
-    if bricks is not None:
+def _carry_bits(sg, cache: SGCache, parent_cache: SGCache, partition) -> List[int]:
+    """The parent-index → child-bit table of ``sg`` (memoized).
+
+    Every state ``s`` outside ``ER(x+)`` / ``ER(x-)`` appears in the
+    expanded graph exactly once, as ``(s, 0)`` (``s in S0``) or ``(s, 1)``
+    (otherwise), and the subgraph induced on those states is replayed
+    unchanged.  Entry ``p`` is the bit of that copy in the child's index,
+    or 0 when ``p`` was split or its copy is not in the child graph.  The
+    table is empty when the child's index was not derived from the
+    parent's.
+    """
+    table = cache.carry_bits
+    if table is None:
+        child = _indexed_module().indexed_state_graph(sg)
+        parent = child.parent_index()
+        table = []
+        if parent is not None and parent is parent_cache.indexed:
+            s0 = parent.mask_of(partition.s0)
+            split = parent.mask_of(partition.splus) | parent.mask_of(partition.sminus)
+            table = [0] * parent.num_states
+            for c, p in enumerate(child.parent_positions):
+                stable_value = 0 if (s0 >> p) & 1 else 1
+                if child.states[c][1] == stable_value and not (split >> p) & 1:
+                    table[p] = 1 << c
+        cache.carry_bits = table
+    return table
+
+
+def _carried_masks(masks: List[int], carry_bits: List[int]) -> Optional[List[int]]:
+    """Map a parent entry's brick masks into the child's index, or
+    ``None`` when a brick holds a split (or vanished) state."""
+    bits_of = _indexed_module().bits_of
+    mapped: List[int] = []
+    for mask in masks:
+        child_mask = 0
+        for p in bits_of(mask):
+            bit = carry_bits[p]
+            if not bit:
+                return None
+            child_mask |= bit
+        mapped.append(child_mask)
+    return mapped
+
+
+def _er_entry(sg, cache: SGCache, isg, event) -> List[int]:
+    """The excitation-region brick masks of ``event``: memoized, else
+    carried over from the parent graph's entry, else computed."""
+    masks = cache.er_bricks.get(event)
+    if masks is not None:
         STATS.brick_hits += 1
-        return bricks
+        return masks
     parent_info = provenance_parent(cache)
     if parent_info is not None:
         parent_sg, partition = parent_info
         parent_cache = peek_cache(parent_sg)
-        if parent_cache is not None:
-            parent_entry = parent_cache.er_bricks.get(event)
-            if parent_entry is not None:
-                mapped = _carried_bricks(sg, parent_entry, partition)
-                if mapped is not None:
-                    cache.er_bricks[event] = mapped
-                    STATS.brick_carries += 1
-                    return mapped
-    indexed = _indexed_module()
-    bricks = excitation_regions_indexed(indexed.indexed_state_graph(sg), event)
-    cache.er_bricks[event] = bricks
-    STATS.brick_misses += 1
-    return bricks
+        if parent_cache is not None and event in parent_cache.er_bricks:
+            carry_bits = _carry_bits(sg, cache, parent_cache, partition)
+            if carry_bits:
+                masks = _carried_masks(parent_cache.er_bricks[event], carry_bits)
+    if masks is None:
+        masks = excitation_region_masks(isg, event)
+        STATS.brick_misses += 1
+    else:
+        STATS.brick_carries += 1
+    cache.er_bricks[event] = masks
+    return masks
 
 
-def _region_bricks_for(sg, cache: SGCache, event, max_explored: int) -> List[Brick]:
-    key = (event, max_explored)
-    bricks = cache.region_bricks.get(key)
-    if bricks is not None:
-        STATS.brick_hits += 1
-        return bricks
-    parent_info = provenance_parent(cache) if CARRY_REGION_BRICKS else None
-    if parent_info is not None:
-        parent_sg, partition = parent_info
-        parent_cache = peek_cache(parent_sg)
-        if parent_cache is not None:
-            parent_entry = parent_cache.region_bricks.get(key)
-            if parent_entry is not None:
-                mapped = _carried_bricks(sg, parent_entry, partition)
-                if mapped is not None:
-                    cache.region_bricks[key] = mapped
-                    STATS.brick_carries += 1
-                    return mapped
+def get_brick_masks(sg, mode: str = "regions", max_explored: int = 20000) -> List[int]:
+    """Brick decomposition of ``sg`` as bitmasks over its indexed state
+    graph (cached per ``(mode, budget)``).
+
+    The masks of exactly the bricks :func:`repro.core.bricks.compute_bricks`
+    returns, in its canonical order.  Excitation-region entries are
+    carried over from the parent graph where the insertion did not touch
+    them; region bricks are recomputed (see the module docstring).
+    """
+    cache = get_cache(sg)
+    key = (mode, max_explored)
+    masks = cache.brick_lists.get(key)
+    if masks is not None:
+        return masks
     indexed = _indexed_module()
-    bricks = event_region_bricks_indexed(
-        indexed.indexed_state_graph(sg), event, max_explored=max_explored
-    )
-    cache.region_bricks[key] = bricks
-    STATS.brick_misses += 1
-    return bricks
+    isg = indexed.indexed_state_graph(sg)
+    if mode == "states":
+        collected = [1 << i for i in range(isg.num_states)]
+    elif mode in ("excitation", "regions"):
+        events = stable_sorted(sg.ts.events)
+        collected = []
+        for event in events:
+            collected.extend(_er_entry(sg, cache, isg, event))
+        if mode == "regions":
+            for event in events:
+                collected.extend(event_region_brick_masks(isg, event, max_explored))
+            STATS.brick_misses += len(events)
+    else:
+        raise ValueError(f"unknown brick mode: {mode!r}")
+    masks = indexed.deduplicate_brick_masks(isg, collected)
+    cache.brick_lists[key] = masks
+    return masks
 
 
 def get_bricks(sg, mode: str = "regions", max_explored: int = 20000) -> List[Brick]:
-    """Brick decomposition of ``sg`` (cached per ``(mode, budget)``).
-
-    Produces exactly what :func:`repro.core.bricks.compute_bricks` would,
-    assembling the per-event cache entries (carried over from the parent
-    graph where the insertion did not touch them) and recomputing only
-    the invalidated ones.
-    """
+    """Brick decomposition of ``sg`` as object frozensets: exactly what
+    :func:`repro.core.bricks.compute_bricks` returns, built on demand from
+    :func:`get_brick_masks`."""
     if not caches_enabled():
         return compute_bricks(sg.ts, mode=mode, max_explored=max_explored)
-    cache = get_cache(sg)
-    key = (mode, max_explored)
-    bricks = cache.brick_lists.get(key)
-    if bricks is not None:
-        return bricks
-    if mode == "states":
-        bricks = compute_bricks(sg.ts, mode="states", max_explored=max_explored)
-    elif mode in ("excitation", "regions"):
-        collected: List[Brick] = []
-        for event in stable_sorted(sg.ts.events):
-            collected.extend(_er_bricks_for(sg, cache, event))
-        if mode == "regions":
-            for event in stable_sorted(sg.ts.events):
-                collected.extend(_region_bricks_for(sg, cache, event, max_explored))
-        bricks = deduplicate_bricks(collected)
-    else:
-        raise ValueError(f"unknown brick mode: {mode!r}")
-    cache.brick_lists[key] = bricks
-    return bricks
-
-
-def get_adjacency(sg, mode: str = "regions", max_explored: int = 20000) -> Dict[int, Set[int]]:
-    """Brick adjacency for :func:`get_bricks` (cached per ``(mode, budget)``).
-
-    With caches enabled the relation is computed by the bitmask algebra
-    of :func:`repro.core.indexed.brick_adjacency_masks` (identical to the
-    object-space :func:`repro.core.bricks.brick_adjacency`)."""
-    if not caches_enabled():
-        return brick_adjacency(sg.ts, compute_bricks(sg.ts, mode=mode, max_explored=max_explored))
-    cache = get_cache(sg)
-    key = (mode, max_explored)
-    adjacency = cache.adjacency.get(key)
-    if adjacency is None:
-        STATS.adjacency_misses += 1
-        indexed = _indexed_module()
-        _bricks, _masks, rows = indexed.indexed_brick_bundle(sg, mode, max_explored)
-        adjacency = indexed.adjacency_dict_from_bundle(rows)
-        cache.adjacency[key] = adjacency
-    else:
-        STATS.adjacency_hits += 1
-    return adjacency
+    isg = _indexed_module().indexed_state_graph(sg)
+    return [isg.frozenset_of_mask(mask) for mask in get_brick_masks(sg, mode, max_explored)]

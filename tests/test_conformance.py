@@ -210,3 +210,21 @@ def test_random_stgs_sharded_matches_serial_and_legacy(stg):
             result = solve_csc(sg, SolverSettings(search_jobs=jobs))
         fingerprints.add(json.dumps(result.fingerprint(), sort_keys=True))
     assert len(fingerprints) == 1
+
+
+@hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stg=random_stgs(), mode=st.sampled_from(["regions", "excitation"]))
+def test_random_stgs_bitset_adjacency_matches_object_space(stg, mode):
+    """Random STGs: the brick masks and their bitset adjacency equal the
+    object-space compute_bricks and brick_adjacency."""
+    from repro.core.bricks import brick_adjacency, compute_bricks
+    from repro.core.indexed import bits_of, indexed_brick_bundle, indexed_state_graph
+
+    sg = build_state_graph(stg, max_states=20000)
+    bricks = compute_bricks(sg.ts, mode=mode)
+    masks, adjacency = indexed_brick_bundle(sg, mode)
+    isg = indexed_state_graph(sg)
+    assert masks == [isg.mask_of(brick) for brick in bricks]
+    assert {i: set(bits_of(row)) for i, row in enumerate(adjacency)} == brick_adjacency(
+        sg.ts, bricks
+    )

@@ -8,6 +8,7 @@ of ``encode_many``, and the JSON round-trip of the summaries CI uploads.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -25,7 +26,12 @@ from repro.core.csc import (
 from repro.core.search import find_insertion_plan
 from repro.engine import caches, use_caches
 from repro.engine.batch import run_benchmark_suite, select_smallest_cases, suite_cases
-from repro.core.indexed import IndexedEvaluator, indexed_state_graph
+from repro.core.indexed import (
+    IndexedEvaluator,
+    bits_of,
+    indexed_brick_bundle,
+    indexed_state_graph,
+)
 from repro.core.cost import evaluate_block
 from repro.stg.state_graph import build_state_graph
 
@@ -50,6 +56,32 @@ def test_cached_solver_matches_legacy(name):
     cached = _solve_case(name, caches_on=True)
     assert cached.result.fingerprint() == legacy.result.fingerprint()
     assert cached.area_literals == legacy.area_literals
+
+
+@pytest.mark.parametrize("name", ["vme2int", "combuf2", "nak-pa"])
+def test_enlarge_concurrency_matches_legacy(name):
+    """With ``enlarge_concurrency`` the indexed search (bricks built as
+    frozensets from its masks on demand) commits the same enlarged plan
+    as the legacy search; on vme2int the enlargement grows an
+    excitation region of the new signal."""
+    case = get_case(name, table="table2")
+    plain = case.solver_settings().search
+    enlarged = dataclasses.replace(plain, enlarge_concurrency=True)
+    with use_caches(False):
+        legacy = find_insertion_plan(
+            build_state_graph(case.build(), max_states=5000), "cscx", enlarged
+        )
+    sg = build_state_graph(case.build(), max_states=5000)
+    plan = find_insertion_plan(sg, "cscx", enlarged)
+    assert (plan.block, plan.partition, plan.cost) == (
+        legacy.block,
+        legacy.partition,
+        legacy.cost,
+    )
+    if name == "vme2int":
+        base = find_insertion_plan(sg, "cscx", plain)
+        grown = len(plan.partition.splus) + len(plan.partition.sminus)
+        assert grown > len(base.partition.splus) + len(base.partition.sminus)
 
 
 def test_indexed_evaluator_matches_object_space(vme_sg):
@@ -83,8 +115,8 @@ def test_indexed_evaluator_matches_object_space(vme_sg):
 @pytest.mark.parametrize("mode", ["regions", "excitation"])
 def test_brick_cache_survives_insertion(name, mode):
     """After an insertion, the carried-over brick cache of the expanded
-    graph must equal a from-scratch recomputation (and likewise for the
-    adjacency derived from it)."""
+    graph must equal a from-scratch recomputation, and so must the
+    bundle's bitset adjacency."""
     case = get_case(name, table="table2")
     sg = build_state_graph(case.build(), max_states=5000)
     settings = case.solver_settings().search
@@ -99,44 +131,81 @@ def test_brick_cache_survives_insertion(name, mode):
     cached = caches.get_bricks(new_sg, mode, budget)
     fresh = compute_bricks(new_sg.ts, mode=mode, max_explored=budget)
     assert cached == fresh
-    assert caches.get_adjacency(new_sg, mode, budget) == brick_adjacency(new_sg.ts, fresh)
+    masks, adjacency = indexed_brick_bundle(new_sg, mode, budget)
+    index = indexed_state_graph(new_sg)
+    assert masks == [index.mask_of(brick) for brick in fresh]
+    assert {i: set(bits_of(row)) for i, row in enumerate(adjacency)} == brick_adjacency(
+        new_sg.ts, fresh
+    )
+
+
+@pytest.mark.parametrize("case", TABLE2, ids=lambda case: case.name)
+def test_brick_mask_carry_over_matches_scratch_after_every_insertion(case):
+    """Replays the solver's insertion loop: after every insertion the
+    expanded graph's brick masks (carried over from its parent where the
+    insertion left an event untouched) equal a from-scratch
+    compute_bricks, in the same order."""
+    settings = case.solver_settings()
+    search = settings.search
+    mode, budget = search.brick_mode, search.region_budget
+    current = build_state_graph(case.build(), max_states=5000)
+    for counter in range(settings.max_signals):
+        conflicts = csc_conflicts(current)
+        if not conflicts:
+            break
+        plan = find_insertion_plan(
+            current, f"csc{counter}", search, conflicts=conflicts, kernel=settings.kernel
+        )
+        if plan is None:
+            break
+        new_sg = plan.new_sg
+        masks = caches.get_brick_masks(new_sg, mode, budget)
+        index = indexed_state_graph(new_sg)
+        fresh = compute_bricks(new_sg.ts, mode=mode, max_explored=budget)
+        assert masks == [index.mask_of(brick) for brick in fresh]
+        assert caches.get_cache(new_sg).carry_bits, "the child index must derive from the parent's"
+        if len(csc_conflicts(new_sg)) >= len(conflicts):
+            break
+        current = new_sg
 
 
 def test_brick_carry_over_is_selective(vme_sg):
     """Entries untouched by the insertion are mapped, touched ones are
     recomputed: only bricks meeting ER(x+)/ER(x-) are invalidated."""
+    from repro.core.excitation import excitation_regions
+
     settings_cls = get_case("vme2int").solver_settings().search
     caches.get_bricks(vme_sg, "regions", settings_cls.region_budget)
     plan = find_insertion_plan(vme_sg, "cscx", settings_cls)
     assert plan is not None
-    touched = plan.partition.splus | plan.partition.sminus
     parent_cache = caches.peek_cache(vme_sg)
     assert parent_cache is not None and parent_cache.er_bricks
+    touched = indexed_state_graph(vme_sg).mask_of(plan.partition.splus | plan.partition.sminus)
+    carry_bits = caches._carry_bits(
+        plan.new_sg, caches.get_cache(plan.new_sg), parent_cache, plan.partition
+    )
+    child = indexed_state_graph(plan.new_sg)
 
     untouched_events = [
         event
         for event, entry in parent_cache.er_bricks.items()
-        if entry and not any(brick & touched for brick in entry)
+        if entry and not any(mask & touched for mask in entry)
     ]
     assert untouched_events, "the insertion should leave some events untouched"
-    carried = caches._carried_bricks(
-        plan.new_sg, parent_cache.er_bricks[untouched_events[0]], plan.partition
-    )
-    assert carried is not None
-    from repro.core.excitation import excitation_regions
-
-    assert carried == excitation_regions(plan.new_sg.ts, untouched_events[0])
+    carried = caches._carried_masks(parent_cache.er_bricks[untouched_events[0]], carry_bits)
+    assert carried == [
+        child.mask_of(region)
+        for region in excitation_regions(plan.new_sg.ts, untouched_events[0])
+    ]
 
     touched_events = [
         event
         for event, entry in parent_cache.er_bricks.items()
-        if any(brick & touched for brick in entry)
+        if any(mask & touched for mask in entry)
     ]
     if touched_events:  # touched entries must refuse to carry over
         assert (
-            caches._carried_bricks(
-                plan.new_sg, parent_cache.er_bricks[touched_events[0]], plan.partition
-            )
+            caches._carried_masks(parent_cache.er_bricks[touched_events[0]], carry_bits)
             is None
         )
 
@@ -273,12 +342,10 @@ class TestShard:
                 pass
 
     def test_eval_kernel_is_picklable_and_pure(self, vme_sg):
-        from repro.core.indexed import IndexedEvaluator, indexed_brick_bundle
-
         evaluator = IndexedEvaluator(
             vme_sg, csc_conflicts(vme_sg), allow_input_delay=False
         )
-        _bricks, masks, _adjacency = indexed_brick_bundle(vme_sg)
+        masks, _adjacency = indexed_brick_bundle(vme_sg)
         clone = pickle.loads(pickle.dumps(evaluator.kernel))
         for mask in masks:
             original = evaluator.kernel.evaluate(mask)
@@ -295,13 +362,12 @@ class TestShard:
 
     @pytest.mark.parametrize("mode", ["thread", "fork"])
     def test_search_pool_matches_inline_kernel(self, vme_sg, mode):
-        from repro.core.indexed import IndexedEvaluator, indexed_brick_bundle
         from repro.engine.shard import search_pool, use_shard_mode
 
         evaluator = IndexedEvaluator(
             vme_sg, csc_conflicts(vme_sg), allow_input_delay=False
         )
-        _bricks, masks, _adjacency = indexed_brick_bundle(vme_sg)
+        masks, _adjacency = indexed_brick_bundle(vme_sg)
         inline = [evaluator.kernel.evaluate(mask) for mask in masks]
         with use_shard_mode(mode):
             with search_pool(evaluator.kernel, 2) as pool:

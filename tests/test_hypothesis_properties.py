@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD
@@ -148,11 +149,10 @@ _KERNEL_CACHE = {}
 
 
 def _candidate_kernels():
-    """One big-int oracle kernel plus both plane backends, over the VME
+    """The big-int oracle kernel and the numpy plane kernel over the VME
     controller's state graph and its real CSC conflict set (cached: the
     state graph is deterministic, hypothesis only varies the masks)."""
     if "kernels" not in _KERNEL_CACHE:
-        import repro.core.planes as planes_mod
         from repro.bench_stg import generators as gen
         from repro.core.csc import csc_conflicts
         from repro.core.indexed import IndexedEvaluator
@@ -166,16 +166,7 @@ def _candidate_kernels():
                 sg, conflicts, allow_input_delay=False, kernel_impl=impl
             ).kernel
 
-        bigint = kernel("bigint")
-        vector = kernel("planes")
-        pure = kernel("planes")
-        saved = planes_mod._np
-        planes_mod._np = None  # build-time switch: backend is frozen per instance
-        try:
-            pure.batch_kernel()
-        finally:
-            planes_mod._np = saved
-        _KERNEL_CACHE["kernels"] = (bigint, vector, pure)
+        _KERNEL_CACHE["kernels"] = (kernel("bigint"), kernel("planes"))
     return _KERNEL_CACHE["kernels"]
 
 
@@ -195,7 +186,8 @@ def _evaluation_key(evaluation):
 def test_plane_kernels_match_bigint_oracle(data):
     from repro.core.indexed import evaluate_candidates
 
-    bigint, vector, pure = _candidate_kernels()
+    pytest.importorskip("numpy")
+    bigint, planes = _candidate_kernels()
     num_states = bigint.num_states
     batch_size = data.draw(st.integers(min_value=1, max_value=70))
     masks = [
@@ -203,9 +195,8 @@ def test_plane_kernels_match_bigint_oracle(data):
         for _ in range(batch_size)
     ]
     expected = [_evaluation_key(e) for e in evaluate_candidates(bigint, masks)]
-    for kernel in (vector, pure):
-        got = [_evaluation_key(e) for e in evaluate_candidates(kernel, masks)]
-        assert got == expected
+    got = [_evaluation_key(e) for e in evaluate_candidates(planes, masks)]
+    assert got == expected
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,13 @@ def test_exit_border_and_mwfeb_masks_match_object_space(name):
         min_wellformed_exit_border,
         min_wellformed_exit_border_mask,
     )
-    from repro.core.indexed import indexed_brick_bundle, indexed_state_graph
+    from repro.core.indexed import bits_of, indexed_brick_bundle, indexed_state_graph
     from repro.stg.state_graph import build_state_graph
 
     sg = build_state_graph(get_case(name, table="table2").build(), max_states=5000)
     isg = indexed_state_graph(sg)
-    bricks, masks, adjacency = indexed_brick_bundle(sg)
+    masks, adjacency = indexed_brick_bundle(sg)
+    bricks = [isg.frozenset_of_mask(mask) for mask in masks]
     conflicts = []  # irrelevant for the partition geometry
 
     blocks = list(zip(bricks, masks))
@@ -48,7 +49,7 @@ def test_exit_border_and_mwfeb_masks_match_object_space(name):
     # non-region unions (the shapes the Figure-4 search evaluates)
     for i, (brick, mask) in enumerate(zip(bricks, masks)):
         if adjacency[i]:
-            j = adjacency[i][0]
+            j = bits_of(adjacency[i])[0]
             blocks.append((brick | bricks[j], mask | masks[j]))
 
     for block, mask in blocks:

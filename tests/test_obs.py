@@ -191,6 +191,30 @@ class TestLogging:
         assert "hidden" not in output
         assert "shown" in output
 
+    def test_verbose_solver_logs_insertions_and_why_it_stops(self, captured_log):
+        """A ``verbose`` solve logs every insertion and the reason it stops
+        early: no valid insertion, or a committed one that leaves as many
+        conflicts (reachable once the search stops requiring progress)."""
+        import dataclasses
+
+        from repro.core import solve_csc
+
+        case = get_case("duplicator")
+        settings = dataclasses.replace(case.solver_settings(), verbose=True)
+        solve_csc(build_state_graph(case.build()), settings)
+        output = captured_log.getvalue()
+        assert "INFO solver inserted name=duplicator signal=csc0 conflicts_before=2" in output
+        assert "INFO solver no_valid_insertion name=duplicator conflicts=1" in output
+
+        lenient = dataclasses.replace(
+            settings, search=dataclasses.replace(settings.search, require_actual_progress=False)
+        )
+        solve_csc(build_state_graph(case.build()), lenient)
+        assert (
+            "INFO solver insertion_not_reducing name=duplicator signal=csc1 "
+            "conflicts_before=1 conflicts_after=1" in captured_log.getvalue()
+        )
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             configure_logging("chatty")
@@ -281,6 +305,35 @@ class TestTrace:
         assert "persistency" in outcomes  # par4
         assert "no_progress" in outcomes  # master-read
 
+    def test_search_bricks_spans_carry_brick_counts(self, tmp_path, active_trace):
+        """``search.bricks`` spans report the brick count and how many
+        per-event entries were carried over or computed afresh: the
+        first search of a solve computes everything, a search on an
+        expanded graph carries the untouched excitation regions."""
+        from repro.core import solve_csc
+        from repro.engine import caches
+
+        case = get_case("master-read")
+        result = solve_csc(build_state_graph(case.build()), case.solver_settings())
+        assert result.num_inserted >= 1
+        out = tmp_path / "trace.json"
+        export_chrome_trace(str(out))
+        spans = [
+            event["args"]
+            for event in json.loads(out.read_text())["traceEvents"]
+            if event["name"] == "search.bricks"
+        ]
+        assert len(spans) > result.num_inserted
+        first, *later = spans
+        assert first["carried"] == 0 and first["recomputed"] > 0
+        assert any(args["carried"] > 0 for args in later)
+        search = case.solver_settings().search
+        expected = len(
+            caches.get_brick_masks(result.final_sg, search.brick_mode, search.region_budget)
+        )
+        assert all(args["bricks"] > 0 for args in spans)
+        assert spans[-1]["bricks"] == expected
+
     def test_trace_context_round_trip(self, active_trace):
         ctx = trace_context()
         assert ctx["trace_id"] == active_trace
@@ -307,7 +360,7 @@ class TestTrace:
 
         sg = build_state_graph(gen.vme_controller())
         evaluator = IndexedEvaluator(sg, csc_conflicts(sg), allow_input_delay=False)
-        _bricks, masks, _adjacency = indexed_brick_bundle(sg)
+        masks, _adjacency = indexed_brick_bundle(sg)
         with use_shard_mode("fork"):
             with search_pool(evaluator.kernel, 2) as pool:
                 assert pool is not None

@@ -69,6 +69,54 @@ def _legacy_candidate(states, cost, seq):
     )
 
 
+class TestCost:
+    """The Cost contract the ranking, summaries and fingerprints rely on."""
+
+    def test_lexicographic_order_by_field(self):
+        costs = [
+            Cost(1, 0, 0, 0),
+            Cost(0, 1, 0, 0),
+            Cost(0, 0, 1, 0),
+            Cost(0, 0, 0, 1),
+            Cost(0, 0, 0, 0),
+        ]
+        assert sorted(costs) == [
+            Cost(0, 0, 0, 0),
+            Cost(0, 0, 0, 1),
+            Cost(0, 0, 1, 0),
+            Cost(0, 1, 0, 0),
+            Cost(1, 0, 0, 0),
+        ]
+        assert Cost(0, 5, 9, 9) < Cost(1, 0, 0, 0)
+        assert not Cost(2, 0, 1, 1) < Cost(2, 0, 1, 1)
+
+    def test_equality_hash_and_pickle(self):
+        import pickle
+
+        cost = Cost(unsolved_conflicts=3, input_delays=1, trigger_estimate=4, border_size=2)
+        assert cost == Cost(3, 1, 4, 2)
+        assert cost != Cost(3, 1, 4, 3)
+        assert hash(cost) == hash(Cost(3, 1, 4, 2))
+        assert len({cost, Cost(3, 1, 4, 2)}) == 1
+        clone = pickle.loads(pickle.dumps(cost))
+        assert clone == cost and type(clone) is Cost
+        assert clone.trigger_estimate == 4
+
+    def test_as_dict_and_str(self):
+        cost = Cost(3, 1, 4, 2)
+        assert cost.as_dict() == {
+            "unsolved_conflicts": 3,
+            "input_delays": 1,
+            "trigger_estimate": 4,
+            "border_size": 2,
+        }
+        assert list(cost.as_dict()) == list(Cost._fields)
+        assert str(cost) == "(unsolved=3, input_delays=1, triggers=4, border=2)"
+        assert repr(cost) == (
+            "Cost(unsolved_conflicts=3, input_delays=1, trigger_estimate=4, border_size=2)"
+        )
+
+
 class TestCanonicalRank:
     """Regression tests for the canonical truncation order.
 
@@ -108,7 +156,7 @@ class TestCanonicalRank:
         masks = [1 << i for i in [3, 0, 5, 1, 4, 2]]
         indexed_candidates = [
             _IndexedCandidate(
-                mask, frozenset(), idx.IndexedEvaluation(mask, 1, bytearray(), tied), seq
+                mask, 0, 0, idx.IndexedEvaluation(mask, 1, bytearray(), tied), seq
             )
             for seq, mask in enumerate(masks)
         ]
