@@ -9,7 +9,7 @@ Since the symbolic encoding tier (:mod:`repro.symbolic`) landed, every
 row — including the ``par16`` / ``pipe16`` / ``pipe24`` class whose
 state spaces are orders of magnitude beyond explicit enumeration — gets
 a full census *and a real CSC verdict* (USC/CSC conflict pair counts,
-witnesses, hybrid solving where the conflict core is small), not just a
+witnesses, hybrid solving where the conflicted graph is small), not just a
 state count.  The harness reports, per benchmark family row:
 
 * the net size (places, transitions, signals);

@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--frontier-width", type=int, default=None, help="FW parameter of the heuristic search (default 8; 16 in --all mode)")
         sub.add_argument("--bricks", choices=["regions", "excitation", "states"], default=None, help="granularity of the insertion search space (default regions)")
         sub.add_argument("--max-signals", type=int, default=None, help="maximum number of inserted state signals (default 32)")
-        sub.add_argument("--max-states", type=int, default=200000, help="bound on explicit state-graph size; with a symbolic engine, on the conflict core materialized for the solver (a larger core gets the detection-only verdict)")
+        sub.add_argument("--max-states", type=int, default=200000, help="bound on explicit state-graph size; with a symbolic engine, on the conflicted graph materialized for the solver (a larger one gets the detection-only verdict)")
         sub.add_argument("--enlarge-concurrency", action="store_true", help="greedily increase concurrency of inserted signals")
         sub.add_argument("--search-jobs", type=int, default=None, metavar="N", help="shard each insertion search across N workers (results identical to serial; in --all mode clamped so --jobs x N fits the machine)")
         sub.add_argument("--kernel", choices=["auto", "bigint", "planes"], default=None, help="block-evaluation kernel: bit-plane batches (planes), the big-integer oracle (bigint), or planes when numpy is importable (auto, the default); results are byte-identical either way")

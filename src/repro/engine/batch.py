@@ -14,7 +14,7 @@ argument): ``"explicit"`` is the classical enumerate-then-solve
 pipeline; ``"symbolic"`` never enumerates the state space up front —
 census and CSC conflict detection run on BDDs
 (:mod:`repro.symbolic`) and the explicit solver is only bridged in for
-a conflict core that fits the state budget; ``"auto"`` takes a symbolic
+a conflicted graph that fits the state budget; ``"auto"`` takes a symbolic
 census first and uses the explicit pipeline only when the state count
 fits within ``max_states``.
 
@@ -310,7 +310,7 @@ def _encode_symbolic(
     pipeline (identical results to ``engine="explicit"``, census
     attached); a larger one stays symbolic.  ``symbolic`` always runs
     the BDD front half — detection everywhere, the explicit solver only
-    through the hybrid bridge's materialized conflict core.
+    through the hybrid bridge's materialized state graph.
     """
     from repro.api import encode_stg  # deferred: repro.api imports this package
     from repro.symbolic import DEFAULT_STATE_BUDGET, SymbolicStateGraph, symbolic_encode

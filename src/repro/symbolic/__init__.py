@@ -14,14 +14,17 @@ enumeration:
   with an interleaved primed twin for relational work);
 * :mod:`repro.symbolic.csc` — CSC conflict *detection* via a
   code-equality relation on the primed/unprimed variable pairs, never
-  by pairwise state comparison: USC/CSC pair counts, conflict states,
-  witness cubes, and the conflict-reachable core;
+  by pairwise state comparison (the per-edge signature predicates are
+  OR-ed first and conjoined with the reachable-pair relation once):
+  USC/CSC pair counts, conflict states, witness cubes, and the conflict
+  core — which, for a conflicted graph, is its whole reachable set;
 * :mod:`repro.symbolic.bridge` — :func:`symbolic_encode`, the hybrid
   driver: symbolic census and detection always; when conflicts exist
-  and the core has at most ``max_states`` states, only that core is
-  materialized into the explicit representation so the region/insertion
-  solver finishes the job (``mode="hybrid"``); a larger core gets the
-  detection-only verdict (``mode="symbolic-only"``).
+  and the graph has at most ``max_states`` states (a state budget, the
+  core being every state), the explicit state graph is built so the
+  region/insertion solver finishes the job (``mode="hybrid"``); a
+  larger graph gets the detection-only verdict
+  (``mode="symbolic-only"``).
 
 The tier plugs into the stack as ``engine="symbolic"`` / ``"auto"`` of
 :func:`repro.engine.batch.encode_many`, the ``pyetrify census`` /
@@ -32,12 +35,10 @@ setting.
 from repro.symbolic.bridge import (
     DEFAULT_STATE_BUDGET,
     SymbolicOutcome,
-    materialize_core,
     symbolic_encode,
 )
 from repro.symbolic.csc import (
     SymbolicConflictReport,
-    conflict_core,
     detect_csc_conflicts,
     ensure_core,
 )
@@ -53,10 +54,8 @@ __all__ = [
     "SymbolicConflictReport",
     "SymbolicOutcome",
     "SymbolicStateGraph",
-    "conflict_core",
     "detect_csc_conflicts",
     "ensure_core",
-    "materialize_core",
     "state_variable_order",
     "symbolic_census",
     "symbolic_check_csc",
@@ -79,9 +78,10 @@ def symbolic_check_csc(
 ) -> "SymbolicConflictReport":
     """Detect CSC conflicts of ``stg`` without enumerating states.
 
-    The conflict core is computed (deadline-bounded) on this
-    detection-only path too, so ``as_dict()`` always reports an integer
-    ``core_states`` — the verdict schema matches the hybrid path's.
+    The conflict core is filled in on this detection-only path too, so
+    ``as_dict()`` always reports an integer ``core_states`` (the state
+    count when CSC fails, 0 when it holds) — the verdict schema matches
+    the hybrid path's.
     """
     ssg = SymbolicStateGraph(stg, reorder=reorder)
     report = detect_csc_conflicts(ssg, witness_limit=witness_limit)

@@ -8,43 +8,34 @@ census and conflict detection symbolically, and
 
 * with no conflicts, stops — the specification already satisfies CSC
   and no state was ever enumerated (``mode="symbolic"``);
-* with conflicts whose *conflict-reachable core* (every state on a
-  trajectory through a conflict, :func:`repro.symbolic.csc.conflict_core`)
-  has at most ``max_states`` states, materializes exactly that core into
-  an explicit :class:`~repro.stg.state_graph.StateGraph` — whose canonical
-  integer/bitset :class:`~repro.core.indexed.IndexedStateGraph` the
-  PR-3 pipeline then computes on — and lets :func:`repro.core.solver.solve_csc`
-  finish the job (``mode="hybrid"``);
-* otherwise — a larger core, or a detection-only request
+* with conflicts, notes that their *conflict core* (every state on a
+  trajectory through a conflict, :func:`repro.symbolic.csc.ensure_core`)
+  is the whole reachable set; when that set has at most ``max_states``
+  states, builds the explicit :class:`~repro.stg.state_graph.StateGraph`
+  with :func:`~repro.stg.state_graph.build_state_graph` (initial code
+  bits from the symbolic inference) — whose canonical integer/bitset
+  :class:`~repro.core.indexed.IndexedStateGraph` the solver then
+  computes on — and lets :func:`repro.core.solver.solve_csc` finish the
+  job (``mode="hybrid"``), byte-for-byte as the explicit pipeline does;
+* otherwise — more states than the budget, or a detection-only request
   (``max_signals == 0``) — reports a structured symbolic-only verdict:
   state count, USC/CSC pair counts, conflict-state and core sizes,
   witness cubes (``mode="symbolic-only"``; a core over the budget also
   logs ``core_exceeds_budget``).
 
-Materialization is a breadth-first replay of the Petri-net token game
-restricted to core members (membership is one BDD evaluation per
-successor), visiting states in exactly the order of
-:func:`repro.petri.reachability.build_reachability_graph` and carrying
-binary codes along arcs.  When the core happens to be the whole
-reachable set — the usual case for the strongly connected controllers of
-the benchmark library — the materialized graph is identical, state
-object for state object, to the one :func:`repro.stg.state_graph.build_state_graph`
-produces, so the solver's results are byte-for-byte those of the
-explicit pipeline (the differential suite asserts exactly that).
+``max_states`` is therefore a state budget: the same bound the explicit
+pipeline puts on enumeration.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.bdd.bdd import Node
 from repro.core.solver import EncodingResult, SolverSettings, solve_csc
 from repro.obs import get_logger, span
-from repro.petri.reachability import StateSpaceLimitExceeded
-from repro.stg.state_graph import StateGraph
+from repro.stg.state_graph import build_state_graph
 from repro.stg.stg import STG
 from repro.symbolic.csc import (
     SymbolicConflictReport,
@@ -52,85 +43,21 @@ from repro.symbolic.csc import (
     ensure_core,
 )
 from repro.symbolic.stategraph import SymbolicCensus, SymbolicStateGraph
-from repro.ts.transition_system import TransitionSystem
-from repro.utils.deadline import check_deadline
 
 _log = get_logger("symbolic")
 
 __all__ = [
     "SymbolicOutcome",
-    "materialize_core",
     "symbolic_encode",
     "DEFAULT_STATE_BUDGET",
 ]
 
 #: State-count budget under which ``engine="auto"`` still routes a
 #: request through the explicit pipeline, and up to which the bridge
-#: materializes a conflict core (used when the caller passes
+#: materializes a conflicted state graph (used when the caller passes
 #: ``max_states=None`` — the symbolic tier exists precisely because
 #: "unbounded explicit" is not a thing for its workloads).
 DEFAULT_STATE_BUDGET = 200000
-
-
-def materialize_core(
-    ssg: SymbolicStateGraph, core: Node, max_states: Optional[int] = None
-) -> StateGraph:
-    """Materialize the subgraph induced by ``core`` as an explicit graph.
-
-    Breadth-first token-game replay from the initial state, keeping only
-    successors inside ``core``; arcs between kept states are labelled
-    with base signal edges and binary codes are carried along arcs from
-    the inferred initial values.  With ``core`` equal to the full
-    reachable set this reproduces
-    :func:`~repro.stg.state_graph.build_state_graph` exactly (same
-    :class:`~repro.petri.net.Marking` state objects, same insertion
-    order, same encoding).
-    """
-    stg = ssg.stg
-    net = stg.net
-    values = ssg.infer_initial_values()
-    initial = net.initial_marking
-    initial_code = tuple(values[signal] for signal in stg.signals)
-    if not ssg.contains(core, initial, initial_code):
-        raise ValueError(
-            "the materialization core does not contain the initial state; "
-            "close it backward first (conflict_core does)"
-        )
-    signal_position = {signal: i for i, signal in enumerate(stg.signals)}
-
-    ts = TransitionSystem(name=f"rg({net.name})")
-    ts.set_initial(initial)
-    encoding = {initial: initial_code}
-    frontier = deque([initial])
-    while frontier:
-        check_deadline()
-        marking = frontier.popleft()
-        code = encoding[marking]
-        for transition in net.enabled_transitions(marking):
-            label = stg.label_of(transition)
-            assert label is not None  # dummies rejected by SymbolicStateGraph
-            edge = label.base()
-            successor = net.fire(marking, transition)
-            successor_code = list(code)
-            successor_code[signal_position[edge.signal]] = edge.value_after()
-            successor_code = tuple(successor_code)
-            if not ssg.contains(core, successor, successor_code):
-                continue
-            ts.add_transition(marking, edge, successor)
-            if successor not in encoding:
-                encoding[successor] = successor_code
-                if max_states is not None and len(encoding) > max_states:
-                    raise StateSpaceLimitExceeded(
-                        f"more than {max_states} core states in {net.name}"
-                    )
-                frontier.append(successor)
-    return StateGraph(
-        ts=ts,
-        signals=stg.signals,
-        signal_types={signal: stg.signal_types[signal] for signal in stg.signals},
-        encoding=encoding,
-        name=stg.name,
-    )
 
 
 @dataclass
@@ -227,12 +154,12 @@ def symbolic_encode(
         disables solving just as it does explicitly, leaving a
         detection-only verdict.
     max_states:
-        Bound on the conflict core the bridge materializes for the
-        explicit solver (the same safety bound as the explicit
-        pipeline's ``max_states``); ``None`` falls back to
-        :data:`DEFAULT_STATE_BUDGET` — the symbolic tier never
-        materializes unboundedly.  A larger core gets the
-        detection-only verdict (``mode="symbolic-only"``).
+        Bound on the states the bridge materializes for the explicit
+        solver (the same safety bound as the explicit pipeline's
+        ``max_states``; the core of a conflicted graph is all of its
+        states); ``None`` falls back to :data:`DEFAULT_STATE_BUDGET` —
+        the symbolic tier never materializes unboundedly.  A larger
+        graph gets the detection-only verdict (``mode="symbolic-only"``).
     witness_limit:
         Conflict witness cubes to decode into the verdict.
     ssg:
@@ -257,13 +184,15 @@ def symbolic_encode(
     # included — so the verdict schema is stable: ``core_states`` is
     # always an integer (0 when CSC already holds), never null.
     with span("symbolic.core", name=stg.name):
-        core = ensure_core(ssg, report)
+        ensure_core(ssg, report)
     if not report.csc_holds:
         mode = "symbolic-only"
         if settings.max_signals > 0:
             if report.core_states <= budget:
                 with span("symbolic.materialize", name=stg.name):
-                    sg = materialize_core(ssg, core, max_states=budget)
+                    sg = build_state_graph(
+                        stg, initial_values=ssg.infer_initial_values(), max_states=budget
+                    )
                 materialized = sg.num_states
                 with span("symbolic.solve", name=stg.name):
                     result = solve_csc(sg, settings)

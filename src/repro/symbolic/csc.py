@@ -15,17 +15,23 @@ over unprimed ``x`` and primed ``x'`` holds exactly for the ordered CSC
 conflict pairs: both states reachable, equal binary codes (the
 code-equality relation — one biconditional per signal-variable pair,
 linear thanks to the interleaved ordering), and some non-input signal
-edge ``e`` enabled in one state but not the other.  ``sat_count`` over
-all levels counts ordered pairs, so halving it reproduces the explicit
-pipeline's pair counts; dropping the signature disjunct and requiring
-the markings to differ instead yields the USC pair count the same way.
+edge ``e`` enabled in one state but not the other.  The signature
+disjunction is built over the small per-edge predicates first and
+conjoined with the large reachable-pair relation once.  ``sat_count``
+over all levels counts ordered pairs, so halving it reproduces the
+explicit pipeline's pair counts; dropping the signature disjunct and
+requiring the markings to differ instead yields the USC pair count the
+same way.
 
-``conflict_core`` closes the conflict states under forward images and
-reachable backward preimages — every state lying on a trajectory
-through a conflict.  When that core is small it can be materialized
-into an explicit state graph for the insertion solver
-(:mod:`repro.symbolic.bridge`); when it is not, the conflict relation
-itself is the deliverable, summarised by pair counts and witness cubes.
+The *conflict core* — every state on a trajectory through a conflict —
+needs no fixpoint: every conflict state is reachable, so its reachable
+predecessors include the initial state, whose forward closure is the
+whole reachable set.  The core of a conflicted graph is therefore its
+reachable set (:func:`ensure_core`), and the hybrid bridge
+(:mod:`repro.symbolic.bridge`) hands the solver the full explicit state
+graph when it fits the state budget; when it does not, the conflict
+relation itself is the deliverable, summarised by pair counts and
+witness cubes.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from repro.utils.deadline import check_deadline
 __all__ = [
     "SymbolicConflictReport",
     "detect_csc_conflicts",
-    "conflict_core",
     "ensure_core",
 ]
 
@@ -63,11 +68,10 @@ class SymbolicConflictReport:
     csc_holds: bool
     conflict_state_count: int
     witnesses: List[Dict[str, object]] = field(default_factory=list)
-    core_states: Optional[int] = None  # filled once conflict_core ran
+    core_states: Optional[int] = None  # filled by ensure_core
     seconds: float = 0.0
     conflict_states: Node = FALSE
     relation: Node = FALSE
-    core: Optional[Node] = None  # cached by ensure_core; not in as_dict
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -143,16 +147,16 @@ def detect_csc_conflicts(
             # Only non-input signal edges matter for the signature (the
             # explicit detector's _noninput_signature); without any shared
             # code there is nothing to compare at all.
+            differs = bdd.false
             for edge in ssg.base_edges():
                 check_deadline()
                 if ssg.stg.is_input(edge.signal):
                     continue
                 enabled = ssg.enabled_predicate(edge)
-                enabled_primed = bdd.rename(enabled, mapping)
-                differs = bdd.apply_xor(enabled, enabled_primed)
-                conflict_relation = bdd.apply_or(
-                    conflict_relation, bdd.apply_and(pair, differs)
+                differs = bdd.apply_or(
+                    differs, bdd.apply_xor(enabled, bdd.rename(enabled, mapping))
                 )
+            conflict_relation = bdd.apply_and(pair, differs)
         csc_pairs = bdd.sat_count(conflict_relation, all_levels) // 2
     csc_holds = conflict_relation == bdd.false
 
@@ -196,41 +200,19 @@ def detect_csc_conflicts(
     )
 
 
-def conflict_core(ssg: SymbolicStateGraph, conflict_states: Node) -> Node:
-    """States on some trajectory through a conflict state.
-
-    The closure of the conflict states under forward images and
-    (reachable) backward preimages.  Because every conflict state is
-    reachable from the initial state, the backward closure always pulls
-    the initial state in, so the core is connected from the initial
-    state *within itself* — the property the hybrid bridge's restricted
-    BFS materialization relies on.  Stops early once the core saturates
-    the reachable set.
-    """
-    bdd = ssg.bdd
-    reached = ssg.explore()
-    core = conflict_states
-    frontier = conflict_states
-    while frontier != bdd.false and core != reached:
-        check_deadline()
-        expanded = bdd.apply_or(
-            ssg.image(frontier), bdd.apply_and(ssg.preimage(frontier), reached)
-        )
-        new = bdd.apply_diff(expanded, core)
-        core = bdd.apply_or(core, new)
-        frontier = new
-    return core
-
-
 def ensure_core(ssg: SymbolicStateGraph, report: SymbolicConflictReport) -> Node:
-    """Compute the conflict core once and cache it on ``report``.
+    """The conflict core of ``report``: the reachable set, or empty.
 
-    Fills ``report.core_states`` as a side effect, so every surface that
-    calls this — detection-only ``check-csc`` runs included — emits an
-    integer core size, never ``null`` (``0`` when CSC already holds: the
-    core of an empty conflict set is empty).
+    Every conflict state is reachable, so closing the conflict states
+    under reachable preimages pulls in the initial state, and closing
+    that under images gives every reachable state: a conflicted graph's
+    core is its whole reachable set, and the core of an empty conflict
+    set is empty.  Fills ``report.core_states`` as a side effect, so
+    every surface that calls this — detection-only ``check-csc`` runs
+    included — emits an integer core size, never ``null``.
     """
-    if report.core is None:
-        report.core = conflict_core(ssg, report.conflict_states)
-        report.core_states = ssg.bdd.sat_count(report.core, ssg.unprimed_levels)
-    return report.core
+    if report.csc_holds:
+        report.core_states = 0
+        return ssg.bdd.false
+    report.core_states = report.states
+    return ssg.explore()

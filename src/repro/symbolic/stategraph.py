@@ -45,11 +45,15 @@ same way the explicit encoder does, but without building any state
 graph: a bounded marking-only BFS finds, per signal, the first edge of
 that signal that can fire (consistency forces its ``value_before`` to be
 the initial value), stopping as soon as every signal is resolved.
+The reachability fixpoint is chained (each image folds into the reached
+set at once) and stops after one quiet cycle: every transition fired in
+turn without growing the set.
 
 The class also carries the symbolic twins of the explicit front-end
 checks: safeness and consistency violations are detected on the reached
-set and raised as :class:`~repro.stg.state_graph.InconsistentSTGError`,
-mirroring :func:`repro.stg.state_graph.build_state_graph`.
+set with one fused test per transition and raised as
+:class:`~repro.stg.state_graph.InconsistentSTGError`, mirroring
+:func:`repro.stg.state_graph.build_state_graph`.
 """
 
 from __future__ import annotations
@@ -435,85 +439,64 @@ class SymbolicStateGraph:
     # ------------------------------------------------------------------
     # exploration
     # ------------------------------------------------------------------
-    def image(self, states: Node) -> Node:
-        """States reachable from ``states`` in exactly one firing."""
-        bdd = self.bdd
-        result = bdd.false
-        for transition in self._transitions:
-            check_deadline()
-            moved = bdd.and_exists(
-                states, transition.enabling, transition.changed_levels
-            )
-            if moved == bdd.false:
-                continue
-            moved = bdd.apply_and(moved, transition.after)
-            result = bdd.apply_or(result, moved)
-        return result
-
-    def preimage(self, states: Node) -> Node:
-        """States with a one-firing successor inside ``states``.
-
-        May include unreachable states; intersect with :meth:`explore`'s
-        result when a reachable preimage is needed.
-        """
-        bdd = self.bdd
-        result = bdd.false
-        for transition in self._transitions:
-            check_deadline()
-            moved = bdd.and_exists(
-                states, transition.after, transition.changed_levels
-            )
-            if moved == bdd.false:
-                continue
-            moved = bdd.apply_and(moved, transition.enabling)
-            moved = bdd.apply_and(moved, transition.produced_empty)
-            result = bdd.apply_or(result, moved)
-        return result
-
     def explore(self) -> Node:
         """Fixpoint of the image computation from the initial state.
 
         Uses *chained* iteration — each transition's image is folded into
-        the reached set immediately, so one pass over the (locality-
+        the reached set immediately (``reached ∨ moved``; the canonical
+        node id tells whether it grew), so one pass over the (locality-
         ordered) transition list propagates a whole wavefront down a
         coupled chain.  On the pipeline-style benchmarks this converges
         in a handful of passes where breadth-first frontiers need one
         iteration per BFS level and build far larger "exact distance"
         BDDs; the fixpoint itself is the same unique reachable set.
-        ``iterations`` counts the passes.
+
+        The loop stops after a *quiet cycle*: once every transition, in
+        cyclic order, has fired without growing the reached set, that set
+        is closed under every image — no confirming pass is run.  The
+        transition that last grew the set counts as quiet at once: its
+        after cube flips the fired signal away from the value its
+        enabling cube requires, so it cannot fire twice in a row.
+        ``iterations`` counts the passes started, the last one usually
+        partial.  The safeness/consistency check runs before the result
+        is cached, and ``explore_seconds`` covers both.
         """
         if self.reached is not None:
             return self.reached
         started = time.perf_counter()
         bdd = self.bdd
+        transitions = self._transitions
         reached = self.initial_cube()
-        self.iterations = 0
-        changed = True
-        with span("bdd.apply", graph=self.name, phase="explore"):
-            while changed:
-                changed = False
-                self.iterations += 1
-                for transition in self._transitions:
+        passes = firings = quiet = 0
+        with span("bdd.apply", graph=self.name, phase="explore") as attrs:
+            while quiet < len(transitions):
+                passes += 1
+                for transition in transitions:
                     check_deadline()
+                    firings += 1
                     moved = bdd.and_exists(
                         reached, transition.enabling, transition.changed_levels
                     )
-                    if moved == bdd.false:
-                        continue
-                    moved = bdd.apply_and(moved, transition.after)
-                    new = bdd.apply_diff(moved, reached)
-                    if new != bdd.false:
-                        reached = bdd.apply_or(reached, new)
-                        changed = True
+                    if moved != bdd.false:
+                        grown = bdd.apply_or(reached, bdd.apply_and(moved, transition.after))
+                        if grown != reached:
+                            reached, quiet = grown, 1
+                            continue
+                    quiet += 1
+                    if quiet == len(transitions):
+                        break
                 # a pass boundary is a quiescent point: no operation in
                 # flight, so sifting may rewrite the node table freely
                 bdd.maybe_reorder(groups=self.pair_groups)
+            attrs["passes"] = passes
+            attrs["firings"] = firings
+        self.iterations = passes
+        self._check_safe_and_consistent(reached)
         self.reached = reached
         self.explore_seconds = time.perf_counter() - started
-        self._check_safe_and_consistent()
         return reached
 
-    def _check_safe_and_consistent(self) -> None:
+    def _check_safe_and_consistent(self, reached: Node) -> None:
         """Symbolic twins of the explicit front-end checks.
 
         Unsafe: some reachable state enables a transition by tokens while
@@ -524,20 +507,30 @@ class SymbolicStateGraph:
         contradiction).  Both raise
         :class:`~repro.stg.state_graph.InconsistentSTGError`, mirroring
         :func:`repro.stg.state_graph.build_state_graph`.
+
+        Both checks fuse into one test per transition: ``reached`` must
+        miss ``place_enabling ∧ ¬(produced_empty ∧ enabling)``, a small
+        predicate over the transition's own variables.  Only a failing
+        test splits it to tell which check failed.  (One disjunction of
+        these predicates over all transitions spans the whole variable
+        order: it cost more nodes and time than it saved.)
         """
         bdd = self.bdd
-        assert self.reached is not None
-        for transition in self._transitions:
-            check_deadline()
-            tokens_enabled = bdd.apply_and(self.reached, transition.place_enabling)
-            if tokens_enabled == bdd.false:
-                continue
-            if bdd.apply_diff(tokens_enabled, transition.produced_empty) != bdd.false:
-                raise InconsistentSTGError(
-                    f"the underlying Petri net of {self.name!r} is not safe; the "
-                    "region-based encoding theory assumes safe STGs"
+        with span("bdd.apply", graph=self.name, phase="safety"):
+            for transition in self._transitions:
+                check_deadline()
+                bad = bdd.apply_diff(
+                    transition.place_enabling,
+                    bdd.apply_and(transition.produced_empty, transition.enabling),
                 )
-            if bdd.apply_diff(tokens_enabled, transition.enabling) != bdd.false:
+                if bdd.apply_and(reached, bad) == bdd.false:
+                    continue
+                tokens_enabled = bdd.apply_and(reached, transition.place_enabling)
+                if bdd.apply_diff(tokens_enabled, transition.produced_empty) != bdd.false:
+                    raise InconsistentSTGError(
+                        f"the underlying Petri net of {self.name!r} is not safe; the "
+                        "region-based encoding theory assumes safe STGs"
+                    )
                 raise InconsistentSTGError(
                     f"transition {transition.name!r} of {self.name!r} is enabled in a "
                     f"reachable state whose {transition.edge.signal!r} value already "
@@ -605,27 +598,6 @@ class SymbolicStateGraph:
             )
             self._enabled_cache[edge] = cached
         return cached
-
-    def er_set(self, edge: SignalEdge) -> Node:
-        """The excitation set of ``edge`` — reachable states enabling it
-        (the union of its excitation regions)."""
-        return self.bdd.apply_and(self.explore(), self.enabled_predicate(edge))
-
-    def sr_set(self, edge: SignalEdge) -> Node:
-        """The switching set of ``edge`` — states entered by firing it."""
-        bdd = self.bdd
-        edge = edge.base()
-        reached = self.explore()
-        result = bdd.false
-        for transition in self._transitions:
-            if transition.edge != edge:
-                continue
-            enabled = bdd.apply_and(reached, transition.enabling)
-            if enabled == bdd.false:
-                continue
-            moved = bdd.exists(enabled, transition.changed_levels)
-            result = bdd.apply_or(result, bdd.apply_and(moved, transition.after))
-        return result
 
     # ------------------------------------------------------------------
     # decoding (tests, witnesses, materialization)

@@ -334,6 +334,28 @@ class TestTrace:
         assert all(args["bricks"] > 0 for args in spans)
         assert spans[-1]["bricks"] == expected
 
+    def test_symbolic_explore_spans_carry_passes_and_firings(self, tmp_path, active_trace):
+        """The ``explore`` span counts the passes the chained fixpoint
+        started and the image steps it fired; the safety check has its
+        own span."""
+        from repro.symbolic import SymbolicStateGraph
+
+        ssg = SymbolicStateGraph(gen.vme_controller())
+        census = ssg.census()
+        out = tmp_path / "trace.json"
+        export_chrome_trace(str(out))
+        spans = [
+            event["args"]
+            for event in json.loads(out.read_text())["traceEvents"]
+            if event["name"] == "bdd.apply"
+        ]
+        assert [args["phase"] for args in spans] == ["explore", "safety"]
+        explore = spans[0]
+        assert explore["passes"] == census.iterations
+        transitions = census.transitions
+        assert (explore["passes"] - 1) * transitions < explore["firings"]
+        assert explore["firings"] <= explore["passes"] * transitions
+
     def test_trace_context_round_trip(self, active_trace):
         ctx = trace_context()
         assert ctx["trace_id"] == active_trace

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
@@ -19,9 +20,8 @@ from repro.stg.state_graph import InconsistentSTGError
 from repro.stg.stg import STG
 from repro.symbolic import (
     SymbolicStateGraph,
-    conflict_core,
     detect_csc_conflicts,
-    materialize_core,
+    ensure_core,
     state_variable_order,
     symbolic_census,
     symbolic_check_csc,
@@ -108,6 +108,23 @@ class TestCensus:
             expected = dict(zip(sg.signals, sg.code(sg.initial_state)))
             assert values == expected
 
+    def test_explore_stops_after_one_quiet_cycle(self):
+        # transitions declared against their firing order (b-, a+, a-, b+
+        # for a+ b+ a- b-): each pass gets only a step or two further, and
+        # the loop must run until every transition fired in turn without
+        # growing the reached set, and no further
+        stg = STG.from_arcs(
+            "backwards",
+            inputs=["a"],
+            outputs=["b"],
+            arcs=[("b-", "a+"), ("a-", "b-"), ("b+", "a-"), ("a+", "b+")],
+            marking=[("b-", "a+")],
+        )
+        assert list(stg.net.transitions) == ["b-", "a+", "a-", "b+"]
+        census = SymbolicStateGraph(stg).census()
+        assert census.states == build_state_graph(stg).num_states == 4
+        assert census.iterations == 3  # the third pass ends quiet; no confirming pass
+
     def test_dummy_transitions_rejected(self):
         stg = gen.vme_controller()
         stg.add_dummy_transition("eps")
@@ -129,10 +146,16 @@ class TestCensus:
             arcs=[("a+/1", "a+/2"), ("a+/2", "a+/1")],
             marking=[("a+/2", "a+/1")],
         )
-        with pytest.raises(InconsistentSTGError):
+        with pytest.raises(InconsistentSTGError, match="signal .a. forced to both"):
             build_state_graph(stg)  # the explicit front end rejects it...
-        with pytest.raises(InconsistentSTGError):
-            SymbolicStateGraph(stg).census()  # ...and so does the symbolic one
+        # ...and so does the symbolic one, naming the transition that fires
+        # with its signal already at the post-firing value
+        with pytest.raises(InconsistentSTGError) as raised:
+            SymbolicStateGraph(stg).census()
+        message = str(raised.value)
+        assert message.startswith("transition 'a+/2' of 'bad' is enabled")
+        assert "'a' value already matches its post-firing value" in message
+        assert message.endswith("the STG is not consistent")
 
     def test_unsafe_initial_marking_rejected(self):
         stg = gen.vme_controller()
@@ -151,10 +174,23 @@ class TestCensus:
             arcs=[("p1", "a+"), ("p2", "b+"), ("a+", "q"), ("b+", "q"), ("q", "c+")],
             marking=["p1", "p2"],
         )
-        with pytest.raises(InconsistentSTGError):
+        unsafe = "the underlying Petri net of 'unsafe' is not safe"
+        with pytest.raises(InconsistentSTGError, match=unsafe):
             build_state_graph(stg)
-        with pytest.raises(InconsistentSTGError):
+        with pytest.raises(InconsistentSTGError, match=unsafe):
             SymbolicStateGraph(stg).census()
+
+    def test_census_seconds_cover_the_safety_check(self, monkeypatch):
+        checked = SymbolicStateGraph._check_safe_and_consistent
+
+        def slow_check(ssg, reached):
+            time.sleep(0.2)
+            checked(ssg, reached)
+
+        monkeypatch.setattr(SymbolicStateGraph, "_check_safe_and_consistent", slow_check)
+        census = SymbolicStateGraph(gen.vme_controller()).census()
+        assert census.states == 14
+        assert census.seconds >= 0.2
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +240,16 @@ class TestDetection:
         stg = gen.vme_controller()
         ssg = SymbolicStateGraph(stg)
         report = detect_csc_conflicts(ssg)
-        core = conflict_core(ssg, report.conflict_states)
+        core = ensure_core(ssg, report)
         assert core == ssg.explore()
+        assert report.core_states == report.states == 14
+
+    def test_conflict_core_of_csc_clean_graph_is_empty(self):
+        ssg = SymbolicStateGraph(gen.handshake_wire_chain(3))
+        report = detect_csc_conflicts(ssg)
+        assert report.csc_holds
+        assert ensure_core(ssg, report) == ssg.bdd.false
+        assert report.core_states == 0
 
 
 # ----------------------------------------------------------------------
@@ -310,22 +354,18 @@ class TestWitnessCompleteness:
 # ----------------------------------------------------------------------
 class TestBridge:
     def test_materialized_full_core_equals_explicit_graph(self):
-        stg = gen.vme_controller()
-        explicit = build_state_graph(stg)
-        ssg = SymbolicStateGraph(stg)
-        sg = materialize_core(ssg, ssg.explore())
-        assert sg.states == explicit.states  # same objects, same order
-        assert sg.encoding == explicit.encoding
-        assert sg.initial_state == explicit.initial_state
-        assert sg.ts.num_transitions == explicit.ts.num_transitions
-
-    def test_materialize_rejects_incomplete_core(self):
-        stg = gen.vme_controller()
-        ssg = SymbolicStateGraph(stg)
-        report = detect_csc_conflicts(ssg)
-        # the raw conflict states exclude the initial state
-        with pytest.raises(ValueError):
-            materialize_core(ssg, report.conflict_states)
+        # the bridge builds the conflicted graph with the symbolically
+        # inferred initial values: the very graph the explicit front end
+        # builds (same state objects, same order, same encoding)
+        for stg in (gen.vme_controller(), gen.pipeline(2), gen.duplicator_element()):
+            explicit = build_state_graph(stg)
+            ssg = SymbolicStateGraph(stg)
+            sg = build_state_graph(stg, initial_values=ssg.infer_initial_values())
+            assert sg.states == explicit.states
+            assert sg.encoding == explicit.encoding
+            assert sg.initial_state == explicit.initial_state
+            assert sg.ts.num_transitions == explicit.ts.num_transitions
+            assert sg.num_states == ssg.count_states()
 
     def test_mode_symbolic_when_csc_holds(self):
         outcome = symbolic_encode(gen.handshake_wire_chain(3))

@@ -16,7 +16,13 @@ Covered here:
 * per-state code agreement (the symbolic valuation of every reachable
   state equals the inferred explicit encoding);
 * hypothesis-generated STGs from the parametric generator families
-  (including the new coupled ``pipeline`` family).
+  (including the new coupled ``pipeline`` family);
+* the symbolic shortcuts against the straightforward BDD computations
+  they replace, kept here as reference implementations: the per-edge
+  conflict relation, the image/preimage conflict-core fixpoint and a
+  breadth-first image fixpoint — on every library row but pipeline8
+  and pipeline12 (too slow for the suite) and on the hypothesis STGs,
+  with and without variable reordering.
 
 The hybrid bridge's *solver* identity (materialized core solved to the
 same ``EncodingResult`` fingerprint as the explicit pipeline) is pinned
@@ -29,12 +35,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
 from repro.bench_stg import generators as gen
+from repro.bdd.bdd import prime_map
 from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
 from repro.core.csc import csc_conflicts_from_scratch, has_csc, usc_conflicts
 from repro.core.excitation import excitation_set, switching_set
 from repro.engine import use_caches
 from repro.stg import build_state_graph
-from repro.symbolic import SymbolicStateGraph, detect_csc_conflicts
+from repro.symbolic import SymbolicStateGraph, detect_csc_conflicts, ensure_core
+from repro.symbolic.csc import _code_equality
 
 ENUMERABLE = [case for case in TABLE2_CASES + TABLE1_CASES if case.explicit_ok]
 _ENUM_IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(ENUMERABLE)]
@@ -76,6 +84,21 @@ def test_census_and_conflict_counts_match_explicit(case):
         assert symbolic_conflict_states == explicit_conflict_states
 
 
+def _er_set(ssg, edge):
+    """Reachable states enabling ``edge`` (the union of its ERs)."""
+    return ssg.bdd.apply_and(ssg.explore(), ssg.enabled_predicate(edge))
+
+
+def _sr_set(ssg, edge):
+    """States entered by firing ``edge`` (the union of its SRs)."""
+    bdd = ssg.bdd
+    return bdd.disjoin(
+        bdd.apply_and(bdd.and_exists(ssg.explore(), t.enabling, t.changed_levels), t.after)
+        for t in ssg._transitions
+        if t.edge == edge
+    )
+
+
 @pytest.mark.parametrize("case", ENUMERABLE, ids=_ENUM_IDS)
 def test_er_sr_sets_match_explicit(case):
     stg = case.build()
@@ -88,10 +111,111 @@ def test_er_sr_sets_match_explicit(case):
     for event in sg.ts.events:
         explicit_er = excitation_set(sg.ts, event)
         explicit_sr = switching_set(sg.ts, event)
-        symbolic_er = {m for m, _code in ssg.states_of(ssg.er_set(event))}
-        symbolic_sr = {m for m, _code in ssg.states_of(ssg.sr_set(event))}
+        symbolic_er = {m for m, _code in ssg.states_of(_er_set(ssg, event))}
+        symbolic_sr = {m for m, _code in ssg.states_of(_sr_set(ssg, event))}
         assert symbolic_er == set(explicit_er), f"ER({event}) diverged"
         assert symbolic_sr == set(explicit_sr), f"SR({event}) diverged"
+
+
+# ----------------------------------------------------------------------
+# reference implementations of the symbolic shortcuts
+# ----------------------------------------------------------------------
+def _image(ssg, states):
+    """States reachable from ``states`` in exactly one firing."""
+    bdd = ssg.bdd
+    return bdd.disjoin(
+        bdd.apply_and(bdd.and_exists(states, t.enabling, t.changed_levels), t.after)
+        for t in ssg._transitions
+    )
+
+
+def _preimage(ssg, states):
+    """States with a one-firing successor inside ``states``."""
+    bdd = ssg.bdd
+    return bdd.disjoin(
+        bdd.conjoin(
+            (bdd.and_exists(states, t.after, t.changed_levels), t.enabling, t.produced_empty)
+        )
+        for t in ssg._transitions
+    )
+
+
+def _reference_reached(ssg):
+    """Breadth-first image fixpoint from the initial state."""
+    bdd = ssg.bdd
+    reached = frontier = ssg.initial_cube()
+    while frontier != bdd.false:
+        frontier = bdd.apply_diff(_image(ssg, frontier), reached)
+        reached = bdd.apply_or(reached, frontier)
+    return reached
+
+
+def _reference_relation(ssg):
+    """``⋁_e (pair ∧ (En_e ⊕ En_e'))``: one AND with the pair relation per edge."""
+    bdd = ssg.bdd
+    mapping = prime_map(ssg.num_state_vars)
+    reached = ssg.explore()
+    pair = bdd.conjoin((reached, bdd.rename(reached, mapping), _code_equality(ssg)))
+    relation = bdd.false
+    for edge in ssg.base_edges():
+        if ssg.stg.is_input(edge.signal):
+            continue
+        enabled = ssg.enabled_predicate(edge)
+        differs = bdd.apply_xor(enabled, bdd.rename(enabled, mapping))
+        relation = bdd.apply_or(relation, bdd.apply_and(pair, differs))
+    return relation
+
+
+def _reference_core(ssg, conflict_states):
+    """Closure of the conflict states under images and reachable preimages."""
+    bdd = ssg.bdd
+    reached = ssg.explore()
+    core = frontier = conflict_states
+    while frontier != bdd.false:
+        expanded = bdd.apply_or(
+            _image(ssg, frontier), bdd.apply_and(_preimage(ssg, frontier), reached)
+        )
+        frontier = bdd.apply_diff(expanded, core)
+        core = bdd.apply_or(core, frontier)
+    return core
+
+
+def _assert_matches_references(ssg, sift, breadth_first=True):
+    reached = ssg.explore()
+    if sift:
+        # sift once more, so the comparisons below also run under an
+        # order the explore loop never saw (node ids survive sifting)
+        ssg.bdd.reorder(groups=ssg.pair_groups, max_growth=1.05, max_blocks=8, window=4)
+    bdd = ssg.bdd
+    if breadth_first:
+        assert reached == _reference_reached(ssg)
+    report = detect_csc_conflicts(ssg)
+    assert report.relation == _reference_relation(ssg)
+    core = ensure_core(ssg, report)
+    if report.csc_holds:
+        assert core == bdd.false
+        assert report.core_states == 0
+    else:
+        assert core == reached == _reference_core(ssg, report.conflict_states)
+        assert report.core_states == report.states
+
+
+LIBRARY = TABLE2_CASES + TABLE1_CASES
+_LIBRARY_IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(LIBRARY)]
+#: rows whose breadth-first reference (one image per BFS level, each over
+#: exact-distance sets) takes 10 s and more
+_BREADTH_FIRST_TOO_SLOW = {"pipe16", "pipe24"}
+
+
+@pytest.mark.parametrize("reorder", [False, True], ids=["static", "reorder"])
+@pytest.mark.parametrize("case", LIBRARY, ids=_LIBRARY_IDS)
+def test_library_shortcuts_match_reference_implementations(case, reorder):
+    if case.name in ("pipeline8", "pipeline12"):
+        pytest.skip("the reference computations take 4 s and more on this row")
+    ssg = SymbolicStateGraph(case.build(), reorder=reorder)
+    _assert_matches_references(
+        ssg, sift=reorder, breadth_first=case.name not in _BREADTH_FIRST_TOO_SLOW
+    )
 
 
 # ----------------------------------------------------------------------
@@ -144,3 +268,9 @@ def test_random_stgs_symbolic_matches_explicit(stg):
     assert report.usc_pairs == explicit_usc
     assert report.csc_pairs == explicit_csc
     assert report.csc_holds == explicit_holds
+
+
+@hsettings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stg=random_stgs(), sift=st.booleans())
+def test_random_stgs_shortcuts_match_reference_implementations(stg, sift):
+    _assert_matches_references(SymbolicStateGraph(stg, reorder=sift), sift)
