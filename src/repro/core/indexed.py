@@ -219,7 +219,7 @@ class IndexedStateGraph:
         self.event_list = event_list
         self.event_arcs = event_arcs
         self._event_arc_bits: Dict[Event, List[Tuple[int, int]]] = {}
-        self._arc_bits_by_event: Optional[List[List[Tuple[int, int]]]] = None
+        self._arc_bits_by_event: Optional[List[Tuple[int, int, List[Tuple[int, int]]]]] = None
 
         # Signal-layout snapshot (the code-vector geometry of ``sg``).
         self.signal_positions: Dict[str, int] = {
@@ -453,14 +453,19 @@ class IndexedStateGraph:
         return bits
 
     @property
-    def arc_bits_by_event(self) -> List[List[Tuple[int, int]]]:
-        """:meth:`event_arc_bits` of every event, in ``event_list`` order
-        (memoized) — one legality pass of the region expansion."""
-        lists = self._arc_bits_by_event
-        if lists is None:
-            lists = [self.event_arc_bits(event) for event in self.event_list]
-            self._arc_bits_by_event = lists
-        return lists
+    def arc_bits_by_event(self) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
+        """``(source mask, target mask, arc bits)`` of every event, in
+        ``event_list`` order (memoized) -- one legality pass of the region
+        expansion.  The masks are :meth:`er_mask` and :meth:`sr_mask`, the
+        arc bits :meth:`event_arc_bits`."""
+        entries = self._arc_bits_by_event
+        if entries is None:
+            entries = [
+                (self.er_mask(event), self.sr_mask(event), self.event_arc_bits(event))
+                for event in self.event_list
+            ]
+            self._arc_bits_by_event = entries
+        return entries
 
     # ------------------------------------------------------------------
     # connected components / canonical ordering

@@ -16,13 +16,26 @@ the area.  The result is a new binary-encoded state graph with one more
 signal; trace equivalence modulo the new signal, determinism and
 commutativity are preserved by construction, persistency is checked
 separately (``repro.core.sip``).
+
+:func:`insert_signal` works on the parent's
+:class:`~repro.core.indexed.IndexedStateGraph`: the I-partition becomes a
+side table, the coverage and crossing checks run over the index in
+``transitions()`` order, and the expanded graph is the replay
+:meth:`~repro.core.indexed.IndexedStateGraph.decide_insertion` also uses,
+over integer nodes ``2 * i + x`` reachable from the initial node.  The
+child transition system is then built in one pass
+(:meth:`~repro.ts.transition_system.TransitionSystem.from_adjacency`), in
+the order an arc-by-arc object-space replay would give: states as that
+replay first meets them (original arcs, then the ``x+`` and ``x-``
+arcs), successor lists in replay order, predecessor and per-event lists
+in ``transitions()`` order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.core.ipartition import S0, S1, SMINUS, SPLUS, IPartition
+from repro.core.ipartition import S0, S1, SPLUS, IPartition
 from repro.engine import caches as engine_caches
 from repro.stg.signals import SignalEdge, SignalType
 from repro.stg.state_graph import StateGraph
@@ -48,9 +61,6 @@ ARC_VALUES = bytes((
     1, 1, 0, 3,  # from ER(x-): S0, S+ at x=0, S- at both values
 ))
 
-_VALUES_OF_BITS = {1: (0,), 2: (1,), 3: (0, 1)}
-
-
 def illegal_crossing(source_side: int, source: State) -> IllegalInsertionError:
     """The error for an arc leaving ``source`` (in block ``source_side``)
     across a crossing :data:`ARC_VALUES` forbids."""
@@ -71,77 +81,85 @@ def illegal_crossing(source_side: int, source: State) -> IllegalInsertionError:
     return IllegalInsertionError(message)
 
 
-def _side_table(partition: IPartition) -> Dict[State, int]:
-    """Every covered state mapped to the side code of its block."""
-    side: Dict[State, int] = {}
-    for code, block in (
-        (S0, partition.s0),
-        (SPLUS, partition.splus),
-        (S1, partition.s1),
-        (SMINUS, partition.sminus),
-    ):
-        for state in block:
-            side[state] = code
-    return side
-
-
 def insert_signal(
     sg: StateGraph,
     partition: IPartition,
     signal: str,
     signal_type: SignalType = SignalType.INTERNAL,
-    restrict_to_reachable: bool = True,
     name: Optional[str] = None,
 ) -> StateGraph:
     """Insert a new signal into a state graph according to an I-partition.
 
     Every state of the result is a pair ``(original_state, x_value)``; the
     encoding of the original signals is inherited and the new signal's
-    value is appended as the last component of the code.
+    value is appended as the last component of the code.  Only the states
+    reachable from the initial state ``(initial, x0)`` are kept.
     """
+    # Deferred: repro.core.indexed imports this module at load time.
+    from repro.core.indexed import UNCOVERED, indexed_state_graph
+
     if signal in sg.signals:
         raise ValueError(f"signal {signal!r} already exists in the state graph")
     check_deadline()  # replaying O(states x edges) transitions below; bail early on timeout
-    side = _side_table(partition)
-    for state in sg.states:
-        if state not in side:
-            raise IllegalInsertionError(f"state {state!r} is not covered by the I-partition")
+    index = indexed_state_graph(sg)
+    side = index.side_table(partition)
+    states = index.states
+    if UNCOVERED in side:
+        state = states[side.index(UNCOVERED)]
+        raise IllegalInsertionError(f"state {state!r} is not covered by the I-partition")
 
-    new_ts = TransitionSystem(name or f"{sg.name}+{signal}")
+    # The nodes 2 * i + x of a replay of every original transition (in
+    # transitions() order, at each admitted x value in ascending order),
+    # then of the x+ and x- arcs: their order of first appearance is the
+    # state order of the expanded graph.
+    sequence: List[int] = []
+    for i, outgoing in enumerate(index.succ_events):
+        code = side[i]
+        base = code * 4
+        for _event, j in outgoing:
+            values = ARC_VALUES[base + side[j]]
+            if not values:
+                raise illegal_crossing(code, states[i])
+            if values & 1:
+                sequence += (2 * i, 2 * j)
+            if values & 2:
+                sequence += (2 * i + 1, 2 * j + 1)
+    position = index.position
+    for state in partition.splus:
+        p = position.get(state)
+        if p is not None:
+            sequence += (2 * p, 2 * p + 1)
+    for state in partition.sminus:
+        p = position.get(state)
+        if p is not None:
+            sequence += (2 * p + 1, 2 * p)
 
-    # Replay the original transitions at the appropriate x values.
-    for source, edge, target in sg.ts.transitions():
-        source_side = side[source]
-        values = ARC_VALUES[source_side * 4 + side[target]]
-        if not values:
-            raise illegal_crossing(source_side, source)
-        for value in _VALUES_OF_BITS[values]:
-            new_ts.add_transition((source, value), edge, (target, value))
-
-    # Add the transitions of the new signal itself.
+    # Replay the legal insertion from its initial node: exactly the
+    # reachable nodes, each with its arcs in replay order.
     rise = SignalEdge.rise(signal)
     fall = SignalEdge.fall(signal)
-    for state in partition.splus:
-        new_ts.add_transition((state, 0), rise, (state, 1))
-    for state in partition.sminus:
-        new_ts.add_transition((state, 1), fall, (state, 0))
-
-    # Initial state: the original initial state with the value the new
-    # signal holds before it has ever fired.
-    initial = sg.initial_state
-    initial_value = 0 if (initial in partition.s0 or initial in partition.splus) else 1
-    new_ts.set_initial((initial, initial_value))
-
-    if restrict_to_reachable:
-        new_ts = new_ts.restrict_to_reachable()
+    arcs_of, reachable, _near_border = index._replay_insertion(side, rise, fall)
+    start = reachable[0]
+    sequence.append(start)
+    order = [node for node in dict.fromkeys(sequence) if arcs_of[node] is not None]
+    child_position = [0] * len(arcs_of)
+    for c, node in enumerate(order):
+        child_position[node] = c
+    new_states = [(states[node >> 1], node & 1) for node in order]
+    new_ts = TransitionSystem.from_adjacency(
+        new_states,
+        [[(event, child_position[t]) for event, t in arcs_of[node]] for node in order],
+        initial=child_position[start],
+        name=name or f"{sg.name}+{signal}",
+    )
 
     new_signals = list(sg.signals) + [signal]
     new_types = dict(sg.signal_types)
     new_types[signal] = signal_type
-    new_encoding: Dict[Tuple[State, int], Tuple[int, ...]] = {}
-    for state in new_ts.states:
-        original, value = state
-        new_encoding[state] = sg.code(original) + (value,)
+    encoding = sg.encoding
+    new_encoding: Dict[Tuple[State, int], Tuple[int, ...]] = {
+        state: encoding[state[0]] + (state[1],) for state in new_states
+    }
 
     new_sg = StateGraph(
         ts=new_ts,

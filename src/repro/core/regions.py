@@ -300,44 +300,67 @@ def minimal_region_masks_containing(
     isg, seed_mask: int, max_explored: int = 20000
 ) -> List[int]:
     """All minimal regions containing ``seed_mask``, as bitmasks (twin of
-    :func:`minimal_regions_containing`)."""
+    :func:`minimal_regions_containing`).
+
+    An event whose sources and targets the candidate set each holds all
+    or none of is legal without looking at its arcs: every arc is then
+    inside, outside, entering or exiting alike.  Only the other events go
+    through the per-arc test.  The candidate sets visited and the events
+    that needed the per-arc test are added to
+    :data:`repro.engine.caches.STATS`.
+    """
+    # Deferred: repro.engine.caches imports this module (through
+    # repro.core.bricks) at load time.
+    from repro.engine.caches import STATS
+
     if not seed_mask:
         return []
     full_mask = isg.full_mask
-    event_arc_bits = isg.arc_bits_by_event
+    event_table = isg.arc_bits_by_event
 
     found: List[int] = []
     visited: Set[int] = set()
     stack: List[int] = [seed_mask]
     explored = 0
+    arc_scans = 0
 
-    while stack:
-        poll_deadline()
-        current = stack.pop()
-        if current in visited:
-            continue
-        visited.add(current)
-        explored += 1
-        if explored > max_explored:
-            raise RegionSearchBudgetExceeded(
-                f"region expansion explored more than {max_explored} candidate sets"
-            )
-        if current == full_mask:
-            found.append(full_mask)
-            continue
+    try:
+        while stack:
+            poll_deadline()
+            current = stack.pop()
+            if current in visited:
+                continue
+            visited.add(current)
+            explored += 1
+            if explored > max_explored:
+                raise RegionSearchBudgetExceeded(
+                    f"region expansion explored more than {max_explored} candidate sets"
+                )
+            if current == full_mask:
+                found.append(full_mask)
+                continue
 
-        choices: Optional[List[int]] = None
-        for arc_bits in event_arc_bits:
-            choices = _expansion_choices_mask(arc_bits, current)
-            if choices is not None:
-                break
-        if choices is None:
-            found.append(current)
-            continue
-        for addition in choices:
-            expanded = current | addition
-            if expanded not in visited:
-                stack.append(expanded)
+            choices: Optional[List[int]] = None
+            for sources, targets, arc_bits in event_table:
+                held = current & sources
+                if not held or held == sources:
+                    held = current & targets
+                    if not held or held == targets:
+                        continue
+                arc_scans += 1
+                choices = _expansion_choices_mask(arc_bits, current)
+                if choices is not None:
+                    break
+            if choices is None:
+                found.append(current)
+                continue
+            for addition in choices:
+                expanded = current | addition
+                if expanded not in visited:
+                    stack.append(expanded)
+    finally:
+        STATS.region_explored += explored
+        STATS.region_arc_scans += arc_scans
 
     return _keep_minimal_masks(found)
 

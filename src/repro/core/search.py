@@ -394,6 +394,7 @@ def _find_insertion_plan_indexed(
     """
     stats = engine_caches.STATS
     carries, misses = stats.brick_carries, stats.brick_misses
+    explored, arc_scans = stats.region_explored, stats.region_arc_scans
     with span("search.bricks", mode=settings.brick_mode) as attrs:
         masks, adjacency = indexed.indexed_brick_bundle(
             sg, mode=settings.brick_mode, max_explored=settings.region_budget
@@ -401,6 +402,8 @@ def _find_insertion_plan_indexed(
         attrs["bricks"] = len(masks)
         attrs["carried"] = stats.brick_carries - carries
         attrs["recomputed"] = stats.brick_misses - misses
+        attrs["explored"] = stats.region_explored - explored
+        attrs["arc_scans"] = stats.region_arc_scans - arc_scans
     if not masks:
         return None
     index = indexed.indexed_state_graph(sg)

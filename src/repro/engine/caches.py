@@ -69,7 +69,13 @@ class CacheStats:
     observability surfaces, never control flow.
     """
 
-    __slots__ = ("brick_hits", "brick_misses", "brick_carries")
+    __slots__ = (
+        "brick_hits",
+        "brick_misses",
+        "brick_carries",
+        "region_explored",
+        "region_arc_scans",
+    )
 
     def __init__(self) -> None:
         self.reset()
@@ -78,12 +84,18 @@ class CacheStats:
         self.brick_hits = 0
         self.brick_misses = 0
         self.brick_carries = 0
+        # Region expansion (repro.core.regions.minimal_region_masks_containing):
+        # candidate sets visited, and events that needed the per-arc test.
+        self.region_explored = 0
+        self.region_arc_scans = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
             "brick_hits": self.brick_hits,
             "brick_misses": self.brick_misses,
             "brick_carries": self.brick_carries,
+            "region_explored": self.region_explored,
+            "region_arc_scans": self.region_arc_scans,
         }
 
     def hit_rate(self) -> float:

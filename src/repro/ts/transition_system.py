@@ -10,7 +10,7 @@ states?") run in time proportional to the answers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 State = Hashable
 Event = Hashable
@@ -18,7 +18,13 @@ Transition = Tuple[State, Event, State]
 
 
 class TransitionSystem:
-    """An arc-labelled directed graph with a distinguished initial state."""
+    """An arc-labelled directed graph with a distinguished initial state.
+
+    Built arc by arc with :meth:`add_transition` or in one pass with
+    :meth:`from_adjacency`.  The set of transition triples behind
+    :meth:`add_transition`'s duplicate check is built lazily, on that
+    method's first call; every query reads the adjacency maps.
+    """
 
     def __init__(self, name: str = "ts") -> None:
         self.name = name
@@ -26,7 +32,8 @@ class TransitionSystem:
         self._succ: Dict[State, List[Tuple[Event, State]]] = {}
         self._pred: Dict[State, List[Tuple[Event, State]]] = {}
         self._by_event: Dict[Event, List[Tuple[State, State]]] = {}
-        self._transition_set: Set[Transition] = set()
+        # The duplicate check of add_transition, built on its first call.
+        self._transition_set: Optional[Set[Transition]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -50,8 +57,12 @@ class TransitionSystem:
         Duplicate transitions are silently ignored so that builders can be
         written without bookkeeping.
         """
+        transition_set = self._transition_set
+        if transition_set is None:
+            transition_set = set(self.transitions())
+            self._transition_set = transition_set
         triple = (source, event, target)
-        if triple in self._transition_set:
+        if triple in transition_set:
             return
         self.add_state(source)
         self.add_state(target)
@@ -59,7 +70,7 @@ class TransitionSystem:
         self._succ[source].append((event, target))
         self._pred[target].append((event, source))
         self._by_event[event].append((source, target))
-        self._transition_set.add(triple)
+        transition_set.add(triple)
 
     def set_initial(self, state: State) -> None:
         self.add_state(state)
@@ -86,7 +97,7 @@ class TransitionSystem:
 
     @property
     def num_transitions(self) -> int:
-        return len(self._transition_set)
+        return sum(len(outgoing) for outgoing in self._succ.values())
 
     def has_state(self, state: State) -> bool:
         return state in self._succ
@@ -95,7 +106,8 @@ class TransitionSystem:
         return event in self._by_event
 
     def has_transition(self, source: State, event: Event, target: State) -> bool:
-        return (source, event, target) in self._transition_set
+        outgoing = self._succ.get(source)
+        return outgoing is not None and (event, target) in outgoing
 
     def successors(self, state: State) -> List[Tuple[Event, State]]:
         """Outgoing ``(event, target)`` pairs of ``state``."""
@@ -210,6 +222,45 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # convenience constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_adjacency(
+        cls,
+        states: Sequence[State],
+        adjacency: Sequence[Sequence[Tuple[Event, int]]],
+        initial: Optional[int] = None,
+        name: str = "ts",
+    ) -> "TransitionSystem":
+        """Build a TS in one pass from per-state successor lists.
+
+        ``adjacency[i]`` holds the outgoing arcs of ``states[i]`` as
+        ``(event, target index)`` pairs, with no duplicate arc; ``initial``
+        is the index of the initial state.  States keep the order of
+        ``states`` and successor lists their own order; predecessor and
+        per-event lists come out in :meth:`transitions` order, exactly as
+        :meth:`add_transition` in that order would leave them.
+        """
+        ts = cls(name)
+        preds: List[List[Tuple[Event, State]]] = [[] for _ in states]
+        by_event = ts._by_event
+        succs: List[List[Tuple[Event, State]]] = []
+        for i, outgoing in enumerate(adjacency):
+            source = states[i]
+            succ: List[Tuple[Event, State]] = []
+            for event, j in outgoing:
+                target = states[j]
+                succ.append((event, target))
+                preds[j].append((event, source))
+                arcs = by_event.get(event)
+                if arcs is None:
+                    arcs = by_event[event] = []
+                arcs.append((source, target))
+            succs.append(succ)
+        ts._succ = dict(zip(states, succs))
+        ts._pred = dict(zip(states, preds))
+        if initial is not None:
+            ts.initial_state = states[initial]
+        return ts
+
     @classmethod
     def from_triples(
         cls,

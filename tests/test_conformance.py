@@ -12,7 +12,10 @@ parameterized harness that pins every engine to the legacy oracle:
 * the inserted-signal *names* and the per-insertion :class:`Cost`
   tuples must match exactly;
 * for the explicit engines, the benchmark table row (logic estimate
-  included) must match as well.
+  included) must match as well;
+* every expanded graph the legacy oracle materialises must equal the
+  object-space insertion of ``tests/references.py``, every order
+  included (the oracle's ``insert_signal`` shares the indexed replay).
 
 Covered inputs: every solvable+enumerable library case of both tables
 (the ``pyetrify bench --all`` regime, each with its own library solver
@@ -32,6 +35,7 @@ explicit solver); those files keep their representation-level checks
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from typing import Dict
@@ -41,8 +45,12 @@ from hypothesis import HealthCheck, given, settings as hsettings, strategies as 
 
 from repro.api import encode_stg
 from repro.bench_stg import generators as gen
+from references import insertion_outcome, reference_insert_signal, state_graph_layout
+
 from repro.bench_stg.library import BenchmarkCase, TABLE1_CASES, TABLE2_CASES
+from repro.core import search, sip
 from repro.core.csc import has_csc
+from repro.core.insertion import insert_signal
 from repro.core.solver import SolverSettings, solve_csc
 from repro.engine import use_caches
 from repro.engine.shard import use_shard_mode
@@ -80,11 +88,30 @@ _reference_cache: Dict[int, Dict[str, object]] = {}
 
 
 def _reference(case_index: int) -> Dict[str, object]:
-    """The legacy-oracle record of one case (computed once per session)."""
+    """The legacy-oracle record of one case (computed once per test run).
+
+    Every insertion the oracle materialises is checked against the
+    object-space reference on the way; ``insertions`` records one
+    ``(signal, matched)`` pair per insertion.
+    """
     record = _reference_cache.get(case_index)
     if record is None:
         case = CASES[case_index]
-        with use_caches(False):
+        insertions = []
+
+        def checked_insert(sg, partition, signal, *args, **kwargs):
+            expected = insertion_outcome(
+                reference_insert_signal, sg, partition, signal, *args, **kwargs
+            )
+            try:
+                new_sg = insert_signal(sg, partition, signal, *args, **kwargs)
+            except ValueError as error:
+                insertions.append((signal, (type(error).__name__, str(error)) == expected))
+                raise
+            insertions.append((signal, ("graph", state_graph_layout(new_sg)) == expected))
+            return new_sg
+
+        with use_caches(False), _patched_insert_signal(checked_insert):
             report = encode_stg(
                 case.build(), settings=case.solver_settings(), max_states=_MAX_STATES
             )
@@ -96,9 +123,23 @@ def _reference(case_index: int) -> Dict[str, object]:
             "row": {k: v for k, v in report.table_row().items() if k != "cpu"},
             "area": report.area_literals,
             "solved": report.solved,
+            "insertions": insertions,
         }
         _reference_cache[case_index] = record
     return record
+
+
+@contextlib.contextmanager
+def _patched_insert_signal(replacement):
+    """Route the solver's ``insert_signal`` calls through ``replacement``."""
+    modules = (search, sip)
+    for module in modules:
+        module.insert_signal = replacement
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.insert_signal = insert_signal
 
 
 def _assert_result_conforms(result, reference) -> None:
@@ -140,6 +181,16 @@ def test_engine_conforms_to_legacy_oracle(case_index, engine):
     if report.solved:
         with use_caches(False):
             assert has_csc(report.result.final_sg)
+
+
+@pytest.mark.parametrize("case_index", range(len(CASES)), ids=_IDS)
+def test_legacy_insertions_match_object_space_reference(case_index):
+    """The oracle decides by materialising, so it builds an expanded graph
+    for every candidate it checks; each equals the reference's."""
+    reference = _reference(case_index)
+    insertions = reference["insertions"]
+    assert len(insertions) >= len(reference["signals"])
+    assert [signal for signal, matched in insertions if not matched] == []
 
 
 def test_search_jobs_is_fingerprint_irrelevant():

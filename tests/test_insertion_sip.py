@@ -426,3 +426,111 @@ def test_random_stg_decisions_match_object_space_oracle(drawn):
     rng = random.Random(seed)
     for partition in _random_partitions(sg, rng, 6):
         _assert_decisions_match(sg, partition, allow_input_delay=bool(rng.getrandbits(1)))
+
+
+# ----------------------------------------------------------------------
+# insert_signal vs the object-space reference
+# ----------------------------------------------------------------------
+def _assert_insertion_matches_reference(sg, partition, signal="x"):
+    """The same expanded graph (every order included) or the same error,
+    with the engine caches on and off."""
+    from references import insertion_outcome, reference_insert_signal
+
+    from repro.engine import use_caches
+
+    expected = insertion_outcome(reference_insert_signal, sg, partition, signal)
+    for caches in (True, False):
+        with use_caches(caches):
+            assert insertion_outcome(insert_signal, sg, partition, signal) == expected
+    return expected[0]
+
+
+class TestInsertionMatchesObjectSpaceReference:
+    """``insert_signal`` builds the expanded graph from the parent's index;
+    the object-space replay of ``references.reference_insert_signal``
+    must give the same graph, state order and every adjacency order
+    included, and the same errors."""
+
+    def test_library_insertions_match_reference(self, monkeypatch):
+        """Every insertion materialised while solving the 24 Table-2 rows
+        and the Table-1 rows the library solves (caches on; the caches-off
+        solves are covered by ``tests/test_conformance.py``)."""
+        from references import reference_insert_signal, state_graph_layout
+
+        from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
+        from repro.core import search, sip, solve_csc
+        from repro.stg.state_graph import build_state_graph
+
+        compared = []
+
+        def checked_insert(sg, partition, signal, *args, **kwargs):
+            expected = state_graph_layout(
+                reference_insert_signal(sg, partition, signal, *args, **kwargs)
+            )
+            new_sg = insert_signal(sg, partition, signal, *args, **kwargs)
+            compared.append((sg.name, signal, state_graph_layout(new_sg) == expected))
+            return new_sg
+
+        monkeypatch.setattr(search, "insert_signal", checked_insert)
+        monkeypatch.setattr(sip, "insert_signal", checked_insert)
+        inserted = 0
+        for case in TABLE2_CASES + [case for case in TABLE1_CASES if case.solve]:
+            result = solve_csc(build_state_graph(case.build()), case.solver_settings())
+            inserted += result.num_inserted
+        assert inserted > 0 and len(compared) >= inserted
+        assert [entry for entry in compared if not entry[2]] == []
+
+    @pytest.mark.parametrize("fixture", ["vme_sg", "toggle_sg"])
+    def test_crafted_partitions_match_reference(self, fixture, request):
+        """Legal, uncovered and illegal-crossing partitions, and a signal
+        name that already exists."""
+        import random
+
+        sg = request.getfixturevalue(fixture)
+        rng = random.Random(fixture)
+        outcomes = set()
+        for partition in _random_partitions(sg, rng, 120):
+            outcomes.add(_assert_insertion_matches_reference(sg, partition))
+        uncovered = IPartition(
+            s0=frozenset(sg.states[1:]),
+            splus=frozenset(),
+            s1=frozenset(),
+            sminus=frozenset(),
+        )
+        outcomes.add(_assert_insertion_matches_reference(sg, uncovered))
+        partition = ipartition_from_block(sg.ts, set(sg.states[: len(sg.states) // 2]))
+        outcomes.add(_assert_insertion_matches_reference(sg, partition, sg.signals[0]))
+        assert outcomes == {"graph", "IllegalInsertionError", "ValueError"}
+
+
+    def test_deadlocked_states_match_reference(self):
+        """A parent state without successors keeps its copy after ``x``
+        only through the ``x`` arc, so that copy is placed by the ``x+`` /
+        ``x-`` arcs, which no live STG exercises."""
+        a_rise, b_rise = SignalEdge.rise("a"), SignalEdge.rise("b")
+        sg = _handmade_sg(
+            [("s0", a_rise, "s1"), ("s0", b_rise, "s2")],
+            {"s0": (0, 0), "s1": (1, 0), "s2": (0, 1)},
+        )
+        s0, ends = frozenset({"s0"}), frozenset({"s1", "s2"})
+        empty = frozenset()
+        for partition in (
+            IPartition(s0=s0, splus=ends, s1=empty, sminus=empty),
+            IPartition(s0=empty, splus=empty, s1=s0, sminus=ends),
+        ):
+            assert _assert_insertion_matches_reference(sg, partition) == "graph"
+            assert insert_signal(sg, partition, "x").num_states == 5
+
+
+@hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_stg_and_partition_seed())
+def test_random_stg_insertions_match_object_space_reference(drawn):
+    import random
+
+    from repro.stg.state_graph import build_state_graph
+
+    stg, seed = drawn
+    sg = build_state_graph(stg, max_states=5000)
+    rng = random.Random(seed)
+    for partition in _random_partitions(sg, rng, 6):
+        _assert_insertion_matches_reference(sg, partition)

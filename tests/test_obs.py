@@ -334,6 +334,54 @@ class TestTrace:
         assert all(args["bricks"] > 0 for args in spans)
         assert spans[-1]["bricks"] == expected
 
+    def test_search_bricks_spans_count_region_expansion_work(
+        self, tmp_path, active_trace, monkeypatch
+    ):
+        """``explored`` counts the candidate sets region expansion visited,
+        ``arc_scans`` the events it still ran the per-arc test on.  On
+        master-read, ``explored`` equals the per-arc-only expansion's
+        count on every searched graph, and ``arc_scans`` is well below
+        that expansion's per-arc calls."""
+        from references import reference_region_masks_containing
+
+        from repro.core import search, solve_csc
+        from repro.core.indexed import indexed_state_graph
+        from repro.utils.ordered import stable_sorted
+
+        searched = []
+        find_plan = search._find_insertion_plan_indexed
+
+        def recording_find(sg, *args, **kwargs):
+            searched.append(sg)
+            return find_plan(sg, *args, **kwargs)
+
+        monkeypatch.setattr(search, "_find_insertion_plan_indexed", recording_find)
+        case = get_case("master-read")
+        settings = case.solver_settings()
+        solve_csc(build_state_graph(case.build()), settings)
+        out = tmp_path / "trace.json"
+        export_chrome_trace(str(out))
+        spans = [
+            event["args"]
+            for event in json.loads(out.read_text())["traceEvents"]
+            if event["name"] == "search.bricks"
+        ]
+        assert len(spans) == len(searched)
+        per_arc_calls = 0
+        for args, sg in zip(spans, searched):
+            isg = indexed_state_graph(sg)
+            explored = 0
+            for event in stable_sorted(sg.ts.events):
+                for seed in (isg.er_mask(event), isg.sr_mask(event)):
+                    _regions, visited, calls = reference_region_masks_containing(
+                        isg, seed, settings.search.region_budget
+                    )
+                    explored += visited
+                    per_arc_calls += calls
+            assert args["explored"] == explored
+        scans = sum(args["arc_scans"] for args in spans)
+        assert 0 < scans < per_arc_calls
+
     def test_symbolic_explore_spans_carry_passes_and_firings(self, tmp_path, active_trace):
         """The ``explore`` span counts the passes the chained fixpoint
         started and the image steps it fired; the safety check has its

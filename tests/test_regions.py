@@ -1,5 +1,8 @@
 """Tests for regions, excitation regions and bricks (Section 2.2)."""
 
+from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
+
+from repro.bench_stg import generators as gen
 from repro.core import (
     all_minimal_regions,
     brick_adjacency,
@@ -165,3 +168,67 @@ class TestBricks:
         for i, neighbours in adjacency.items():
             for j in neighbours:
                 assert i in adjacency[j]
+
+
+# ----------------------------------------------------------------------
+# mask-skipping region expansion vs the per-arc-only reference
+# ----------------------------------------------------------------------
+def _assert_expansions_match_reference(sg) -> None:
+    """From the ER and SR seed of every event: the same minimal regions in
+    the same order, the same candidate sets visited (counted through the
+    engine statistics), and the budget exceeded at the same
+    ``max_explored``."""
+    import pytest
+    from references import reference_region_masks_containing
+
+    from repro.core.indexed import indexed_state_graph
+    from repro.core.regions import (
+        RegionSearchBudgetExceeded,
+        minimal_region_masks_containing,
+    )
+    from repro.engine.caches import STATS
+
+    isg = indexed_state_graph(sg)
+    for event in isg.event_list:
+        for seed in (isg.er_mask(event), isg.sr_mask(event)):
+            expected, explored, arc_calls = reference_region_masks_containing(isg, seed)
+            before = STATS.snapshot()
+            assert minimal_region_masks_containing(isg, seed) == expected
+            after = STATS.snapshot()
+            assert after["region_explored"] - before["region_explored"] == explored
+            assert after["region_arc_scans"] - before["region_arc_scans"] <= arc_calls
+            assert minimal_region_masks_containing(isg, seed, max_explored=explored) == expected
+            if explored > 1:
+                for search in (minimal_region_masks_containing, reference_region_masks_containing):
+                    with pytest.raises(RegionSearchBudgetExceeded):
+                        search(isg, seed, max_explored=explored - 1)
+
+
+class TestRegionExpansionMatchesPerArcReference:
+    def test_library_rows(self):
+        """Every enumerable library row of both tables."""
+        from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
+        from repro.stg.state_graph import build_state_graph
+
+        for case in TABLE2_CASES + [case for case in TABLE1_CASES if case.explicit_ok]:
+            _assert_expansions_match_reference(build_state_graph(case.build()))
+
+
+_RANDOM_STGS = st.one_of(
+    st.integers(min_value=2, max_value=5).map(gen.sequencer),
+    st.tuples(st.integers(0, 2), st.integers(1, 3)).map(
+        lambda sizes: gen.mixed_controller(*sizes)
+    ),
+    st.integers(min_value=1, max_value=3).map(gen.parallel_toggles),
+    st.integers(min_value=2, max_value=3).map(gen.ripple_counter),
+    st.integers(min_value=1, max_value=2).map(gen.pipeline),
+    st.integers(min_value=1, max_value=3).map(gen.handshake_wire_chain),
+)
+
+
+@hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_RANDOM_STGS)
+def test_random_stg_expansions_match_per_arc_reference(stg):
+    from repro.stg.state_graph import build_state_graph
+
+    _assert_expansions_match_reference(build_state_graph(stg, max_states=5000))

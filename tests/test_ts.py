@@ -58,6 +58,93 @@ class TestConstruction:
         assert ts.transitions_of("b") == [("s1", "s2")]
 
 
+def _layout(ts: TransitionSystem) -> tuple:
+    return (
+        ts.name,
+        ts.initial_state,
+        list(ts._succ.items()),
+        list(ts._pred.items()),
+        list(ts._by_event.items()),
+    )
+
+
+#: Arcs with a nondeterministic ``a`` from s0, a self loop and an
+#: isolated state s4; events repeat across states.
+_ARCS = [
+    ("s0", "a", "s1"),
+    ("s0", "a", "s2"),
+    ("s1", "b", "s3"),
+    ("s2", "b", "s3"),
+    ("s3", "c", "s3"),
+    ("s3", "d", "s0"),
+]
+
+
+def _bulk_and_incremental(name="bulk"):
+    """The same TS built by :meth:`TransitionSystem.from_adjacency` and by
+    :meth:`TransitionSystem.add_transition` in ``transitions()`` order."""
+    states = ["s0", "s1", "s2", "s3", "s4"]
+    position = {state: i for i, state in enumerate(states)}
+    adjacency = [[] for _ in states]
+    for source, event, target in _ARCS:
+        adjacency[position[source]].append((event, position[target]))
+    bulk = TransitionSystem.from_adjacency(states, adjacency, initial=0, name=name)
+    incremental = TransitionSystem(name)
+    for state in states:
+        incremental.add_state(state)
+    for source, event, target in _ARCS:
+        incremental.add_transition(source, event, target)
+    incremental.set_initial("s0")
+    return bulk, incremental
+
+
+class TestBulkConstruction:
+    """A TS built in one pass from adjacency lists is the TS that
+    ``add_transition`` builds, and behaves like it afterwards."""
+
+    def test_same_structure_as_add_transition(self):
+        bulk, incremental = _bulk_and_incremental()
+        assert _layout(bulk) == _layout(incremental)
+        assert bulk.events == ["a", "b", "c", "d"]
+
+    def test_queries(self):
+        bulk, _ = _bulk_and_incremental()
+        assert bulk.num_transitions == len(_ARCS)
+        for source, event, target in _ARCS:
+            assert bulk.has_transition(source, event, target)
+        assert not bulk.has_transition("s0", "b", "s1")
+        assert not bulk.has_transition("s9", "a", "s1")
+        assert not bulk.has_transition("s1", "a", "s0")
+
+    def test_add_transition_still_dedupes(self):
+        bulk, _ = _bulk_and_incremental()
+        bulk.add_transition("s0", "a", "s1")
+        assert bulk.num_transitions == len(_ARCS)
+        assert bulk.successors("s0") == [("a", "s1"), ("a", "s2")]
+        bulk.add_transition("s4", "e", "s0")
+        bulk.add_transition("s4", "e", "s0")
+        assert bulk.num_transitions == len(_ARCS) + 1
+        assert bulk.has_transition("s4", "e", "s0")
+        assert bulk.predecessors("s0") == [("d", "s3"), ("e", "s4")]
+
+    def test_derived_systems_match(self):
+        bulk, incremental = _bulk_and_incremental()
+        assert _layout(bulk.copy()) == _layout(incremental.copy())
+        assert _layout(bulk.copy("other")) == _layout(incremental.copy("other"))
+        keep = {"s0", "s1", "s3", "s4"}
+        assert _layout(bulk.restrict(keep)) == _layout(incremental.restrict(keep))
+        assert _layout(bulk.restrict_to_reachable()) == _layout(
+            incremental.restrict_to_reachable()
+        )
+        mapping = {"a": "b", "c": "z"}
+        assert _layout(bulk.relabel_events(mapping)) == _layout(
+            incremental.relabel_events(mapping)
+        )
+        # relabelling a onto b merges no arcs here, but b becomes the
+        # first event: per-event lists follow the new labels
+        assert bulk.relabel_events(mapping).events == ["b", "z", "d"]
+
+
 class TestReachabilityAndRestriction:
     def test_reachable_states(self):
         ts = simple_cycle()
