@@ -573,7 +573,14 @@ def _greedy_merge_indexed(
     num_states: int,
     settings: SearchSettings,
 ) -> Optional[_IndexedCandidate]:
-    """Index-space twin of :func:`_greedy_merge` (same greedy order)."""
+    """Index-space twin of :func:`_greedy_merge` (same greedy order).
+
+    The unions of the current block with every remaining candidate are
+    costed as one batch; after an accepted union only the candidates
+    after it are re-batched against the grown block.  Acceptance still
+    walks the candidates in rank order, so the decisions are those of
+    the one-at-a-time loop.
+    """
     if not ranked:
         return None
     best = ranked[0]
@@ -582,19 +589,25 @@ def _greedy_merge_indexed(
     current_neighbours = best.neighbours
     current_eval = best.evaluation
     improved = False
-    for other in ranked[1 : settings.max_merge_candidates]:
-        union_mask = current_mask | other.mask
-        if union_mask.bit_count() >= num_states or union_mask == current_mask:
-            continue
-        evaluation = evaluator.evaluate(union_mask)
-        if evaluation is None:
-            continue
-        if evaluation.cost < current_eval.cost:
-            current_mask = union_mask
-            current_bricks |= other.bricks
-            current_neighbours |= other.neighbours
-            current_eval = evaluation
-            improved = True
+    rest = list(ranked[1 : settings.max_merge_candidates])
+    while rest:
+        unions = []
+        for other in rest:
+            union_mask = current_mask | other.mask
+            if union_mask.bit_count() < num_states and union_mask != current_mask:
+                unions.append((other, union_mask))
+        _evaluate_masks(evaluator, [union_mask for _other, union_mask in unions], None)
+        rest = []
+        for position, (other, union_mask) in enumerate(unions):
+            evaluation = evaluator.evaluate(union_mask)
+            if evaluation is not None and evaluation.cost < current_eval.cost:
+                current_mask = union_mask
+                current_bricks |= other.bricks
+                current_neighbours |= other.neighbours
+                current_eval = evaluation
+                improved = True
+                rest = [later for later, _union in unions[position + 1 :]]
+                break
     if not improved:
         return None
     return _IndexedCandidate(current_mask, current_bricks, current_neighbours, current_eval)

@@ -26,7 +26,6 @@ from repro.logic.nextstate import (
     NextStateFunction,
     classify_codes,
     extract_next_state_function,
-    function_from_codes,
 )
 from repro.logic.netlist import (
     SignalImplementation,
@@ -46,7 +45,6 @@ __all__ = [
     "NextStateFunction",
     "classify_codes",
     "extract_next_state_function",
-    "function_from_codes",
     "SignalImplementation",
     "CircuitEstimate",
     "estimate_circuit",

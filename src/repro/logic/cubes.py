@@ -25,6 +25,11 @@ def pack_minterm(minterm: Sequence[int]) -> int:
     return packed
 
 
+def unpack_minterm(packed: int, width: int) -> Minterm:
+    """The inverse of :func:`pack_minterm` over ``width`` variables."""
+    return tuple((packed >> position) & 1 for position in range(width))
+
+
 @dataclass(frozen=True)
 class Cube:
     """A product term over ``width`` binary variables."""

@@ -26,6 +26,11 @@ AND of its literals' slices, so
 * a cube's ON coverage is that AND over the ON slices, and a greedy step
   is one AND and one popcount per cube.
 
+Minterms are packed integers inside the minimiser (bit ``v`` is
+variable ``v``): :func:`minimize_cover` packs its tuples once, and
+:func:`minimize_packed` takes the packed codes of a state graph's index
+directly.
+
 The slices change how the tests are computed, not what they decide: the
 cubes, their order and the chosen cover are identical to the
 per-minterm loop that tests each candidate cube against every OFF
@@ -49,7 +54,6 @@ Minterm = Tuple[int, ...]
 Slices = List[Tuple[int, int]]
 
 _BITS = frozenset((0, 1))
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_minterms(minterms: Sequence[Minterm], width: int, side: str) -> None:
@@ -62,16 +66,21 @@ def _check_minterms(minterms: Sequence[Minterm], width: int, side: str) -> None:
             raise ValueError(f"{side} minterm {minterm} has entries other than 0 and 1")
 
 
-def _slices(minterms: Sequence[Minterm], width: int) -> Tuple[Slices, int]:
-    """Bit slices of validated ``minterms`` and the all-minterms mask."""
+def _slices(minterms: Sequence[int], width: int) -> Tuple[Slices, int]:
+    """Bit slices of packed ``minterms`` and the all-minterms mask."""
     if not minterms:
         return [(0, 0)] * width, 0
     full = (1 << len(minterms)) - 1
+    if not width:
+        return [], full
+    # One binary row per minterm, the last minterm first, so column c
+    # read top to bottom is variable ``width - 1 - c`` with minterm k as
+    # bit k.
+    row_format = f"0{width}b"
+    rows = [format(minterm, row_format) for minterm in reversed(minterms)]
     slices: Slices = []
-    for column in zip(*minterms):
-        # Minterm k becomes bit k: reverse so the last minterm is the
-        # leading binary digit.
-        ones = int(bytes(reversed(column)).translate(_BIT_DIGITS), 2)
+    for column in reversed(list(zip(*rows))):
+        ones = int("".join(column), 2)
         slices.append((full ^ ones, ones))
     return slices, full
 
@@ -118,8 +127,7 @@ def expand_cube(cube: Cube, packed_offset: Sequence[int], order: Sequence[int]) 
     cube, and repeats, are skipped.
     """
     width = cube.width
-    off_list = [tuple((packed >> v) & 1 for v in range(width)) for packed in packed_offset]
-    off, full = _slices(off_list, width)
+    off, full = _slices(list(packed_offset), width)
     # A literal kept once stays kept when met again: the cube has only
     # grown since, so dropping it would still hit the OFF set.
     steps = [position for position in dict.fromkeys(order) if (cube.care >> position) & 1]
@@ -166,21 +174,35 @@ def minimize_cover(
         raise ValueError(
             f"ON and OFF sets overlap on {len(overlap)} minterms; the function is ill-defined"
         )
-    if not on_list:
+    return minimize_packed(
+        [pack_minterm(minterm) for minterm in on_list],
+        [pack_minterm(minterm) for minterm in off_list],
+        width,
+    )
+
+
+def minimize_packed(on_set: Sequence[int], off_set: Sequence[int], width: int) -> Cover:
+    """:func:`minimize_cover` on packed, disjoint, validated minterms
+    (bit ``v`` of a minterm is variable ``v``).
+
+    The same cover, in the same order, as :func:`minimize_cover` on the
+    unpacked minterms; the synthesis tier calls it with the packed codes
+    of the state graph's index.
+    """
+    if not on_set:
         return Cover(width)
 
-    off, off_full = _slices(off_list, width)
-    order = _literal_order(off, len(off_list))
+    off, off_full = _slices(off_set, width)
+    order = _literal_order(off, len(off_set))
 
     # Expand one cube per ON minterm, deduplicating (in first-seen order).
     all_care = (1 << width) - 1
     expanded: Dict[Tuple[int, int], None] = {}
-    for minterm in on_list:
-        value = pack_minterm(minterm)
+    for value in on_set:
         expanded[_expand(all_care, value, order, off, off_full)] = None
 
     # Greedy irredundant cover of the ON minterms.
-    on, remaining = _slices(on_list, width)
+    on, remaining = _slices(on_set, width)
     cubes = [Cube(width, care, value) for care, value in expanded]
     coverage = [_cube_bits(cube.care, cube.value, on, remaining) for cube in cubes]
     literal_counts = [cube.literal_count() for cube in cubes]

@@ -3,8 +3,15 @@
 The paper approximates circuit complexity by the number of *trigger
 signals* of each excitation region (Section 5) and reports post-synthesis
 area in Table 2.  This module provides both figures for a CSC-satisfying
-state graph: trigger-signal counts straight from the state graph, and the
-literal count of the minimised next-state covers as the area proxy.
+state graph: trigger-signal counts and the literal count of the minimised
+next-state covers as the area proxy.
+
+Both are read off the graph's
+:class:`~repro.core.indexed.IndexedStateGraph`, the index the CSC
+search computed on: the union of an event's excitation regions is its
+``er_mask``, and the triggers of all its regions are the signals of the
+arcs entering that mask (an arc between two states of the union joins
+them into one region, so no region is entered from another).
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.core.excitation import excitation_regions, trigger_events
-from repro.logic.nextstate import NextStateFunction, extract_next_state_function
+from repro.core.indexed import bits_of
+from repro.logic.nextstate import NextStateFunction, NextStateTable
 from repro.stg.signals import SignalEdge
 from repro.stg.state_graph import StateGraph
 
@@ -86,15 +93,18 @@ def trigger_signals(sg: StateGraph, signal: str) -> Set[str]:
     A trigger of an excitation region is a signal labelling a transition
     that enters the region; it necessarily appears in the gate's fan-in.
     """
-    triggers: Set[str] = set()
+    index = sg.indexed()
+    names = list(index.signal_ids)
+    in_arcs = index.in_sig_arcs
+    found: Set[int] = set()
     for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
-        if edge not in sg.ts.events:
-            continue
-        for region in excitation_regions(sg.ts, edge):
-            for event in trigger_events(sg.ts, region):
-                if isinstance(event, SignalEdge):
-                    triggers.add(event.signal)
-    return triggers
+        members = bits_of(index.er_mask(edge))
+        inside = set(members)
+        for target in members:
+            for source, signal_id in in_arcs[target]:
+                if source not in inside:
+                    found.add(signal_id)
+    return {names[signal_id] for signal_id in found}
 
 
 def trigger_signal_count(sg: StateGraph, signal: str) -> int:
@@ -109,8 +119,9 @@ def estimate_circuit(sg: StateGraph, name: str = "") -> CircuitEstimate:
     otherwise.
     """
     implementations: Dict[str, SignalImplementation] = {}
+    table = NextStateTable(sg)
     for signal in sg.non_input_signals:
-        function = extract_next_state_function(sg, signal)
+        function = table.function(signal, *table.split(signal))
         implementations[signal] = SignalImplementation(
             signal=signal,
             function=function,

@@ -12,10 +12,10 @@ condition for implementability (Section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.logic.cubes import Cover
-from repro.logic.minimize import minimize_cover
+from repro.logic.cubes import Cover, unpack_minterm
+from repro.logic.minimize import minimize_packed
 from repro.stg.state_graph import StateGraph
 
 Code = Tuple[int, ...]
@@ -52,58 +52,99 @@ class NextStateFunction:
         return 1 if self.cover.contains_minterm(code) else 0
 
 
-def _classify_codes(sg: StateGraph, signal: str) -> Tuple[Set[Code], Set[Code]]:
-    """Split the reachable codes into ON (next value 1) and OFF (next 0)."""
-    on_codes: Set[Code] = set()
-    off_codes: Set[Code] = set()
-    for state in sg.states:
-        code = sg.code(state)
-        if sg.next_value(state, signal):
-            on_codes.add(code)
-        else:
-            off_codes.add(code)
-    return on_codes, off_codes
+class NextStateTable:
+    """The reachable codes of a state graph with the next values they
+    imply, read off the graph's index.
 
-
-def classify_codes(sg: StateGraph, signal: str) -> Tuple[List[Code], List[Code]]:
-    """Validated, sorted ON/OFF code sets for ``signal``.
-
-    This is the *extraction* half of :func:`extract_next_state_function`,
-    exposed so callers (the synthesis tier) can time extraction and
-    minimisation separately.  Raises :class:`CSCViolationError` when some
-    reachable code requires both next values — i.e. when a CSC conflict
-    involves ``signal``.
+    A state heads to its code with every excited signal flipped: code
+    XOR excitation, where the excitation bits are the signals of the
+    state's enabled edges.  Per distinct code the table keeps the OR and
+    the AND of those next codes over the states carrying it: a set bit
+    of the OR says some such state heads to 1, a clear bit of the AND
+    says some heads to 0.  Codes are packed (bit ``p`` is
+    ``sg.signals[p]``) and listed in the order of their tuples, the order
+    :func:`classify_codes` sorts by.
     """
+
+    __slots__ = ("signals", "positions", "ordered", "tuples", "high", "low", "mixed")
+
+    def __init__(self, sg: StateGraph) -> None:
+        index = sg.indexed()
+        self.signals = list(sg.signals)
+        positions = self.positions = index.signal_positions
+        signal_bits = [
+            1 << positions[name] if name in positions else 0 for name in index.signal_ids
+        ]
+        excitation = [0] * index.num_states
+        for source, _target, signal_id in index.arcs:
+            excitation[source] |= signal_bits[signal_id]
+        high: Dict[int, int] = {}
+        low: Dict[int, int] = {}
+        for code, flips in zip(index.codes, excitation):
+            heading = code ^ flips
+            if code in high:
+                high[code] |= heading
+                low[code] &= heading
+            else:
+                high[code] = low[code] = heading
+        width = len(self.signals)
+        tuples = self.tuples = {code: unpack_minterm(code, width) for code in high}
+        self.ordered = sorted(high, key=tuples.__getitem__)
+        self.high = high
+        self.low = low
+        mixed = 0
+        for code, heading in high.items():
+            mixed |= heading ^ low[code]
+        self.mixed = mixed
+
+    def split(self, signal: str) -> Tuple[List[int], List[int]]:
+        """Sorted packed ON (next value 1) and OFF (next value 0) codes of
+        ``signal``; raises :class:`CSCViolationError` when some code
+        requires both."""
+        bit = 1 << self.positions[signal]
+        high = self.high
+        low = self.low
+        if self.mixed & bit:
+            overlap = sum(1 for code in self.ordered if (high[code] ^ low[code]) & bit)
+            raise CSCViolationError(
+                f"signal {signal!r} has {overlap} codes with contradictory next values; "
+                "solve CSC before extracting logic"
+            )
+        on = [code for code in self.ordered if high[code] & bit]
+        off = [code for code in self.ordered if not low[code] & bit]
+        return on, off
+
+    def function(self, signal: str, on: List[int], off: List[int]) -> NextStateFunction:
+        """Minimise split codes of ``signal`` into a :class:`NextStateFunction`."""
+        tuples = self.tuples
+        return NextStateFunction(
+            signal=signal,
+            inputs=list(self.signals),
+            on_set=[tuples[code] for code in on],
+            off_set=[tuples[code] for code in off],
+            cover=minimize_packed(on, off, len(self.signals)),
+        )
+
+
+def _check_signal(sg: StateGraph, signal: str) -> None:
     if signal not in sg.signals:
         raise KeyError(f"unknown signal {signal!r}")
     if sg.is_input_signal(signal):
         raise ValueError(f"signal {signal!r} is an input; it has no next-state function")
 
-    on_codes, off_codes = _classify_codes(sg, signal)
-    overlap = on_codes & off_codes
-    if overlap:
-        raise CSCViolationError(
-            f"signal {signal!r} has {len(overlap)} codes with contradictory next values; "
-            "solve CSC before extracting logic"
-        )
-    return sorted(on_codes), sorted(off_codes)
 
+def classify_codes(sg: StateGraph, signal: str) -> Tuple[List[Code], List[Code]]:
+    """Validated, sorted ON/OFF code sets for ``signal``.
 
-def function_from_codes(
-    sg: StateGraph, signal: str, on_set: List[Code], off_set: List[Code]
-) -> NextStateFunction:
-    """Minimise pre-classified ON/OFF sets into a :class:`NextStateFunction`.
-
-    The *minimisation* half of :func:`extract_next_state_function`.
+    The *extraction* half of :func:`extract_next_state_function`, as
+    code tuples (:class:`NextStateTable` keeps them packed).  Raises :class:`CSCViolationError` when some reachable code requires
+    both next values — i.e. when a CSC conflict involves ``signal``.
     """
-    cover = minimize_cover(on_set, off_set, width=len(sg.signals))
-    return NextStateFunction(
-        signal=signal,
-        inputs=list(sg.signals),
-        on_set=list(on_set),
-        off_set=list(off_set),
-        cover=cover,
-    )
+    _check_signal(sg, signal)
+    table = NextStateTable(sg)
+    on, off = table.split(signal)
+    tuples = table.tuples
+    return [tuples[code] for code in on], [tuples[code] for code in off]
 
 
 def extract_next_state_function(sg: StateGraph, signal: str) -> NextStateFunction:
@@ -113,13 +154,15 @@ def extract_next_state_function(sg: StateGraph, signal: str) -> NextStateFunctio
     both next values — i.e. when a CSC conflict involves ``signal``.
     Unreachable codes are don't cares.
     """
-    on_codes, off_codes = classify_codes(sg, signal)
-    return function_from_codes(sg, signal, on_codes, off_codes)
+    _check_signal(sg, signal)
+    table = NextStateTable(sg)
+    return table.function(signal, *table.split(signal))
 
 
 def extract_all_functions(sg: StateGraph) -> Dict[str, NextStateFunction]:
     """Next-state functions of every non-input signal."""
+    table = NextStateTable(sg)
     return {
-        signal: extract_next_state_function(sg, signal)
+        signal: table.function(signal, *table.split(signal))
         for signal in sg.non_input_signals
     }

@@ -35,6 +35,15 @@ class Marking:
         )
         self._hash = hash(self._items)
 
+    @classmethod
+    def from_canonical(cls, items: Tuple[Tuple[Place, int], ...]) -> "Marking":
+        """A marking from pairs already in canonical form: positive counts,
+        sorted by the repr of their place (no validation, no sorting)."""
+        marking = cls.__new__(cls)
+        marking._items = items
+        marking._hash = hash(items)
+        return marking
+
     # -- queries ---------------------------------------------------------
     def count(self, place: Place) -> int:
         for candidate, count in self._items:

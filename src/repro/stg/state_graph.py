@@ -7,6 +7,19 @@ paper operates.  A :class:`StateGraph` couples a
 :class:`~repro.ts.transition_system.TransitionSystem` whose events are
 :class:`~repro.stg.signals.SignalEdge` objects with the signal declaration
 and the state encoding.
+
+:func:`build_state_graph` elaborates a safe STG on integer markings: one
+bit per place, one ``(preset mask, postset mask, edge)`` triple per
+transition, a breadth-first search over ints that rejects the net at the
+first doubled token, then one :class:`~repro.petri.net.Marking` per
+reachable marking and the transition system built in one pass
+(:meth:`~repro.ts.transition_system.TransitionSystem.from_adjacency`).
+The encoding is inferred on integer arrays too (two bitmasks per state).
+States, arcs, every order of the transition system, the encoding and the
+error messages are those of the general P/T reachability graph
+(:func:`repro.petri.reachability.build_reachability_graph`, which place
+bounds and Petri-net synthesis still use) followed by dictionary-based
+inference; ``tests/references.py`` keeps that path as the reference.
 """
 
 from __future__ import annotations
@@ -14,11 +27,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.petri.net import Marking
+from repro.petri.reachability import StateSpaceLimitExceeded
 from repro.stg.signals import SignalEdge, SignalType
 from repro.stg.stg import STG
-from repro.petri.reachability import build_reachability_graph
 from repro.ts.transition_system import TransitionSystem
 from repro.ts.properties import is_commutative, is_deterministic, is_event_persistent
+from repro.utils.deadline import check_deadline
 
 State = Hashable
 Code = Tuple[int, ...]
@@ -243,6 +258,133 @@ class StateGraph:
 # ----------------------------------------------------------------------
 # encoding inference
 # ----------------------------------------------------------------------
+def _infer_codes(
+    states: Sequence[State],
+    adjacency: Sequence[Sequence[Tuple[int, int]]],
+    edges: Sequence[object],
+    signals: Sequence[str],
+    initial_values: Dict[str, int],
+    initial: Optional[int],
+) -> List[Code]:
+    """Codes of ``states`` under the unique consistent encoding, computed
+    on integer arrays.
+
+    ``adjacency[i]`` lists the arcs leaving ``states[i]`` as ``(edge id,
+    target index)`` pairs, ``edges`` maps edge ids to their labels.  A
+    state's known values are two bitmasks (which signals are known, and
+    their values).  Facts are seeded arc by arc, in transition order,
+    and propagated first in, first out through a queue of ``(state,
+    signal)`` pairs, so the first contradiction found, and its message,
+    are fixed by the graph alone.  ``states`` is read only to word
+    those messages.
+    """
+    positions = {signal: p for p, signal in enumerate(signals)}
+    # Signals that label arcs but are not in the code layout are still
+    # checked for consistency; they get positions after the layout's.
+    names = list(signals)
+    edge_position: List[Optional[int]] = []
+    edge_rising: List[bool] = []
+    for edge in edges:
+        if not isinstance(edge, SignalEdge):
+            edge_position.append(None)
+            edge_rising.append(False)
+            continue
+        p = positions.get(edge.signal)
+        if p is None:
+            p = positions[edge.signal] = len(names)
+            names.append(edge.signal)
+        edge_position.append(p)
+        edge_rising.append(edge.is_rising)
+
+    n = len(states)
+    known = [0] * n
+    value = [0] * n
+    around: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    queue: deque = deque()
+
+    def forced(i: int, p: int, current: int, reason: str) -> InconsistentSTGError:
+        return InconsistentSTGError(
+            f"signal {names[p]!r} forced to both {current} and {1 - current} "
+            f"in state {states[i]!r} ({reason})"
+        )
+
+    # Seed facts from the arcs themselves.
+    for i, outgoing in enumerate(adjacency):
+        for e, j in outgoing:
+            p = edge_position[e]
+            if p is None:
+                raise TypeError(f"state-graph events must be SignalEdge, got {edges[e]!r}")
+            around[i].append((p, j, e))
+            around[j].append((p, i, e))
+            bit = 1 << p
+            before, after = (0, bit) if edge_rising[e] else (bit, 0)
+            if known[i] & bit:
+                if value[i] & bit != before:
+                    raise forced(i, p, 1 if value[i] & bit else 0, f"source of {edges[e]}")
+            else:
+                known[i] |= bit
+                value[i] |= before
+                queue.append((i, p))
+            if known[j] & bit:
+                if value[j] & bit != after:
+                    raise forced(j, p, 1 if value[j] & bit else 0, f"target of {edges[e]}")
+            else:
+                known[j] |= bit
+                value[j] |= after
+                queue.append((j, p))
+
+    # Propagate: signals not switched by an arc keep their value across it.
+    while queue:
+        i, p = queue.popleft()
+        bit = 1 << p
+        held = value[i] & bit
+        for q, j, e in around[i]:
+            if q != p:
+                if not known[j] & bit:
+                    known[j] |= bit
+                    value[j] |= held
+                    queue.append((j, p))
+                elif value[j] & bit != held:
+                    raise InconsistentSTGError(
+                        f"signal {names[p]!r} inconsistent across {edges[e]}: "
+                        f"{1 if held else 0} vs {1 if held == 0 else 0}"
+                    )
+
+    # Unconstrained means the value never changes anywhere reachable, so
+    # one constant per signal (the declared initial value, or 0) fills it.
+    width = len(signals)
+    defaults = 0
+    for signal, declared in initial_values.items():
+        p = positions.get(signal)
+        if p is not None and p < width and declared:
+            defaults |= 1 << p
+    layout = (1 << width) - 1
+    code_format = f"0{width}b"
+    tuples: Dict[int, Code] = {}
+    codes: List[Code] = []
+    for i in range(n):
+        packed = (value[i] | (defaults & ~known[i])) & layout
+        code = tuples.get(packed)
+        if code is None:
+            code = tuples[packed] = (
+                tuple(map(int, reversed(format(packed, code_format)))) if width else ()
+            )
+        codes.append(code)
+
+    # Explicitly declared initial values must hold in the initial state.
+    if initial is not None:
+        for signal, declared in initial_values.items():
+            p = positions.get(signal)
+            if p is not None and p < width:
+                actual = codes[initial][p]
+                if actual != declared:
+                    raise InconsistentSTGError(
+                        f"declared initial value {signal}={declared} contradicts the "
+                        f"inferred value {actual}"
+                    )
+    return codes
+
+
 def infer_encoding(
     ts: TransitionSystem,
     signals: Sequence[str],
@@ -257,74 +399,36 @@ def infer_encoding(
     some states (e.g. signals that never switch) default to the value in
     ``initial_values`` or to 0.
     """
-    initial_values = dict(initial_values or {})
-    index = {signal: position for position, signal in enumerate(signals)}
-    known: Dict[State, Dict[str, int]] = {state: {} for state in ts.states}
+    states = ts.states
+    position = {state: i for i, state in enumerate(states)}
+    edge_ids: Dict[object, int] = {}
+    edges: List[object] = []
+    adjacency: List[List[Tuple[int, int]]] = []
+    for state in states:
+        outgoing = []
+        for edge, target in ts.successors(state):
+            e = edge_ids.get(edge)
+            if e is None:
+                e = edge_ids[edge] = len(edges)
+                edges.append(edge)
+            outgoing.append((e, position[target]))
+        adjacency.append(outgoing)
+    codes = _infer_codes(
+        states,
+        adjacency,
+        edges,
+        signals,
+        dict(initial_values or {}),
+        position.get(ts.initial_state) if ts.initial_state is not None else None,
+    )
+    return dict(zip(states, codes))
 
-    # Seed facts from the arcs themselves.
-    queue = deque()
 
-    def assign(state: State, signal: str, value: int, reason: str) -> None:
-        current = known[state].get(signal)
-        if current is None:
-            known[state][signal] = value
-            queue.append((state, signal))
-        elif current != value:
-            raise InconsistentSTGError(
-                f"signal {signal!r} forced to both {current} and {value} "
-                f"in state {state!r} ({reason})"
-            )
-
-    arcs_by_state: Dict[State, List[Tuple[SignalEdge, State, int]]] = {
-        state: [] for state in ts.states
-    }
-    for source, edge, target in ts.transitions():
-        if not isinstance(edge, SignalEdge):
-            raise TypeError(f"state-graph events must be SignalEdge, got {edge!r}")
-        arcs_by_state[source].append((edge, target, +1))
-        arcs_by_state[target].append((edge, source, -1))
-        assign(source, edge.signal, edge.value_before(), f"source of {edge}")
-        assign(target, edge.signal, edge.value_after(), f"target of {edge}")
-
-    # Propagate: signals not switched by an arc keep their value across it.
-    while queue:
-        state, signal = queue.popleft()
-        value = known[state][signal]
-        for edge, other, _direction in arcs_by_state[state]:
-            if edge.signal != signal:
-                other_value = known[other].get(signal)
-                if other_value is None:
-                    assign(other, signal, value, f"propagated across {edge}")
-                elif other_value != value:
-                    raise InconsistentSTGError(
-                        f"signal {signal!r} inconsistent across {edge}: "
-                        f"{value} vs {other_value}"
-                    )
-
-    # Fill unconstrained values from initial_values / default 0, propagating
-    # connected-component-wise is unnecessary: unconstrained means the value
-    # never changes anywhere reachable, so a single constant suffices.
-    encoding: Dict[State, Code] = {}
-    for state in ts.states:
-        values = []
-        for signal in signals:
-            value = known[state].get(signal)
-            if value is None:
-                value = initial_values.get(signal, 0)
-            values.append(value)
-        encoding[state] = tuple(values)
-
-    # If explicit initial values were supplied, verify them on the initial state.
-    if ts.initial_state is not None:
-        for signal, value in initial_values.items():
-            if signal in index:
-                actual = encoding[ts.initial_state][index[signal]]
-                if actual != value:
-                    raise InconsistentSTGError(
-                        f"declared initial value {signal}={value} contradicts the "
-                        f"inferred value {actual}"
-                    )
-    return encoding
+def _not_safe(stg: STG) -> InconsistentSTGError:
+    return InconsistentSTGError(
+        f"the underlying Petri net of {stg.name!r} is not safe; the region-based "
+        "encoding theory assumes safe STGs"
+    )
 
 
 def build_state_graph(
@@ -334,32 +438,107 @@ def build_state_graph(
 ) -> StateGraph:
     """Elaborate an STG into its binary-encoded state graph.
 
-    Raises :class:`InconsistentSTGError` when the STG is not consistent and
-    :class:`NotImplementedError` when it contains dummy transitions (dummy
-    contraction is outside the scope of this reproduction).
+    The reachable markings are explored breadth first as integers, one
+    bit per place; :class:`~repro.petri.net.Marking` objects are made
+    only for the states of the result.  A firing that would put a
+    second token on a place (or a weight-2 arc that fires) raises the
+    "not safe" :class:`InconsistentSTGError` at once, so an unbounded net
+    is rejected rather than explored forever; a transition that needs
+    two tokens from one place can never fire in a safe marking.
+
+    Raises :class:`InconsistentSTGError` when the STG is not consistent,
+    :class:`~repro.petri.reachability.StateSpaceLimitExceeded` past
+    ``max_states`` reachable markings, and :class:`NotImplementedError`
+    when it contains dummy transitions (dummy contraction is outside the
+    scope of this reproduction).
     """
     if stg.dummy_transitions:
         raise NotImplementedError(
             "state-graph elaboration of STGs with dummy transitions is not supported"
         )
-    result = build_reachability_graph(
-        stg.net,
-        max_markings=max_states,
-        label=lambda name: stg.label_of(name).base(),
-    )
-    if not result.safe:
-        raise InconsistentSTGError(
-            f"the underlying Petri net of {stg.name!r} is not safe; the region-based "
-            "encoding theory assumes safe STGs"
-        )
+    net = stg.net
+    # Bit k stands for the k-th place in repr order, so the set bits of a
+    # marking, lowest first, list its places in Marking's canonical order.
+    places = sorted(net.places, key=repr)
+    bit_of = {place: 1 << k for k, place in enumerate(places)}
+    initial = 0
+    for place, count in net.initial_marking.items():
+        if count > 1:
+            raise _not_safe(stg)
+        initial |= bit_of[place]
+
+    edge_ids: Dict[SignalEdge, int] = {}
+    edges: List[SignalEdge] = []
+    moves: List[Tuple[int, int, int, bool]] = []
+    for transition in net.transitions:
+        preset = net.preset(transition)
+        if any(weight > 1 for weight in preset.values()):
+            continue  # needs two tokens on one place: never enabled
+        postset = net.postset(transition)
+        pre = post = 0
+        for place in preset:
+            pre |= bit_of[place]
+        for place in postset:
+            post |= bit_of[place]
+        edge = stg.label_of(transition).base()
+        e = edge_ids.get(edge)
+        if e is None:
+            e = edge_ids[edge] = len(edges)
+            edges.append(edge)
+        moves.append((pre, post, e, any(weight > 1 for weight in postset.values())))
+    # Two arcs of one marking can coincide only when two transitions
+    # share a label; only then is an arc checked against its siblings.
+    shared_labels = len(edges) < len(moves)
+
+    index = {initial: 0}
+    markings = [initial]
+    adjacency: List[List[Tuple[int, int]]] = []
+    for marking in markings:  # grows while it is walked: breadth first
+        check_deadline()  # per-job wall-clock bound (repro.utils.deadline)
+        outgoing: List[Tuple[int, int]] = []
+        for pre, post, e, heavy in moves:
+            if marking & pre == pre:
+                rest = marking ^ pre
+                if heavy or rest & post:
+                    raise _not_safe(stg)
+                successor = rest | post
+                j = index.get(successor)
+                if j is None:
+                    j = index[successor] = len(markings)
+                    if max_states is not None and j >= max_states:
+                        raise StateSpaceLimitExceeded(
+                            f"more than {max_states} reachable markings in {net.name}"
+                        )
+                    markings.append(successor)
+                if shared_labels and (e, j) in outgoing:
+                    continue
+                outgoing.append((e, j))
+        adjacency.append(outgoing)
+
+    pairs = [(place, 1) for place in places]
+    states: List[Marking] = []
+    for marking in markings:
+        items = []
+        while marking:
+            low = marking & -marking
+            items.append(pairs[low.bit_length() - 1])
+            marking ^= low
+        states.append(Marking.from_canonical(tuple(items)))
+
     merged_initial = dict(stg.initial_values)
     if initial_values:
         merged_initial.update(initial_values)
-    encoding = infer_encoding(result.graph, stg.signals, merged_initial)
+    codes = _infer_codes(states, adjacency, edges, stg.signals, merged_initial, 0)
+    ts = TransitionSystem.from_adjacency(
+        states,
+        [[(edges[e], j) for e, j in outgoing] for outgoing in adjacency],
+        initial=0,
+        name=f"rg({net.name})",
+    )
     return StateGraph(
-        ts=result.graph,
+        ts=ts,
         signals=stg.signals,
         signal_types={s: stg.signal_types[s] for s in stg.signals},
-        encoding=encoding,
+        encoding=dict(zip(states, codes)),
         name=stg.name,
     )

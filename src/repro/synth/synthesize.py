@@ -8,6 +8,11 @@ three netlist formats, and — unless told otherwise — plays the result
 against the SG token game so the returned :class:`SynthResult` carries an
 honest ``verified`` flag.
 
+Extraction and verification read the graph's
+:class:`~repro.core.indexed.IndexedStateGraph` (the final graph of a
+solve carries the one the search built): packed codes, excitation masks,
+signal arcs and successor lists, with no lookups by state object.
+
 Observability: the phases show up as ``synth.extract`` /
 ``synth.minimize`` / ``synth.decompose`` / ``synth.verify`` spans, and
 the ``pyetrify_synth_*`` metric family counts runs and verification
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.logic.netlist import CircuitEstimate, SignalImplementation, _support, trigger_signals
-from repro.logic.nextstate import classify_codes, function_from_codes
+from repro.logic.nextstate import NextStateTable
 from repro.obs import REGISTRY, span
 from repro.stg.state_graph import StateGraph
 from repro.synth.decompose import decompose_network
@@ -111,11 +116,12 @@ def synthesize(
         # Everything that reads the state graph is extraction; the
         # minimize span times the covers alone.
         with span("synth.extract", name=name):
-            codes = {signal: classify_codes(sg, signal) for signal in sg.non_input_signals}
+            table = NextStateTable(sg)
+            codes = {signal: table.split(signal) for signal in sg.non_input_signals}
             triggers = {signal: trigger_signals(sg, signal) for signal in codes}
         with span("synth.minimize", name=name):
             functions = {
-                signal: function_from_codes(sg, signal, on, off) for signal, (on, off) in codes.items()
+                signal: table.function(signal, on, off) for signal, (on, off) in codes.items()
             }
         implementations = {
             signal: SignalImplementation(

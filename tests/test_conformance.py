@@ -279,3 +279,50 @@ def test_random_stgs_bitset_adjacency_matches_object_space(stg, mode):
     assert {i: set(bits_of(row)) for i, row in enumerate(adjacency)} == brick_adjacency(
         sg.ts, bricks
     )
+
+
+@hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stg=random_stgs())
+def test_random_stgs_elaborate_and_synthesize_like_object_space_references(stg):
+    """Random STGs: the integer elaboration builds the reference's graph,
+    every order included, and the index-space extraction and excitation
+    check of the solved graph give the object-space answers."""
+    from references import (
+        elaboration_outcome,
+        reference_build_state_graph,
+        reference_check_excitation,
+        reference_classify_codes,
+        reference_trigger_signals,
+    )
+
+    from repro.logic import CSCViolationError, classify_codes, trigger_signals
+    from repro.logic.nextstate import extract_all_functions
+    from repro.synth import build_network, verify_network
+
+    assert elaboration_outcome(build_state_graph, stg, max_states=20000) == elaboration_outcome(
+        reference_build_state_graph, stg, max_states=20000
+    )
+
+    def classification(classify, sg, signal):
+        try:
+            return classify(sg, signal)
+        except CSCViolationError as error:
+            return str(error)
+
+    sg = build_state_graph(stg, max_states=20000)
+    result = solve_csc(sg)
+    for graph in (sg, result.final_sg):
+        for signal in graph.non_input_signals:
+            assert classification(classify_codes, graph, signal) == classification(
+                reference_classify_codes, graph, signal
+            )
+            assert trigger_signals(graph, signal) == reference_trigger_signals(graph, signal)
+    if result.solved:
+        final = result.final_sg
+        network = build_network(
+            final.name, final.signals, final.input_signals, extract_all_functions(final)
+        )
+        assert (
+            verify_network(network, final).as_dict()
+            == reference_check_excitation(network, final).as_dict()
+        )

@@ -249,3 +249,36 @@ class TestSolver:
         result = solve_csc(sg, settings)
         assert result.solved
         assert result.num_inserted >= 2  # a mod-4 counter needs two state bits
+
+
+class TestBatchedMerge:
+    def test_batched_merge_matches_one_by_one_on_library_searches(self, monkeypatch):
+        """The merge costs each round of unions as one batch; on every
+        search of the library rows it returns the candidate the
+        one-by-one loop returns."""
+        from references import reference_greedy_merge_indexed
+
+        from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
+        from repro.core import search
+
+        batched = search._greedy_merge_indexed
+        merges = []
+
+        def compare(ranked, evaluator, num_states, settings):
+            expected = reference_greedy_merge_indexed(ranked, evaluator, num_states, settings)
+            merged = batched(ranked, evaluator, num_states, settings)
+            got = (
+                None
+                if merged is None
+                else (merged.mask, merged.bricks, merged.neighbours, merged.cost)
+            )
+            assert got == expected
+            merges.append(got is not None)
+            return merged
+
+        monkeypatch.setattr(search, "_greedy_merge_indexed", compare)
+        for case in TABLE2_CASES + TABLE1_CASES:
+            if case.solve and case.explicit_ok:
+                solve_csc(build_state_graph(case.build()), case.solver_settings())
+        assert len(merges) > 50
+        assert sum(merges) > 10  # merges that accepted at least one union

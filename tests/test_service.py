@@ -413,6 +413,34 @@ class TestEncodingServiceEndToEnd:
             assert "invalid persisted request" in job.error
             assert svc.pool.running
 
+    def test_unbounded_unsafe_stg_fails_fast_and_the_worker_drains_on(self, tmp_path):
+        # Every a- firing puts one more token on ``sink``: the elaboration
+        # must reject the net as unsafe at once (not explore it until the
+        # state budget or the job timeout), and the worker must go on to
+        # the next job.
+        from repro.stg import STG
+
+        unsafe = STG.from_arcs(
+            "unbounded",
+            inputs=[],
+            outputs=["a"],
+            arcs=[("a+", "a-"), ("a-", "a+"), ("a-", "sink")],
+            marking=[("a-", "a+")],
+        )
+        with EncodingService(str(tmp_path / "svc.db"), jobs=1, timeout=60.0) as svc:
+            bad = svc.submit(unsafe)
+            good = svc.submit_benchmark("nak-pa")
+            with pytest.raises(RuntimeError, match="finished as failed"):
+                svc.wait(bad["fingerprint"], timeout=60.0)
+            payload = svc.wait(good["fingerprint"], timeout=120.0)
+            assert payload["solved"] is True
+            _settle(svc)
+            job = svc.queue.get(bad["job_id"])
+            assert job.status == "failed"
+            assert "InconsistentSTGError" in job.error and "is not safe" in job.error
+            assert svc.queue.get(good["job_id"]).status == "done"
+            assert svc.pool.running
+
     def test_pooled_dispatcher_completes_jobs_with_process_workers(self, tmp_path):
         # jobs>1 exercises the persistent-ProcessPoolExecutor path.
         with EncodingService(str(tmp_path / "svc.db"), jobs=2) as svc:

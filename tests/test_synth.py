@@ -271,3 +271,185 @@ class TestEndToEnd:
         # satellite: estimation and synthesis agree on the area proxy
         estimate = estimate_circuit(report.result.final_sg)
         assert result.network.literal_count() == estimate.total_literals
+
+
+# ----------------------------------------------------------------------
+# index-space extraction and verification against object-space references
+# ----------------------------------------------------------------------
+from references import (  # noqa: E402
+    reference_check_excitation,
+    reference_classify_codes,
+    reference_trigger_signals,
+)
+from repro.logic import classify_codes, trigger_signals  # noqa: E402
+from repro.stg import STG, build_state_graph  # noqa: E402
+
+_ENUMERABLE_ROWS = [case for case in TABLE2_CASES + TABLE1_CASES if case.explicit_ok]
+
+
+def _classification(classify, sg, signal):
+    try:
+        return ("codes",) + tuple(classify(sg, signal))
+    except CSCViolationError as error:
+        return ("CSCViolationError", str(error))
+
+
+@pytest.fixture(scope="module")
+def solved_graphs():
+    """Initial and final graphs of every enumerable library row (final
+    only where the library search solves it)."""
+    graphs = []
+    for case in _ENUMERABLE_ROWS:
+        sg = build_state_graph(case.build(), max_states=200000)
+        graphs.append((case.name, "initial", sg))
+        if case.solve:
+            result = solve_csc(sg, case.solver_settings())
+            if result.solved:
+                graphs.append((case.name, "final", result.final_sg))
+    return graphs
+
+
+class TestIndexExtractionMatchesObjectSpace:
+    """Synthesis reads codes, excitation and triggers off the graph's
+    index; the per-state object-space extraction gives the same sets,
+    orders and errors, and the tuple-code excitation check the same
+    report."""
+
+    def test_classified_codes_and_triggers(self, solved_graphs):
+        checked = 0
+        for name, stage, sg in solved_graphs:
+            for signal in sg.non_input_signals:
+                assert _classification(classify_codes, sg, signal) == _classification(
+                    reference_classify_codes, sg, signal
+                ), (name, stage, signal)
+                assert trigger_signals(sg, signal) == reference_trigger_signals(sg, signal), (
+                    name,
+                    stage,
+                    signal,
+                )
+                checked += 1
+        assert checked > 200
+
+    def test_conflicted_graphs_raise_the_reference_error(self, solved_graphs):
+        conflicted = [
+            (name, sg)
+            for name, stage, sg in solved_graphs
+            if stage == "initial"
+            and any(
+                _classification(reference_classify_codes, sg, s)[0] == "CSCViolationError"
+                for s in sg.non_input_signals
+            )
+        ]
+        assert len(conflicted) >= 10
+        for name, sg in conflicted:
+            with pytest.raises(CSCViolationError) as raised:
+                synthesize(sg)
+            first = next(
+                outcome
+                for outcome in (
+                    _classification(reference_classify_codes, sg, s) for s in sg.non_input_signals
+                )
+                if outcome[0] == "CSCViolationError"
+            )
+            assert str(raised.value) == first[1], name
+
+    def test_excitation_reports(self, solved_graphs):
+        for name, stage, sg in solved_graphs:
+            if stage != "final":
+                continue
+            network = build_network(sg.name, sg.signals, sg.input_signals, extract_all_functions(sg))
+            assert (
+                verify_network(network, sg).as_dict()
+                == reference_check_excitation(network, sg).as_dict()
+            ), name
+            # a wrong driver: the mismatch records must agree too
+            victim = network.outputs[0]
+            width = len(network.signals)
+            network.gates[victim] = Gate(
+                output=victim, kind="sop", inputs=(), cover=Cover(width, [Cube.full(width)])
+            )
+            wrong = verify_network(network, sg).as_dict()
+            assert not wrong["ok"]
+            assert wrong == reference_check_excitation(network, sg).as_dict(), name
+
+    def test_decomposed_excitation_report(self, vme_sg):
+        network, final = _solved_network(vme_sg)
+        flat, _ = decompose_network(network)
+        report = verify_network(flat, final, max_configs=3)
+        assert report.states_checked == reference_check_excitation(flat, final).states_checked
+
+    def test_estimate_matches_synthesis_per_signal(self, solved_graphs):
+        for name, stage, sg in solved_graphs:
+            if stage != "final":
+                continue
+            estimate = estimate_circuit(sg)
+            result = synthesize(sg, verify=False)
+            for signal, impl in estimate.implementations.items():
+                assert impl.trigger_signals == reference_trigger_signals(sg, signal), name
+                assert impl.function.cover.to_strings() == (
+                    result.network.functions[signal].cover.to_strings()
+                ), name
+
+
+def _choice_stg():
+    """Output ``a`` rises by ``a+/1`` or ``a+/2`` from one marking, into
+    two states with one code and no enabled non-input edge: 7 states, a
+    nondeterministic state graph, no CSC conflict."""
+    return STG.from_arcs(
+        "choice",
+        inputs=["b", "c"],
+        outputs=["a"],
+        arcs=[
+            ("p0", "a+/1"), ("a+/1", "b+"), ("b+", "a-/1"), ("a-/1", "b-"), ("b-", "p0"),
+            ("p0", "a+/2"), ("a+/2", "c+"), ("c+", "a-/2"), ("a-/2", "c-"), ("c-", "p0"),
+        ],
+        marking=["p0"],
+    )
+
+
+class TestNondeterministicVerification:
+    def test_every_state_is_checked(self):
+        sg = build_state_graph(_choice_stg())
+        assert sg.num_states == 7
+        assert not sg.is_deterministic()
+        result = synthesize(sg)
+        assert result.verified
+        assert result.verification.states_checked == sg.num_states
+        assert result.verification.transitions_checked == sg.ts.num_transitions
+
+    @staticmethod
+    def _wrong_on_second_branch(network):
+        """``a = !b & !c | c & !a``: wrong only where ``c = 1`` and
+        ``a = 0``, a state behind ``a+/2`` alone."""
+        width = len(network.signals)
+        a, b, c = (1 << network.signals.index(name) for name in "abc")
+        cover = Cover(width, [Cube(width, b | c, 0), Cube(width, c | a, c)])
+        network.gates["a"] = Gate(output="a", kind="sop", inputs=(), cover=cover)
+        network.functions["a"].cover = cover
+        return network
+
+    def test_wrong_driver_on_the_second_branch_is_caught(self):
+        # A check that followed one successor per event never reaches it.
+        sg = build_state_graph(_choice_stg())
+        network = self._wrong_on_second_branch(synthesize(sg).network)
+        report = verify_network(network, sg)
+        assert not report.ok
+        assert [m["code"] for m in report.mismatches] == ["010"]  # b c a
+        assert report.as_dict() == reference_check_excitation(network, sg).as_dict()
+
+    def test_decomposition_check_walks_every_successor(self, monkeypatch):
+        import repro.synth.simulate as simulate
+
+        sg = build_state_graph(_choice_stg())
+        flat, _ = decompose_network(synthesize(sg).network)
+        reached = set()
+        settle = simulate._wire_targets
+
+        def spy(network, code, values):
+            reached.add(code)
+            return settle(network, code, values)
+
+        monkeypatch.setattr(simulate, "_wire_targets", spy)
+        report = verify_network(flat, sg)
+        assert report.ok and report.mode == "decomposed"
+        assert reached == {sg.code(state) for state in sg.states}
