@@ -10,9 +10,9 @@ entry of Table 1).
 
 import pytest
 
-from repro.bdd import symbolic_state_count
 from repro.bench_stg import generators as gen
 from repro.petri import build_reachability_graph
+from repro.symbolic import symbolic_census
 
 
 @pytest.mark.parametrize("branches", [4, 6, 8], ids=lambda n: f"explicit-par{n}")
@@ -32,8 +32,9 @@ def test_explicit_reachability(branches, benchmark, report_sink):
 
 @pytest.mark.parametrize("branches", [8, 12, 16], ids=lambda n: f"symbolic-par{n}")
 def test_symbolic_reachability(branches, benchmark, report_sink):
-    net = gen.parallel_toggles(branches).net
-    count = benchmark.pedantic(lambda: symbolic_state_count(net), rounds=1, iterations=1)
+    stg = gen.parallel_toggles(branches)
+    census = benchmark.pedantic(lambda: symbolic_census(stg), rounds=1, iterations=1)
+    count = census.states
     assert count == 2 ** (branches + 1) + 2
     report_sink.setdefault("Substrate: explicit vs symbolic reachability", []).append(
         {

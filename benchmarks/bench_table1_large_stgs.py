@@ -150,14 +150,15 @@ _parametrize_cases = (
 
 @_parametrize_cases
 def test_table1_row(case, benchmark, report_sink):
-    from repro.symbolic import SymbolicStateGraph, detect_csc_conflicts
+    from repro.symbolic import symbolic_check_csc
 
     stg = case.build()
     stats = stg.stats()
 
-    ssg = SymbolicStateGraph(stg)
-    states = benchmark.pedantic(ssg.count_states, rounds=1, iterations=1)
-    report = detect_csc_conflicts(ssg, witness_limit=1)
+    report = benchmark.pedantic(
+        lambda: symbolic_check_csc(stg, witness_limit=1), rounds=1, iterations=1
+    )
+    states = report.states
 
     if case.explicit_ok:
         explicit_states = build_state_graph(stg, max_states=EXPLICIT_LIMIT).num_states

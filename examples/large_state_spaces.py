@@ -12,11 +12,11 @@ Run with:  python examples/large_state_spaces.py
 
 import time
 
-from repro.bdd import symbolic_state_count
 from repro.bench_stg import generators as gen
 from repro.core import SearchSettings, SolverSettings, solve_csc
 from repro.petri import build_reachability_graph
 from repro.stg import build_state_graph
+from repro.symbolic import symbolic_census
 
 EXPLICIT_MAX = 8
 SOLVE_MAX = 4
@@ -31,7 +31,7 @@ def main() -> None:
             states = build_reachability_graph(stg.net).num_markings
             engine = "explicit"
         else:
-            states = symbolic_state_count(stg.net)
+            states = symbolic_census(stg).states
             engine = "BDD"
         count_seconds = time.perf_counter() - start
 

@@ -1,13 +1,12 @@
-"""A small ROBDD engine and symbolic Petri-net reachability.
+"""A small ROBDD engine.
 
 The paper attributes petrify's ability to handle STGs with very large
 state spaces (Table 1) to two ingredients: exploring blocks of states at
 the level of regions, and representing the state graph symbolically with
 Ordered Binary Decision Diagrams.  This package provides the second
-ingredient: a reduced ordered BDD manager (``repro.bdd.bdd``) and a
-symbolic reachability engine for safe Petri nets (``repro.bdd.symbolic``)
-used by the Table 1 harness to count the states of the largest benchmarks
-without enumerating them explicitly.
+ingredient's substrate: a reduced ordered BDD manager
+(``repro.bdd.bdd``).  The symbolic state graphs built on it live in
+:mod:`repro.symbolic`.
 """
 
 from repro.bdd.bdd import (
@@ -16,12 +15,9 @@ from repro.bdd.bdd import (
     prime_map,
     unprime_map,
 )
-from repro.bdd.symbolic import SymbolicReachability, symbolic_state_count
 
 __all__ = [
     "BDD",
-    "SymbolicReachability",
-    "symbolic_state_count",
     "interleaved_pair_levels",
     "prime_map",
     "unprime_map",

@@ -58,7 +58,7 @@ class BatchItem:
     ``status`` is ``"ok"`` for a completed encoding (solved or provably
     unsolvable within the settings), ``"timeout"`` when the per-job
     wall-clock bound of :func:`encode_many` expired, and ``"error"`` when
-    the worker raised.
+    the worker raised; ``error_type`` then names the exception class.
     """
 
     name: str
@@ -72,6 +72,7 @@ class BatchItem:
     census: Optional[Dict[str, object]] = None  # symbolic/auto engines only
     phases: Optional[Dict[str, float]] = None  # span-derived timing, opt-in
     synth: Optional[Dict[str, object]] = None  # synthesis tier output, opt-in
+    error_type: Optional[str] = None  # exception class name of an "error" item
 
     def fingerprint(self) -> Dict[str, object]:
         """Result identity minus timing (for serial-vs-parallel checks).
@@ -261,6 +262,7 @@ def _encode_item(
             error=f"{type(error).__name__}: {error}",
             status="error",
             engine=engine,
+            error_type=type(error).__name__,
         )
 
 
@@ -313,12 +315,12 @@ def _encode_symbolic(
     through the hybrid bridge's materialized state graph.
     """
     from repro.api import encode_stg  # deferred: repro.api imports this package
-    from repro.symbolic import DEFAULT_STATE_BUDGET, SymbolicStateGraph, symbolic_encode
+    from repro.symbolic import DEFAULT_STATE_BUDGET, ComposedStateGraph, symbolic_encode
 
-    ssg = None
+    graphs = None
     if engine == "auto":
-        ssg = SymbolicStateGraph(stg)
-        census = ssg.census()
+        graphs = ComposedStateGraph(stg)
+        census = graphs.census()
         budget = max_states if max_states is not None else DEFAULT_STATE_BUDGET
         if census.states <= budget:
             report = encode_stg(
@@ -338,7 +340,7 @@ def _encode_symbolic(
                 census=census.as_dict(),
                 synth=_synth_dict(report, synth),
             )
-    outcome = symbolic_encode(stg, settings=settings, max_states=max_states, ssg=ssg)
+    outcome = symbolic_encode(stg, settings=settings, max_states=max_states, graphs=graphs)
     skipped = (
         {"status": "skipped", "reason": "synthesis requires an enumerable state graph"}
         if synth

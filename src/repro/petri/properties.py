@@ -2,23 +2,67 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from collections import deque
+from typing import Dict, Hashable, Iterator, Optional
 
-from repro.petri.net import PetriNet
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.net import Marking, PetriNet
+from repro.petri.reachability import StateSpaceLimitExceeded
+from repro.utils.deadline import check_deadline
 
 Place = Hashable
 
 
+def _reached(
+    net: PetriNet, max_markings: Optional[int], parent: Dict[Marking, Optional[Marking]]
+) -> Iterator[Marking]:
+    """Yield each reachable marking of ``net`` as breadth-first search
+    first reaches it, the initial marking first, recording its BFS
+    parent in ``parent``.  The caller stops the search by not asking for
+    the next marking."""
+    initial = net.initial_marking
+    parent[initial] = None
+    yield initial
+    frontier = deque([initial])
+    while frontier:
+        check_deadline()  # per-job wall-clock bound (repro.utils.deadline)
+        marking = frontier.popleft()
+        for transition in net.enabled_transitions(marking):
+            successor = net.fire(marking, transition)
+            if successor in parent:
+                continue
+            parent[successor] = marking
+            if max_markings is not None and len(parent) > max_markings:
+                raise StateSpaceLimitExceeded(
+                    f"more than {max_markings} reachable markings in {net.name}"
+                )
+            yield successor
+            frontier.append(successor)
+
+
 def place_bounds(net: PetriNet, max_markings: Optional[int] = None) -> Dict[Place, int]:
-    """The maximum token count observed in each place over all reachable
-    markings (exhaustive exploration)."""
-    result = build_reachability_graph(net, max_markings=max_markings)
+    """The maximum token count of each place over all reachable markings.
+
+    Raises :class:`ValueError` on an unbounded net: a marking that
+    strictly covers one of its BFS ancestors can repeat the firings in
+    between forever, each time adding tokens.  Every infinite search
+    meets such a pair (Karp and Miller), so the function returns or
+    raises on every net.
+    """
+    parent: Dict[Marking, Optional[Marking]] = {}
     bounds = {place: 0 for place in net.places}
-    for marking in result.graph.states:
+    for marking in _reached(net, max_markings, parent):
+        # a newly reached marking differs from all its ancestors, so
+        # covering one of them covers it strictly
+        ancestor = parent[marking]
+        while ancestor is not None:
+            if all(marking.count(p) >= count for p, count in ancestor.items()):
+                raise ValueError(
+                    f"the net {net.name!r} is unbounded: a reachable marking "
+                    "strictly covers one of its ancestors"
+                )
+            ancestor = parent[ancestor]
         for place, count in marking.items():
-            if count > bounds.get(place, 0):
-                bounds[place] = count
+            bounds[place] = max(bounds.get(place, 0), count)
     return bounds
 
 
@@ -27,9 +71,10 @@ def is_safe(net: PetriNet, max_markings: Optional[int] = None) -> bool:
 
     Safeness is a prerequisite of the paper's completeness claim ("the
     method can solve CSC for any safe, consistent, output-persistent STG").
+    The search stops at the first unsafe marking; a safe net has at most
+    ``2**len(places)`` markings, so the function returns on every net.
     """
-    result = build_reachability_graph(net, max_markings=max_markings)
-    return result.safe
+    return all(marking.is_safe() for marking in _reached(net, max_markings, {}))
 
 
 def is_free_choice(net: PetriNet) -> bool:

@@ -3,7 +3,7 @@
 The reachability graph (RG) of a net is the transition system whose states
 are reachable markings and whose arcs are transition firings
 (Section 2.1).  For the very large state spaces of Table 1 the symbolic
-engine in ``repro.bdd.symbolic`` should be used instead; this explicit
+tier (:mod:`repro.symbolic`) should be used instead; this explicit
 builder is the workhorse for CSC solving, which needs the states anyway.
 """
 

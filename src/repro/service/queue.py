@@ -328,13 +328,17 @@ class JobQueue:
         return claimed
 
     # -- completion -----------------------------------------------------
-    def finish(self, job_id: str, status: str, error: Optional[str] = None) -> str:
+    def finish(
+        self, job_id: str, status: str, error: Optional[str] = None, retry: bool = True
+    ) -> str:
         """Record the outcome of a claimed job; returns the stored status.
 
         ``status="done"`` is always final.  A ``"failed"`` or
         ``"timeout"`` outcome re-queues the job as ``pending`` while it
         has attempts left (retry-once with the default ``max_attempts=2``)
-        and only then becomes final.
+        and only then becomes final.  ``retry=False`` makes a failure
+        final at once: the fault lies in the request, and another
+        attempt would fail the same way.
         """
         if status not in FINAL_STATUSES:
             raise ValueError(f"finish() takes a final status, got {status!r}")
@@ -347,7 +351,7 @@ class JobQueue:
             attempts, current = int(row[0]), row[1]
             if current != "running":
                 raise ValueError(f"job {job_id!r} is {current!r}, not running")
-            if status != "done" and attempts < self.max_attempts:
+            if retry and status != "done" and attempts < self.max_attempts:
                 stored = "pending"
                 self._conn.execute(
                     "UPDATE jobs SET status = 'pending', error = ? WHERE id = ?",

@@ -57,6 +57,12 @@ _log = get_logger("service.workers")
 #: warm requests.
 POLL_INTERVAL = 0.05
 
+#: Exception classes that are a property of the request itself (an
+#: unsafe or inconsistent STG, unparsable ``.g`` text): a job failing
+#: with one of them fails for good on its first attempt.  Worker deaths
+#: and timeouts keep the retry.
+SPEC_FAULTS = frozenset({"InconsistentSTGError", "GFormatError"})
+
 _CLAIM_LATENCY = REGISTRY.histogram(
     "pyetrify_claim_latency_seconds",
     "Queue wait between job submission and worker claim",
@@ -268,7 +274,7 @@ class WorkerPool:
             synth = bool(job.request.get("synth"))
             return (stg, settings, True, max_states, True, self.timeout, engine, obs, synth)
         except Exception as error:
-            self._finish(job, "failed", f"invalid persisted request: {error}")
+            self._finish(job, "failed", f"invalid persisted request: {error}", retry=False)
             return None
 
     def _sharding_settings(self, settings, requested):
@@ -322,14 +328,17 @@ class WorkerPool:
             elif item.status == "timeout":
                 self._finish(job, "timeout", item.error)
             else:
-                self._finish(job, "failed", item.error)
+                retry = item.error_type not in SPEC_FAULTS
+                self._finish(job, "failed", item.error, retry=retry)
         except Exception as error:
             self._note_error(error)
             self._finish(job, "failed", f"cannot persist result: {error}")
 
-    def _finish(self, job: JobRecord, status: str, error: Optional[str] = None) -> None:
+    def _finish(
+        self, job: JobRecord, status: str, error: Optional[str] = None, retry: bool = True
+    ) -> None:
         try:
-            stored = self.queue.finish(job.id, status, error=error)
+            stored = self.queue.finish(job.id, status, error=error, retry=retry)
         except Exception as finish_error:
             self._note_error(finish_error)
             return

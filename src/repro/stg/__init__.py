@@ -14,7 +14,7 @@ from repro.stg.signals import (
     SignalEdge,
     SignalType,
 )
-from repro.stg.stg import STG
+from repro.stg.stg import STG, net_components
 from repro.stg.parser import parse_g, read_g_file
 from repro.stg.writer import write_g, stg_to_g_text
 from repro.stg.state_graph import (
@@ -30,6 +30,7 @@ __all__ = [
     "SignalEdge",
     "SignalType",
     "STG",
+    "net_components",
     "parse_g",
     "read_g_file",
     "write_g",

@@ -272,3 +272,71 @@ class STG:
             f"STG(name={self.name!r}, signals={len(self.signals)}, "
             f"places={self.net.num_places}, transitions={self.net.num_transitions})"
         )
+
+
+def net_components(stg: STG) -> List[STG]:
+    """The connected components of ``stg``, one sub-STG each.
+
+    A union-find over places, transitions and signal labels: a
+    transition joins its preset and postset places and its signal, so
+    two components share no place, transition or signal.  A place or
+    signal that no transition touches joins the first component, and an
+    STG without transitions is one component: a connected STG comes back
+    as ``[stg]`` itself.  Components are ordered by their first
+    transition in net order; each sub-STG keeps ``stg``'s name and the
+    net, declaration and initial-value order of its members.
+    """
+    net = stg.net
+    parent: Dict[object, object] = {}
+
+    def find(node: object) -> object:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for transition in net.transitions:
+        root = find(("t", transition))
+        label = stg.label_of(transition)
+        neighbours = [("p", place) for place in net.preset(transition)]
+        neighbours += [("p", place) for place in net.postset(transition)]
+        # a dummy transition's name is its own signal_types entry
+        neighbours.append(("s", label.signal if label is not None else transition))
+        for node in neighbours:
+            other = find(node)
+            if other != root:
+                parent[other] = root
+    roots: Dict[object, int] = {}
+    for transition in net.transitions:
+        roots.setdefault(find(("t", transition)), len(roots))
+    if len(roots) <= 1:
+        return [stg]
+
+    def index(node: object) -> int:
+        return roots.get(find(node), 0) if node in parent else 0
+
+    parts = [STG(stg.name) for _ in roots]
+    for signal, signal_type in stg.signal_types.items():
+        parts[index(("s", signal))].add_signal(signal, signal_type)
+    for place in net.places:
+        parts[index(("p", place))].net.add_place(place)
+    for transition in net.transitions:
+        part = parts[index(("t", transition))]
+        part.net.add_transition(transition)
+        part._labels[transition] = stg.label_of(transition)
+        for place, weight in net.preset(transition).items():
+            part.net.add_arc(place, transition, weight)
+        for place, weight in net.postset(transition).items():
+            part.net.add_arc(transition, place, weight)
+    for part in parts:
+        owned = set(part.net.places)
+        part.net.set_initial_marking(
+            {place: count for place, count in stg.initial_marking.items() if place in owned}
+        )
+        part.initial_values = {
+            signal: value
+            for signal, value in stg.initial_values.items()
+            if signal in part.signal_types
+        }
+    return parts

@@ -8,6 +8,12 @@ the capability the source paper credits for handling the Table-1
 benchmarks whose state spaces are orders of magnitude beyond explicit
 enumeration:
 
+* :mod:`repro.symbolic.compose` — :class:`ComposedStateGraph`: the
+  entry points below split an STG into its disjoint components
+  (:func:`repro.stg.stg.net_components`), build one symbolic graph per
+  component and combine censuses and conflict counts in closed form
+  (products over the components); a connected STG is one component
+  and takes the single-graph path unchanged;
 * :mod:`repro.symbolic.stategraph` — :class:`SymbolicStateGraph`:
   reachable states, per-event transition structure and binary-code
   valuations as BDDs over one variable per place and per signal (each
@@ -37,6 +43,7 @@ from repro.symbolic.bridge import (
     SymbolicOutcome,
     symbolic_encode,
 )
+from repro.symbolic.compose import ComposedStateGraph
 from repro.symbolic.csc import (
     SymbolicConflictReport,
     detect_csc_conflicts,
@@ -49,6 +56,7 @@ from repro.symbolic.stategraph import (
 )
 
 __all__ = [
+    "ComposedStateGraph",
     "DEFAULT_STATE_BUDGET",
     "SymbolicCensus",
     "SymbolicConflictReport",
@@ -66,11 +74,13 @@ __all__ = [
 def symbolic_census(stg, reorder: bool = False) -> "SymbolicCensus":
     """Count the reachable states of ``stg`` without enumerating them.
 
-    ``reorder=True`` enables dynamic variable reordering (sifting) on
-    the underlying BDD manager; the census values are unaffected, only
-    node-table shape and wall-clock change.
+    One census per disjoint component, combined exactly
+    (:mod:`repro.symbolic.compose`).  ``reorder=True`` enables dynamic
+    variable reordering (sifting) on the underlying BDD managers; the
+    census values are unaffected, only node-table shape and wall-clock
+    change.
     """
-    return SymbolicStateGraph(stg, reorder=reorder).census()
+    return ComposedStateGraph(stg, reorder=reorder).census()
 
 
 def symbolic_check_csc(
@@ -78,12 +88,13 @@ def symbolic_check_csc(
 ) -> "SymbolicConflictReport":
     """Detect CSC conflicts of ``stg`` without enumerating states.
 
-    The conflict core is filled in on this detection-only path too, so
-    ``as_dict()`` always reports an integer ``core_states`` (the state
-    count when CSC fails, 0 when it holds) — the verdict schema matches
-    the hybrid path's.
+    One detection per disjoint component, combined exactly
+    (:mod:`repro.symbolic.compose`).  The conflict core is filled in on
+    this detection-only path too, so ``as_dict()`` always reports an
+    integer ``core_states`` (the state count when CSC fails, 0 when it
+    holds) — the verdict schema matches the hybrid path's.
     """
-    ssg = SymbolicStateGraph(stg, reorder=reorder)
-    report = detect_csc_conflicts(ssg, witness_limit=witness_limit)
-    ensure_core(ssg, report)
+    graphs = ComposedStateGraph(stg, reorder=reorder)
+    report = graphs.detect(witness_limit=witness_limit)
+    graphs.ensure_core(report)
     return report

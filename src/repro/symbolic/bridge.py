@@ -4,7 +4,8 @@ The symbolic tier answers *whether* and *where* CSC fails without
 enumerating states, but the region/insertion solver
 (:mod:`repro.core.search`, :mod:`repro.core.solver`) fundamentally works
 on explicit state graphs.  ``symbolic_encode`` glues the two: it runs
-census and conflict detection symbolically, and
+census and conflict detection symbolically — one BDD per disjoint
+component, combined exactly (:mod:`repro.symbolic.compose`) — and
 
 * with no conflicts, stops — the specification already satisfies CSC
   and no state was ever enumerated (``mode="symbolic"``);
@@ -37,12 +38,9 @@ from repro.core.solver import EncodingResult, SolverSettings, solve_csc
 from repro.obs import get_logger, span
 from repro.stg.state_graph import build_state_graph
 from repro.stg.stg import STG
-from repro.symbolic.csc import (
-    SymbolicConflictReport,
-    detect_csc_conflicts,
-    ensure_core,
-)
-from repro.symbolic.stategraph import SymbolicCensus, SymbolicStateGraph
+from repro.symbolic.compose import ComposedStateGraph
+from repro.symbolic.csc import SymbolicConflictReport
+from repro.symbolic.stategraph import SymbolicCensus
 
 _log = get_logger("symbolic")
 
@@ -141,7 +139,7 @@ def symbolic_encode(
     settings: Optional[SolverSettings] = None,
     max_states: Optional[int] = DEFAULT_STATE_BUDGET,
     witness_limit: int = 4,
-    ssg: Optional[SymbolicStateGraph] = None,
+    graphs: Optional[ComposedStateGraph] = None,
 ) -> SymbolicOutcome:
     """Run the CSC pipeline with a symbolic front half (module docstring).
 
@@ -162,20 +160,20 @@ def symbolic_encode(
         graph gets the detection-only verdict (``mode="symbolic-only"``).
     witness_limit:
         Conflict witness cubes to decode into the verdict.
-    ssg:
-        A pre-built (possibly pre-explored) symbolic graph to reuse —
-        the ``engine="auto"`` path builds one for the census and hands
-        it over instead of re-exploring.
+    graphs:
+        Pre-built (possibly pre-explored) per-component symbolic graphs
+        to reuse — the ``engine="auto"`` path builds them for the census
+        and hands them over instead of re-exploring.
     """
     settings = settings or SolverSettings()
     budget = max_states if max_states is not None else DEFAULT_STATE_BUDGET
     started = time.perf_counter()
     with span("symbolic.census", name=stg.name):
-        if ssg is None:
-            ssg = SymbolicStateGraph(stg)
-        census = ssg.census()
+        if graphs is None:
+            graphs = ComposedStateGraph(stg)
+        census = graphs.census()
     with span("symbolic.detect", name=stg.name):
-        report = detect_csc_conflicts(ssg, witness_limit=witness_limit)
+        report = graphs.detect(witness_limit=witness_limit)
 
     mode = "symbolic"
     result: Optional[EncodingResult] = None
@@ -184,14 +182,14 @@ def symbolic_encode(
     # included — so the verdict schema is stable: ``core_states`` is
     # always an integer (0 when CSC already holds), never null.
     with span("symbolic.core", name=stg.name):
-        ensure_core(ssg, report)
+        graphs.ensure_core(report)
     if not report.csc_holds:
         mode = "symbolic-only"
         if settings.max_signals > 0:
             if report.core_states <= budget:
                 with span("symbolic.materialize", name=stg.name):
                     sg = build_state_graph(
-                        stg, initial_values=ssg.infer_initial_values(), max_states=budget
+                        stg, initial_values=graphs.infer_initial_values(), max_states=budget
                     )
                 materialized = sg.num_states
                 with span("symbolic.solve", name=stg.name):

@@ -58,7 +58,10 @@ class SymbolicConflictReport:
 
     ``conflict_states`` (a BDD node over the unprimed levels) and
     ``relation`` (over both copies) stay attached for downstream use —
-    the hybrid bridge and the tests; :meth:`as_dict` drops them.
+    the hybrid bridge and the tests; :meth:`as_dict` drops them.  A
+    report composed over disjoint components
+    (:mod:`repro.symbolic.compose`) has no single relation: both are
+    ``None`` and ``parts`` holds the per-component reports.
     """
 
     name: str
@@ -70,8 +73,9 @@ class SymbolicConflictReport:
     witnesses: List[Dict[str, object]] = field(default_factory=list)
     core_states: Optional[int] = None  # filled by ensure_core
     seconds: float = 0.0
-    conflict_states: Node = FALSE
-    relation: Node = FALSE
+    conflict_states: Optional[Node] = FALSE
+    relation: Optional[Node] = FALSE
+    parts: List["SymbolicConflictReport"] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -82,6 +86,7 @@ class SymbolicConflictReport:
             "csc_holds": self.csc_holds,
             "conflict_state_count": self.conflict_state_count,
             "core_states": self.core_states,
+            "components": len(self.parts) or 1,
             "witnesses": list(self.witnesses),
             "seconds": round(self.seconds, 3),
         }

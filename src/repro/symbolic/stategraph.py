@@ -35,10 +35,10 @@ side.
 
 Exploration
 -----------
-Images are computed with the safeness trick of
-:mod:`repro.bdd.symbolic` — restrict to the enabling condition,
-quantify the changed variables, constrain them to their post-firing
-values — extended with the fired signal's variable, which every
+Images are computed without a primed transition relation, by a
+safeness trick — restrict to the enabling condition, quantify the
+changed variables, constrain them to their post-firing values —
+extended with the fired signal's variable, which every
 transition of signal ``s`` pins to ``value_before`` in its enabling cube
 and flips in its after cube.  Initial signal values are inferred the
 same way the explicit encoder does, but without building any state
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bdd.bdd import BDD, Node, interleaved_pair_levels
@@ -191,6 +191,8 @@ class SymbolicCensus:
     reached_nodes: int
     seconds: float
     cache: Dict[str, object]
+    #: per-component censuses of a composed census (empty otherwise)
+    parts: List["SymbolicCensus"] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -199,6 +201,7 @@ class SymbolicCensus:
             "places": self.places,
             "transitions": self.transitions,
             "signals": self.signals,
+            "components": len(self.parts) or 1,
             "iterations": self.iterations,
             "bdd_nodes": self.bdd_nodes,
             "reached_nodes": self.reached_nodes,

@@ -115,6 +115,16 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "131074" in output
 
+    def test_census_and_check_csc_print_the_component_count(self, capsys):
+        import re
+
+        assert main(["census", "--benchmark", "pipe8", "--table", "table1"]) == 0
+        assert re.search(r"^components\s+: 8$", capsys.readouterr().out, re.M)
+        assert main(["check-csc", "--benchmark", "pipe8", "--table", "table1"]) == 2
+        assert re.search(r"^components\s+: 8$", capsys.readouterr().out, re.M)
+        assert main(["census", "--benchmark", "par16", "--table", "table1"]) == 0
+        assert re.search(r"^components\s+: 1$", capsys.readouterr().out, re.M)
+
     def test_census_requires_exactly_one_input(self, tmp_path, capsys):
         assert main(["census"]) == 2
         path = self._write(tmp_path, gen.vme_controller())

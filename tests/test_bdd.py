@@ -1,4 +1,4 @@
-"""Tests for the ROBDD engine and symbolic Petri-net reachability."""
+"""Tests for the ROBDD engine and the symbolic state count built on it."""
 
 import itertools
 
@@ -6,15 +6,14 @@ import pytest
 
 from repro.bdd import (
     BDD,
-    SymbolicReachability,
     interleaved_pair_levels,
     prime_map,
-    symbolic_state_count,
     unprime_map,
 )
 from repro.bench_stg import generators as gen
-from repro.petri import PetriNet, build_reachability_graph
-from repro.stg import build_state_graph
+from repro.petri import build_reachability_graph
+from repro.stg import STG
+from repro.symbolic import symbolic_census
 
 
 class TestBDD:
@@ -207,38 +206,28 @@ class TestNewPrimitives:
 
 
 class TestSymbolicReachability:
-    def _net(self, stg):
-        return stg.net
-
     @pytest.mark.parametrize("branches", [2, 3, 4, 6])
     def test_matches_explicit_count_on_parallel_toggles(self, branches):
         stg = gen.parallel_toggles(branches)
         explicit = build_reachability_graph(stg.net).num_markings
-        assert symbolic_state_count(stg.net) == explicit
+        assert symbolic_census(stg).states == explicit
 
     def test_matches_explicit_count_on_vme(self):
         stg = gen.vme_controller()
         explicit = build_reachability_graph(stg.net).num_markings
-        assert symbolic_state_count(stg.net) == explicit
+        assert symbolic_census(stg).states == explicit
 
     def test_large_product_state_space(self):
-        # 6 independent toggles: 6^6 = 46656 markings, far beyond what the
+        # 6 independent toggles: 6^6 = 46656 states, far beyond what the
         # explicit tests enumerate, but exactly computable symbolically.
         stg = gen.independent_toggles(6)
-        assert symbolic_state_count(stg.net) == 6 ** 6
-
-    def test_iteration_bound(self):
-        stg = gen.parallel_toggles(3)
-        engine = SymbolicReachability(stg.net)
-        engine.explore(max_iterations=1)
-        partial = engine.bdd.count_solutions(engine.reached)
-        full = symbolic_state_count(stg.net)
-        assert partial <= full
+        assert symbolic_census(stg).states == 6 ** 6
 
     def test_weighted_arcs_rejected(self):
-        net = PetriNet()
-        net.add_place("p", 1)
-        net.add_transition("t")
-        net.add_arc("p", "t", weight=2)
-        with pytest.raises(ValueError):
-            SymbolicReachability(net)
+        stg = STG("weighted")
+        stg.add_output("a")
+        stg.add_place("p", 1)
+        stg.add_transition("a+")
+        stg.net.add_arc("p", "a+", weight=2)
+        with pytest.raises(ValueError, match="unit arc weights"):
+            symbolic_census(stg)

@@ -6,6 +6,7 @@ from repro.petri import PetriNet, build_reachability_graph, is_safe, place_bound
 from repro.petri.net import Marking
 from repro.petri.properties import has_source_and_sink_isolation, is_free_choice
 from repro.petri.reachability import StateSpaceLimitExceeded
+from repro.utils.deadline import deadline
 
 
 def handshake_net() -> PetriNet:
@@ -113,6 +114,43 @@ class TestReachability:
     def test_place_bounds(self):
         bounds = place_bounds(handshake_net())
         assert all(bound <= 1 for bound in bounds.values())
+
+
+def unbounded_sink_net() -> PetriNet:
+    """``a+ a-``, ``a- a+ sink``: every a- firing adds a token on ``sink``."""
+    from repro.stg import STG
+
+    return STG.from_arcs(
+        "unbounded",
+        inputs=[],
+        outputs=["a"],
+        arcs=[("a+", "a-"), ("a-", "a+"), ("a-", "sink")],
+        marking=[("a-", "a+")],
+    ).net
+
+
+class TestUnboundedNets:
+    """Both checks must end on an unbounded net instead of exploring it
+    forever; the 3 s deadline turns a hang into a failure."""
+
+    def test_is_safe_returns_false(self):
+        with deadline(3.0):
+            assert not is_safe(unbounded_sink_net())
+
+    def test_place_bounds_names_the_unbounded_net(self):
+        with deadline(3.0):
+            with pytest.raises(ValueError, match="'unbounded' is unbounded"):
+                place_bounds(unbounded_sink_net())
+
+    def test_place_bounds_of_an_unsafe_bounded_net(self):
+        net = PetriNet("two-tokens")
+        net.add_place("p", tokens=1)
+        net.add_place("q", tokens=1)
+        net.add_transition("t")
+        net.add_arc("p", "t")
+        net.add_arc("t", "q")
+        with deadline(3.0):
+            assert place_bounds(net) == {"p": 1, "q": 2}
 
 
 class TestStructuralProperties:

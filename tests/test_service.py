@@ -215,6 +215,14 @@ class TestJobQueue:
             assert queue.get(job.id).status == "failed"
             assert queue.claim() == []
 
+    def test_finish_without_retry_is_final_at_once(self, tmp_path):
+        with self._queue(tmp_path) as queue:
+            queue.submit("fp", "job", {})
+            (job,) = queue.claim()
+            assert queue.finish(job.id, "failed", error="spec", retry=False) == "failed"
+            assert queue.get(job.id).attempts == 1
+            assert queue.claim() == []
+
     def test_timeout_follows_retry_once(self, tmp_path):
         with self._queue(tmp_path) as queue:
             queue.submit("fp", "job", {})
@@ -396,8 +404,8 @@ class TestEncodingServiceEndToEnd:
 
     def test_dispatcher_survives_poisonous_persisted_request(self, tmp_path):
         # A persisted job whose .g text no longer parses must fail that
-        # job (after the retry) and leave the dispatcher alive for the
-        # next submission.
+        # job on its first attempt (a retry would fail the same way) and
+        # leave the dispatcher alive for the next submission.
         with EncodingService(str(tmp_path / "svc.db"), jobs=1) as svc:
             bad_id = svc.queue.submit("fp-bad", "broken", {"g": "not a .g file at all"})
             good = svc.submit_benchmark("nak-pa")
@@ -409,7 +417,7 @@ class TestEncodingServiceEndToEnd:
                     break
                 time.sleep(0.01)
             assert job.status == "failed"
-            assert job.attempts == 2  # retried once, then buried
+            assert job.attempts == 1  # a spec fault is not retried
             assert "invalid persisted request" in job.error
             assert svc.pool.running
 
@@ -438,6 +446,7 @@ class TestEncodingServiceEndToEnd:
             job = svc.queue.get(bad["job_id"])
             assert job.status == "failed"
             assert "InconsistentSTGError" in job.error and "is not safe" in job.error
+            assert job.attempts == 1  # a spec fault is not retried
             assert svc.queue.get(good["job_id"]).status == "done"
             assert svc.pool.running
 

@@ -16,8 +16,9 @@ from repro.engine.batch import encode_many, run_benchmark_suite, suite_cases
 from repro.obs import configure_logging
 from repro.petri.reachability import build_reachability_graph
 from repro.stg import build_state_graph
+from repro.stg.signals import SignalEdge
 from repro.stg.state_graph import InconsistentSTGError
-from repro.stg.stg import STG
+from repro.stg.stg import STG, net_components
 from repro.symbolic import (
     SymbolicStateGraph,
     detect_csc_conflicts,
@@ -492,8 +493,10 @@ class TestEngineDispatch:
         assert serial.fingerprints() == parallel.fingerprints()
 
     def test_symbolic_timeout_reports_timeout_status(self):
+        # a coupled spec: composition makes the disjoint toggles rows far
+        # too fast to outlast the bound
         result = encode_many(
-            [gen.independent_toggles(12)], engine="symbolic", timeout=0.05
+            [gen.parallel_toggles(24)], engine="symbolic", timeout=0.05
         )
         assert result.items[0].status == "timeout"
 
@@ -508,6 +511,238 @@ class TestEngineDispatch:
         assert len(result.items) == 3
         assert all(item.status == "ok" for item in result.items)
         assert all(item.engine == "symbolic" for item in result.items)
+
+
+# ----------------------------------------------------------------------
+# composition over disjoint components
+# ----------------------------------------------------------------------
+def _disjoint_union(parts, name="union"):
+    """The disjoint union of ``parts``, signals and places renamed apart."""
+    union = STG(name)
+    for index, part in enumerate(parts):
+        tag = f"u{index}_"
+        for signal, signal_type in part.signal_types.items():
+            union.add_signal(tag + signal, signal_type)
+        for place in part.net.places:
+            union.add_place(tag + place)
+        for transition in part.net.transitions:
+            label = part.label_of(transition)
+            renamed = union.add_transition(
+                SignalEdge(tag + label.signal, label.direction, label.index)
+            )
+            for place, weight in part.net.preset(transition).items():
+                union.net.add_arc(tag + place, renamed, weight)
+            for place, weight in part.net.postset(transition).items():
+                union.net.add_arc(renamed, tag + place, weight)
+        for signal, value in part.initial_values.items():
+            union.set_initial_value(tag + signal, value)
+    union.set_marking(
+        {
+            f"u{index}_{place}": count
+            for index, part in enumerate(parts)
+            for place, count in part.initial_marking.items()
+        }
+    )
+    return union
+
+
+def _monolithic_check(stg, witness_limit=4):
+    ssg = SymbolicStateGraph(stg)
+    report = detect_csc_conflicts(ssg, witness_limit=witness_limit)
+    ensure_core(ssg, report)
+    return report
+
+
+#: Small specifications (at most 16 states) whose unions of three stay
+#: cheap to enumerate for the witness checks.
+_SMALL_PARTS = (
+    gen.vme_controller,
+    lambda: gen.handshake_wire_chain(2),
+    lambda: gen.handshake_wire_chain(3),
+    lambda: gen.parallel_toggles(2),
+    gen.duplicator_element,
+    lambda: gen.pipeline(1),
+    lambda: gen.ripple_counter(2),
+    lambda: get_case("mod4-counter", "table2").build(),
+    lambda: get_case("sbuf-read-ctl", "table2").build(),
+)
+
+_VERDICT_FIELDS = (
+    "states", "usc_pairs", "csc_pairs", "csc_holds", "conflict_state_count", "core_states",
+)
+
+
+def _assert_composed_matches_monolithic(stg, witness_limit):
+    from repro.petri.net import Marking
+
+    composed = symbolic_check_csc(stg, witness_limit=witness_limit)
+    monolithic = _monolithic_check(stg, witness_limit=witness_limit)
+    for name in _VERDICT_FIELDS:
+        assert getattr(composed, name) == getattr(monolithic, name), name
+    assert symbolic_census(stg).states == monolithic.states
+    assert len(composed.witnesses) == min(witness_limit, monolithic.csc_pairs)
+
+    sg = build_state_graph(stg)
+    reachable = set(sg.states)
+    seen = set()
+    for witness in composed.witnesses:
+        first = Marking({place: 1 for place in witness["first_marking"]})
+        second = Marking({place: 1 for place in witness["second_marking"]})
+        assert first in reachable and second in reachable
+        code = "".join(str(bit) for bit in sg.code(first))
+        assert code == witness["code"] == "".join(str(bit) for bit in sg.code(second))
+        assert frozenset(sg.enabled_noninput_edges(first)) != frozenset(
+            sg.enabled_noninput_edges(second)
+        )
+        pair = frozenset((first, second))
+        assert pair not in seen
+        seen.add(pair)
+    return composed
+
+
+class TestComposition:
+    def test_net_components_of_a_connected_stg_is_the_stg_itself(self):
+        stg = gen.vme_controller()
+        assert net_components(stg) == [stg]
+
+    def test_net_components_split_the_members_apart(self):
+        stg = gen.independent_toggles(3)
+        parts = net_components(stg)
+        assert len(parts) == 3
+        assert [part.name for part in parts] == [stg.name] * 3
+        assert sum(len(part.signals) for part in parts) == len(stg.signals)
+        assert sum(part.net.num_places for part in parts) == stg.net.num_places
+        assert sum(part.net.num_transitions for part in parts) == stg.net.num_transitions
+        order = {t: i for i, t in enumerate(stg.net.transitions)}
+        firsts = [order[part.net.transitions[0]] for part in parts]
+        assert firsts == sorted(firsts)  # ordered by first transition
+        for part in parts:
+            assert part.net.transitions == sorted(part.net.transitions, key=order.get)
+            assert part.signals == [s for s in stg.signals if s in part.signal_types]
+
+    def test_isolated_place_and_signal_join_the_first_component(self):
+        stg = gen.independent_toggles(2)
+        stg.add_place("lonely", 1)
+        stg.add_output("idle")
+        first, second = net_components(stg)
+        assert "lonely" in first.net.places and "idle" in first.signals
+        assert "lonely" not in second.net.places
+        report = symbolic_check_csc(stg)
+        for name in _VERDICT_FIELDS:
+            assert getattr(report, name) == getattr(_monolithic_check(stg), name)
+
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
+    def test_toggles_match_the_monolithic_check(self, stages):
+        stg = gen.independent_toggles(stages)
+        report = _assert_composed_matches_monolithic(stg, witness_limit=6)
+        assert report.as_dict()["components"] == stages
+
+    @hsettings(max_examples=15, deadline=None)
+    @given(
+        picks=st.lists(
+            st.integers(min_value=0, max_value=len(_SMALL_PARTS) - 1),
+            min_size=2,
+            max_size=3,
+        ),
+        limit=st.integers(min_value=0, max_value=12),
+    )
+    def test_disjoint_unions_match_the_monolithic_check(self, picks, limit):
+        stg = _disjoint_union([_SMALL_PARTS[pick]() for pick in picks])
+        report = _assert_composed_matches_monolithic(stg, witness_limit=limit)
+        assert len(report.parts) == len(picks)
+        assert report.relation is None and report.conflict_states is None
+
+    def test_single_component_rows_keep_the_monolithic_report(self):
+        """Combining one component is the identity: every connected
+        library row's census and verdict are those of its one symbolic
+        graph, witnesses included (the two slowest rows left out)."""
+        from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
+
+        def strip(record):
+            return {k: v for k, v in record.items() if k not in ("seconds", "cache")}
+
+        for case in TABLE1_CASES + TABLE2_CASES:
+            stg = case.build()
+            if case.name in ("pipeline8", "pipeline12") or len(net_components(stg)) > 1:
+                continue
+            assert strip(symbolic_check_csc(stg).as_dict()) == strip(
+                _monolithic_check(stg).as_dict()
+            ), case.name
+            assert strip(symbolic_census(stg).as_dict()) == strip(
+                SymbolicStateGraph(stg).census().as_dict()
+            ), case.name
+
+    def test_pipe_rows_are_the_only_multi_component_rows(self):
+        from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
+
+        split = {
+            case.name: len(net_components(case.build()))
+            for case in TABLE1_CASES + TABLE2_CASES
+        }
+        assert {name: n for name, n in split.items() if n > 1} == {
+            "pipe8": 8, "pipe16": 16, "pipe24": 24,
+        }
+
+    def test_no_entry_point_builds_a_multi_component_graph(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        components = []
+        original = SymbolicStateGraph.__init__
+
+        def recording_init(self, stg, *args, **kwargs):
+            components.append(len(net_components(stg)))
+            original(self, stg, *args, **kwargs)
+
+        monkeypatch.setattr(SymbolicStateGraph, "__init__", recording_init)
+        stg = gen.independent_toggles(3)
+        symbolic_census(stg)
+        symbolic_check_csc(stg)
+        symbolic_encode(stg)
+        encode_many([stg], engine="symbolic")
+        encode_many([stg], engine="auto")
+        main(["census", "--benchmark", "pipe8", "--table", "table1"])
+        main(["check-csc", "--benchmark", "pipe8", "--table", "table1"])
+        capsys.readouterr()
+        assert components and set(components) == {1}
+        assert len(components) == 5 * 3 + 2 * 8
+
+    def test_composed_encode_solves_like_the_explicit_pipeline(self):
+        stg = gen.independent_toggles(2)
+        settings = get_case("pipe8", "table1").solver_settings()
+        outcome = symbolic_encode(stg, settings=settings)
+        explicit = solve_csc(build_state_graph(stg), settings)
+        assert outcome.mode == "hybrid"
+        assert outcome.result.fingerprint() == explicit.fingerprint()
+        assert outcome.census.states == 36
+        assert outcome.census.as_dict()["components"] == 2
+
+    @pytest.mark.parametrize("kind", ["unsafe", "inconsistent"])
+    def test_a_bad_component_raises_the_monolithic_error(self, kind):
+        if kind == "unsafe":
+            bad = STG.from_arcs(
+                "bad",
+                inputs=[],
+                outputs=["a"],
+                arcs=[("a+", "a-"), ("a-", "a+"), ("a-", "sink")],
+                marking=[("a-", "a+")],
+            )
+        else:
+            bad = STG.from_arcs(
+                "bad",
+                inputs=["a"],
+                outputs=[],
+                arcs=[("a+/1", "a+/2"), ("a+/2", "a+/1")],
+                marking=[("a+/2", "a+/1")],
+            )
+        stg = _disjoint_union([gen.vme_controller(), bad], name="whole")
+        assert len(net_components(stg)) == 2
+        with pytest.raises(InconsistentSTGError) as monolithic:
+            SymbolicStateGraph(stg).census()
+        assert "'whole'" in str(monolithic.value)
+        for entry_point in (symbolic_census, symbolic_check_csc):
+            with pytest.raises(InconsistentSTGError) as composed:
+                entry_point(stg)
+            assert str(composed.value) == str(monolithic.value)
 
 
 # ----------------------------------------------------------------------
