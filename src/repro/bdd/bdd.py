@@ -219,7 +219,13 @@ class BDD:
     # ------------------------------------------------------------------
     # node handling
     # ------------------------------------------------------------------
-    def _make_node(self, var: int, low: Node, high: Node) -> Node:
+    def make_node(self, var: int, low: Node, high: Node) -> Node:
+        """The node ``var ? high : low``, interned.
+
+        ``var`` must sit above the top levels of both children in the
+        current order; the complement of a negative high child moves to
+        the returned reference.
+        """
         if low == high:
             return low
         negate = high < 0
@@ -260,7 +266,7 @@ class BDD:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    def _cof(self, node: Node, var: int) -> Tuple[Node, Node]:
+    def cofactors(self, node: Node, var: int) -> Tuple[Node, Node]:
         """Both cofactors of ``node`` with respect to ``var`` (which must
         be at or above ``node``'s top level)."""
         if node == TRUE or node == FALSE:
@@ -302,7 +308,7 @@ class BDD:
         """The function of a single positive literal."""
         if not 0 <= index < self.num_vars:
             raise IndexError(f"variable index {index} out of range")
-        return self._make_node(index, FALSE, TRUE)
+        return self.make_node(index, FALSE, TRUE)
 
     def nvar(self, index: int) -> Node:
         """The function of a single negative literal."""
@@ -318,9 +324,9 @@ class BDD:
             if not 0 <= index < self.num_vars:
                 raise IndexError(f"variable index {index} out of range")
             if assignment[index]:
-                result = self._make_node(index, FALSE, result)
+                result = self.make_node(index, FALSE, result)
             else:
-                result = self._make_node(index, result, FALSE)
+                result = self.make_node(index, result, FALSE)
         return result
 
     # ------------------------------------------------------------------
@@ -363,10 +369,10 @@ class BDD:
         result = cache.get(key)
         if result is None:
             var = self._top_var(condition, then_part, else_part)
-            clo, chi = self._cof(condition, var)
-            tlo, thi = self._cof(then_part, var)
-            elo, ehi = self._cof(else_part, var)
-            result = self._make_node(
+            clo, chi = self.cofactors(condition, var)
+            tlo, thi = self.cofactors(then_part, var)
+            elo, ehi = self.cofactors(else_part, var)
+            result = self.make_node(
                 var, self.ite(clo, tlo, elo), self.ite(chi, thi, ehi)
             )
             cache.put(key, result)
@@ -375,7 +381,7 @@ class BDD:
     def apply_and(self, first: Node, second: Node) -> Node:
         # the recursion is the hottest loop of the symbolic tier, so the
         # cache accesses, cofactor steps and node interning are inlined
-        # (no _OpCache.get/put or _cof/_make_node call frames)
+        # (no _OpCache.get/put or cofactors/make_node call frames)
         if first == second:
             return first
         if first == TRUE:
@@ -579,7 +585,7 @@ class BDD:
             elif var == index:
                 result = high if value else low
             else:
-                result = self._make_node(var, walk(low), walk(high))
+                result = self.make_node(var, walk(low), walk(high))
             memo[current] = result
             return result
 
@@ -837,7 +843,7 @@ class BDD:
             if found is not None:
                 return found
             var, low, high = nodes[current]
-            result = self._make_node(mapping.get(var, var), walk(low), walk(high))
+            result = self.make_node(mapping.get(var, var), walk(low), walk(high))
             memo[current] = result
             return result
 
@@ -869,7 +875,7 @@ class BDD:
                 rewrite.append((nid, low, high))
         for nid, low, high in rewrite:
             del upper_table[(low, high)]
-        # flip the level maps first so _make_node interns the fresh
+        # flip the level maps first so make_node interns the fresh
         # children under the post-swap order
         self._level2var[level] = lower
         self._level2var[level + 1] = upper
@@ -877,10 +883,10 @@ class BDD:
         self._var2level[lower] = level
         lower_table = self._unique[lower]
         for nid, low, high in rewrite:
-            f00, f01 = self._cof(low, lower)
-            f10, f11 = self._cof(high, lower)
-            new_low = self._make_node(upper, f00, f10)
-            new_high = self._make_node(upper, f01, f11)
+            f00, f01 = self.cofactors(low, lower)
+            f10, f11 = self.cofactors(high, lower)
+            new_low = self.make_node(upper, f00, f10)
+            new_high = self.make_node(upper, f01, f11)
             # new_high is regular: f11 is the high cofactor of the
             # regular canonical node `high`, hence itself regular
             nodes[nid] = (lower, new_low, new_high)
@@ -1003,7 +1009,7 @@ class BDD:
         and an unbounded sift of a large manager costs more than it
         recovers.  Node references stay valid (swaps rewrite in place),
         so this is safe at any quiescent point; the symbolic engine calls
-        it between image computations.  Returns the table-size delta
+        it once its reachable set is saturated.  Returns the table-size delta
         (negative means the table shrank).
         """
         from repro.obs import span
@@ -1173,7 +1179,7 @@ class BDD:
                 yield tuple(values)
                 return
             var = self._level2var[level]
-            lo, hi = self._cof(current, var)
+            lo, hi = self.cofactors(current, var)
             for value, child in ((0, lo), (1, hi)):
                 values[var] = value
                 yield from walk(child, level + 1)

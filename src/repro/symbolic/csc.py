@@ -19,9 +19,14 @@ edge ``e`` enabled in one state but not the other.  The signature
 disjunction is built over the small per-edge predicates first and
 conjoined with the large reachable-pair relation once.  ``sat_count``
 over all levels counts ordered pairs, so halving it reproduces the
-explicit pipeline's pair counts; dropping the signature disjunct and
-requiring the markings to differ instead yields the USC pair count the
-same way.
+explicit pipeline's pair counts.  The USC pair count needs no relation
+of its own: two distinct states with one code differ in marking, and
+the reachable-pair relation's diagonal holds exactly one pair per
+state, so the relation's count minus the state count, halved, is the
+number of USC pairs.  The reachable-pair relation itself is built as
+``(R(x) ∧ EQ) ∧ R(x')``: the code-equality relation prunes the
+conjunction at once, where ``R(x) ∧ R(x')`` would first pair every
+state with every other.
 
 The *conflict core* — every state on a trajectory through a conflict —
 needs no fixpoint: every conflict state is reachable, so its reachable
@@ -105,17 +110,6 @@ def _code_equality(ssg: SymbolicStateGraph) -> Node:
     return result
 
 
-def _marking_inequality(ssg: SymbolicStateGraph) -> Node:
-    """``⋁_p (p ⊕ p')`` — the two states are distinct markings."""
-    bdd = ssg.bdd
-    result = bdd.false
-    for var in sorted(ssg.place_vars.values(), reverse=True):
-        result = bdd.apply_or(
-            result, bdd.apply_xor(bdd.var(ssg.unprimed(var)), bdd.var(ssg.primed(var)))
-        )
-    return result
-
-
 def _decode_witness(ssg: SymbolicStateGraph, cube: Dict[int, int]) -> Dict[str, object]:
     """One conflict pair, decoded into a JSON-friendly record."""
     first = {level: value for level, value in cube.items() if level % 2 == 0}
@@ -134,21 +128,26 @@ def detect_csc_conflicts(
 ) -> SymbolicConflictReport:
     """Detect USC/CSC conflicts of ``ssg`` without enumerating states."""
     started = time.perf_counter()
+    with ssg.recursion_scope():
+        report = _detect(ssg, witness_limit)
+    report.seconds = time.perf_counter() - started
+    return report
+
+
+def _detect(ssg: SymbolicStateGraph, witness_limit: int) -> SymbolicConflictReport:
     bdd = ssg.bdd
     reached = ssg.explore()
+    states = ssg.count_states()
     mapping = prime_map(ssg.num_state_vars)
+    all_levels = ssg.unprimed_levels + ssg.primed_levels
     with span("bdd.apply", graph=ssg.name, phase="csc"):
-        reached_primed = bdd.rename(reached, mapping)
         pair = bdd.apply_and(
-            bdd.apply_and(reached, reached_primed), _code_equality(ssg)
+            bdd.apply_and(reached, _code_equality(ssg)), bdd.rename(reached, mapping)
         )
-
-        all_levels = ssg.unprimed_levels + ssg.primed_levels
-        usc_relation = bdd.apply_and(pair, _marking_inequality(ssg))
-        usc_pairs = bdd.sat_count(usc_relation, all_levels) // 2
+        usc_pairs = (bdd.sat_count(pair, all_levels) - states) // 2
 
         conflict_relation = bdd.false
-        if usc_relation != bdd.false:
+        if usc_pairs > 0:
             # Only non-input signal edges matter for the signature (the
             # explicit detector's _noninput_signature); without any shared
             # code there is nothing to compare at all.
@@ -193,13 +192,12 @@ def detect_csc_conflicts(
 
     return SymbolicConflictReport(
         name=ssg.name,
-        states=ssg.count_states(),
+        states=states,
         usc_pairs=usc_pairs,
         csc_pairs=csc_pairs,
         csc_holds=csc_holds,
         conflict_state_count=conflict_state_count,
         witnesses=witnesses,
-        seconds=time.perf_counter() - started,
         conflict_states=conflict_states,
         relation=conflict_relation,
     )

@@ -35,23 +35,30 @@ side.
 
 Exploration
 -----------
-Images are computed without a primed transition relation, by a
-safeness trick — restrict to the enabling condition, quantify the
-changed variables, constrain them to their post-firing values —
-extended with the fired signal's variable, which every
-transition of signal ``s`` pins to ``value_before`` in its enabling cube
-and flips in its after cube.  Initial signal values are inferred the
-same way the explicit encoder does, but without building any state
-graph: a bounded marking-only BFS finds, per signal, the first edge of
-that signal that can fire (consistency forces its ``value_before`` to be
-the initial value), stopping as soon as every signal is resolved.
-The reachability fixpoint is chained (each image folds into the reached
-set at once) and stops after one quiet cycle: every transition fired in
-turn without growing the set.
+The reachable set is built by *saturation* (Ciardo, Lüttgen and
+Siminiceanu, TACAS 2001).  Each transition's effect is compiled per
+state variable once: the value it needs there (a preset place must be
+marked, the fired signal must hold its pre-firing value, a produced
+place may hold anything) and the value it leaves (consumed places
+empty, produced places marked, the signal flipped, self-loop places
+kept).  A transition's *top* is the highest of its variables in the
+order.  Saturating a node at level ``k`` saturates both cofactors, then
+fires the transitions whose top is ``k`` on the node until none adds a
+state; firing maps the effect level by level down to the transition's
+lowest variable, and every node it builds on the way is saturated in
+turn.  A saturated node is therefore closed under every transition
+that lies wholly at or below its level, and the saturated initial
+state is the reachable set — the same unique fixpoint, hence the same
+canonical node, as any image iteration.  Initial signal values are
+inferred without building any state graph: a bounded marking-only BFS
+finds, per signal, the first edge of that signal that can fire
+(consistency forces its ``value_before`` to be the initial value),
+stopping as soon as every signal is resolved.
 
 The class also carries the symbolic twins of the explicit front-end
-checks: safeness and consistency violations are detected on the reached
-set with one fused test per transition and raised as
+checks: safeness and consistency violations are detected with one
+fused test per transition, run on the reached set's sub-functions at
+the transition's top level rather than on the whole set, and raised as
 :class:`~repro.stg.state_graph.InconsistentSTGError`, mirroring
 :func:`repro.stg.state_graph.build_state_graph`.
 """
@@ -59,17 +66,30 @@ set with one fused test per transition and raised as
 from __future__ import annotations
 
 import sys
+import threading
 import time
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    ContextManager,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.bdd.bdd import BDD, Node, interleaved_pair_levels
+from repro.bdd.bdd import BDD, FALSE, Node, interleaved_pair_levels
 from repro.obs import span
 from repro.petri.net import Marking
 from repro.stg.signals import SignalEdge
 from repro.stg.state_graph import InconsistentSTGError
 from repro.stg.stg import STG
-from repro.utils.deadline import check_deadline
+from repro.utils.deadline import check_deadline, poll_deadline
 
 Place = Hashable
 
@@ -171,10 +191,11 @@ class _SymbolicTransition:
     enabling: Node  # preset places at 1 AND signal at value_before
     place_enabling: Node  # preset places at 1 only (marking token game)
     produced_empty: Node  # postset-minus-preset places at 0 (safeness)
-    changed_levels: List[int]  # quantified by the image: places + signal
-    after: Node  # post-firing values of the changed variables
     place_changed_levels: List[int]  # marking-only image: places alone
     place_after: Node  # post-firing place values alone
+    #: ``(state var, needed value, value after)`` per variable the firing
+    #: reads or writes, ``None`` for "any" and "kept" (saturation's input)
+    effect: Tuple[Tuple[int, Optional[int], Optional[int]], ...]
 
 
 @dataclass
@@ -213,17 +234,59 @@ class SymbolicCensus:
 #: Node-table size at which an opted-in engine first triggers sifting.
 AUTO_REORDER_THRESHOLD = 20000
 
+#: Interpreter frames the BDD work stacks per state variable: saturation
+#: keeps up to three per level (saturate or fire, the level's firing
+#: loop, one firing step) and the manager's recursive operations beneath
+#: one per BDD level, two per state variable.
+_FRAMES_PER_STATE_VAR = 5
+#: Frames left to the caller's own stack.
+_CALLER_FRAMES = 1000
+
+
+class _RecursionLimit:
+    """The interpreter's recursion limit, raised for nested scopes.
+
+    The limit is process-wide while scopes may overlap (the service runs
+    jobs on worker threads), so the first scope to enter saves the
+    limit, each raises it as far as it needs, and the last one to leave
+    restores it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._scopes = 0
+        self._saved = 0
+
+    @contextmanager
+    def headroom(self, frames: int) -> Iterator[None]:
+        with self._lock:
+            if self._scopes == 0:
+                self._saved = sys.getrecursionlimit()
+            self._scopes += 1
+            if sys.getrecursionlimit() < frames:
+                sys.setrecursionlimit(frames)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._scopes -= 1
+                if self._scopes == 0:
+                    sys.setrecursionlimit(self._saved)
+
+
+_RECURSION = _RecursionLimit()
+
 
 class SymbolicStateGraph:
     """BDD-backed state graph of one STG (see module docstring).
 
     ``reorder=True`` opts the manager into dynamic variable reordering:
-    once the node table outgrows :data:`AUTO_REORDER_THRESHOLD`, sifting
-    runs between exploration passes (the quiescent points of the
-    fixpoint), keeping each (unprimed, primed) variable pair adjacent so
-    the relational prime/unprime renames stay order-preserving.  All
-    verdicts and sat-counts are unaffected — only node-table shape and
-    wall-clock change.
+    if the node table has outgrown :data:`AUTO_REORDER_THRESHOLD` once
+    the reachable set is saturated, sifting runs once there (the one
+    quiescent point of exploration), keeping each (unprimed, primed)
+    variable pair adjacent so the relational prime/unprime renames stay
+    order-preserving.  All verdicts and sat-counts are unaffected — only
+    node-table shape and wall-clock change.
     """
 
     def __init__(
@@ -273,13 +336,6 @@ class SymbolicStateGraph:
             max_cache_entries=max_cache_entries,
             auto_reorder_threshold=AUTO_REORDER_THRESHOLD if reorder else None,
         )
-        # The recursive BDD operations descend one frame per level (with
-        # nested ite calls inside exists); leave generous headroom for
-        # specifications with hundreds of state variables.
-        needed_recursion = 8 * self.bdd.num_vars + 1000
-        if sys.getrecursionlimit() < needed_recursion:
-            sys.setrecursionlimit(needed_recursion)
-
         self.signals: List[str] = list(stg.signals)
         self._transitions: List[_SymbolicTransition] = [
             self._compile_transition(name) for name in net.transitions
@@ -331,7 +387,6 @@ class SymbolicStateGraph:
             [self.unprimed(self.place_vars[p]) for p in consumed]
             + [self.unprimed(self.place_vars[p]) for p in produced]
         )
-        changed_levels = sorted(place_changed_levels + [signal_level])
         place_after_literals = [
             bdd.nvar(self.unprimed(self.place_vars[p])) for p in consumed
         ]
@@ -339,20 +394,21 @@ class SymbolicStateGraph:
             bdd.var(self.unprimed(self.place_vars[p])) for p in produced
         ]
         place_after = bdd.conjoin(place_after_literals)
-        after = bdd.apply_and(
-            place_after,
-            bdd.var(signal_level) if edge.is_rising else bdd.nvar(signal_level),
-        )
+        before = 0 if edge.is_rising else 1
+        effect = {self.signal_vars[edge.signal]: (before, 1 - before)}
+        for place in preset:
+            effect[self.place_vars[place]] = (1, None if place in postset else 0)
+        for place in produced:
+            effect[self.place_vars[place]] = (None, 1)
         return _SymbolicTransition(
             name=name,
             edge=edge,
             enabling=enabling,
             place_enabling=place_enabling,
             produced_empty=produced_empty,
-            changed_levels=changed_levels,
-            after=after,
             place_changed_levels=place_changed_levels,
             place_after=place_after,
+            effect=tuple((var, *effect[var]) for var in sorted(effect)),
         )
 
     # ------------------------------------------------------------------
@@ -442,62 +498,151 @@ class SymbolicStateGraph:
     # ------------------------------------------------------------------
     # exploration
     # ------------------------------------------------------------------
+    def recursion_scope(self) -> ContextManager[None]:
+        """Raise the recursion limit for this graph's BDD work, for one
+        ``with`` block (the manager and saturation recurse per level)."""
+        return _RECURSION.headroom(
+            _FRAMES_PER_STATE_VAR * self.num_state_vars + _CALLER_FRAMES
+        )
+
     def explore(self) -> Node:
-        """Fixpoint of the image computation from the initial state.
+        """The reachable set, saturated from the initial state (module
+        docstring).
 
-        Uses *chained* iteration — each transition's image is folded into
-        the reached set immediately (``reached ∨ moved``; the canonical
-        node id tells whether it grew), so one pass over the (locality-
-        ordered) transition list propagates a whole wavefront down a
-        coupled chain.  On the pipeline-style benchmarks this converges
-        in a handful of passes where breadth-first frontiers need one
-        iteration per BFS level and build far larger "exact distance"
-        BDDs; the fixpoint itself is the same unique reachable set.
-
-        The loop stops after a *quiet cycle*: once every transition, in
-        cyclic order, has fired without growing the reached set, that set
-        is closed under every image — no confirming pass is run.  The
-        transition that last grew the set counts as quiet at once: its
-        after cube flips the fired signal away from the value its
-        enabling cube requires, so it cannot fire twice in a row.
-        ``iterations`` counts the passes started, the last one usually
-        partial.  The safeness/consistency check runs before the result
-        is cached, and ``explore_seconds`` covers both.
+        ``iterations`` counts the firings of transitions at their top
+        level, the quiet firings that confirm a node's fixpoint
+        included.  The safeness/consistency check runs before the result
+        is cached, and ``explore_seconds`` covers both.  With
+        ``reorder=True`` the manager sifts once afterwards (if its table
+        outgrew :data:`AUTO_REORDER_THRESHOLD`): the fixpoint is the one
+        quiescent point of exploration.
         """
         if self.reached is not None:
             return self.reached
         started = time.perf_counter()
-        bdd = self.bdd
-        transitions = self._transitions
-        reached = self.initial_cube()
-        passes = firings = quiet = 0
-        with span("bdd.apply", graph=self.name, phase="explore") as attrs:
-            while quiet < len(transitions):
-                passes += 1
-                for transition in transitions:
-                    check_deadline()
-                    firings += 1
-                    moved = bdd.and_exists(
-                        reached, transition.enabling, transition.changed_levels
-                    )
-                    if moved != bdd.false:
-                        grown = bdd.apply_or(reached, bdd.apply_and(moved, transition.after))
-                        if grown != reached:
-                            reached, quiet = grown, 1
-                            continue
-                    quiet += 1
-                    if quiet == len(transitions):
-                        break
-                # a pass boundary is a quiescent point: no operation in
-                # flight, so sifting may rewrite the node table freely
-                bdd.maybe_reorder(groups=self.pair_groups)
-            attrs["passes"] = passes
-            attrs["firings"] = firings
-        self.iterations = passes
-        self._check_safe_and_consistent(reached)
+        with self.recursion_scope():
+            initial = self.initial_cube()
+            with span("bdd.apply", graph=self.name, phase="explore") as attrs:
+                reached, counts = self._saturate(initial)
+                attrs.update(counts)
+            self.iterations = counts["firings"]
+            self._check_safe_and_consistent(reached)
+            self.bdd.maybe_reorder(groups=self.pair_groups)
         self.reached = reached
         self.explore_seconds = time.perf_counter() - started
         return reached
+
+    def _effects_by_level(
+        self,
+    ) -> Tuple[List[int], List[Dict[int, Tuple[Optional[int], Optional[int]]]]]:
+        """The unprimed BDD variables, top level first (level ``k`` holds
+        the ``k``-th of them in the current order), and each transition's
+        effect keyed by level: ``level -> (needed value, value after)``."""
+        levels = [var for var in self.bdd.var_order() if var % 2 == 0]
+        level_of = {var: k for k, var in enumerate(levels)}
+        effects = [
+            {level_of[2 * var]: (need, after) for var, need, after in t.effect}
+            for t in self._transitions
+        ]
+        return levels, effects
+
+    def _saturate(self, initial: Node) -> Tuple[Node, Dict[str, int]]:
+        """Saturate ``initial``; returns the reached set and the counts
+        the ``explore`` span carries: top-level ``firings``, nodes
+        ``saturated`` and recursive ``images`` (cache entries both)."""
+        bdd = self.bdd
+        cofactors = bdd.cofactors
+        make_node = bdd.make_node
+        apply_or = bdd.apply_or
+        levels, local = self._effects_by_level()
+        depth = len(levels)
+        # per transition: its bottom level and whether it flips its top
+        # variable; transitions grouped by their top level
+        bottom = [max(steps) for steps in local]
+        flips: List[bool] = []
+        by_top: List[List[int]] = [[] for _ in range(depth)]
+        for index, steps in enumerate(local):
+            top = min(steps)
+            need, after = steps[top]
+            flips.append(need is not None and after is not None and after != need)
+            by_top[top].append(index)
+        saturated: Dict[Tuple[int, Node], Node] = {}
+        fired: Dict[Tuple[int, int, Node], Node] = {}
+        firings = 0
+
+        def saturate(k: int, node: Node) -> Node:
+            # closure of ``node`` under every transition whose top is at
+            # or below level k
+            if node == FALSE or k == depth:
+                return node
+            key = (k, node)
+            result = saturated.get(key)
+            if result is None:
+                poll_deadline()
+                low, high = cofactors(node, levels[k])
+                low_sat = saturate(k + 1, low)
+                high_sat = low_sat if high == low else saturate(k + 1, high)
+                result = close(k, make_node(levels[k], low_sat, high_sat))
+                saturated[key] = result
+            return result
+
+        def close(k: int, node: Node) -> Node:
+            # fire the level-k transitions on a node with saturated
+            # cofactors until a whole cycle of them adds no state
+            nonlocal firings
+            events = by_top[k]
+            var = levels[k]
+            quiet = position = 0
+            while quiet < len(events):
+                event = events[position]
+                position = (position + 1) % len(events)
+                firings += 1
+                low, high = cofactors(node, var)
+                add_low, add_high = step(event, k, low, high)
+                grown = make_node(var, apply_or(low, add_low), apply_or(high, add_high))
+                if grown == node:
+                    quiet += 1
+                else:
+                    # a transition that flips the top variable reads a
+                    # cofactor its own firing left alone: firing it again
+                    # adds nothing, so it counts as quiet at once
+                    node, quiet = grown, 1 if flips[event] else 0
+            return node
+
+        def step(event: int, k: int, low: Node, high: Node) -> Tuple[Node, Node]:
+            # the event's effect at level k on the cofactors (low, high):
+            # the images that land in each cofactor of the result
+            need, after = local[event].get(k, (None, None))
+            add_low = add_high = FALSE
+            for value, child in ((0, low), (1, high)):
+                if child == FALSE or (need is not None and need != value):
+                    continue
+                image = fire(event, k + 1, child)
+                if value if after is None else after:
+                    add_high = apply_or(add_high, image)
+                else:
+                    add_low = apply_or(add_low, image)
+            return add_low, add_high
+
+        def fire(event: int, k: int, node: Node) -> Node:
+            # the event's image of a node saturated at level k, saturated
+            if node == FALSE or k > bottom[event]:
+                return node
+            key = (event, k, node)
+            result = fired.get(key)
+            if result is None:
+                poll_deadline()
+                low, high = step(event, k, *cofactors(node, levels[k]))
+                result = close(k, make_node(levels[k], low, high))
+                fired[key] = result
+            return result
+
+        reached = saturate(0, initial)
+        return reached, {
+            "firings": firings,
+            "saturated": len(saturated),
+            "images": len(fired),
+        }
 
     def _check_safe_and_consistent(self, reached: Node) -> None:
         """Symbolic twins of the explicit front-end checks.
@@ -509,27 +654,39 @@ class SymbolicStateGraph:
         holds its post-firing value (the explicit encoder's per-arc value
         contradiction).  Both raise
         :class:`~repro.stg.state_graph.InconsistentSTGError`, mirroring
-        :func:`repro.stg.state_graph.build_state_graph`.
+        :func:`repro.stg.state_graph.build_state_graph`; the first failing
+        transition in net order decides which.
 
         Both checks fuse into one test per transition: ``reached`` must
         miss ``place_enabling ∧ ¬(produced_empty ∧ enabling)``, a small
-        predicate over the transition's own variables.  Only a failing
-        test splits it to tell which check failed.  (One disjunction of
-        these predicates over all transitions spans the whole variable
-        order: it cost more nodes and time than it saved.)
+        predicate over the transition's own variables.  The predicate
+        lies at or below the transition's top level, so the test runs on
+        the reached set's sub-functions there (:meth:`_sub_functions`),
+        each far smaller than the set.  Only a failing test splits it to
+        tell which check failed.
         """
         bdd = self.bdd
+        levels, effects = self._effects_by_level()
+        tops = [min(steps) for steps in effects]
         with span("bdd.apply", graph=self.name, phase="safety"):
-            for transition in self._transitions:
+            below = self._sub_functions(reached, tops, levels)
+            for transition, top in zip(self._transitions, tops):
                 check_deadline()
                 bad = bdd.apply_diff(
                     transition.place_enabling,
                     bdd.apply_and(transition.produced_empty, transition.enabling),
                 )
-                if bdd.apply_and(reached, bad) == bdd.false:
+                parts = below[top]
+                if all(bdd.apply_and(part, bad) == FALSE for part in parts):
                     continue
-                tokens_enabled = bdd.apply_and(reached, transition.place_enabling)
-                if bdd.apply_diff(tokens_enabled, transition.produced_empty) != bdd.false:
+                if any(
+                    bdd.apply_diff(
+                        bdd.apply_and(part, transition.place_enabling),
+                        transition.produced_empty,
+                    )
+                    != FALSE
+                    for part in parts
+                ):
                     raise InconsistentSTGError(
                         f"the underlying Petri net of {self.name!r} is not safe; the "
                         "region-based encoding theory assumes safe STGs"
@@ -540,13 +697,50 @@ class SymbolicStateGraph:
                     "matches its post-firing value; the STG is not consistent"
                 )
 
+    def _sub_functions(
+        self, node: Node, wanted: Sequence[int], levels: Sequence[int]
+    ) -> Dict[int, Set[Node]]:
+        """The sub-functions of a state set at each level in ``wanted``.
+
+        The sub-functions at level ``k`` are what is left of ``node`` once
+        the state variables above ``k`` are fixed along some path to a
+        nonempty rest: a predicate over variables at or below ``k``
+        meets ``node`` exactly when it meets one of them.  An edge that
+        skips levels puts its child into every level it skips.
+        ``levels`` lists the unprimed BDD variables, top level first.
+        """
+        bdd = self.bdd
+        level_of = {var: k for k, var in enumerate(levels)}
+        ordered = sorted(set(wanted))
+        deepest = ordered[-1]
+        found: Dict[int, Set[Node]] = {k: set() for k in ordered}
+        expanded = set()
+        # (sub-function, level of the node whose edge leads to it)
+        stack = [(node, -1)]
+        while stack:
+            current, above = stack.pop()
+            if current == FALSE:
+                continue
+            var = bdd.level(current)
+            here = level_of.get(var, len(levels))
+            for k in ordered[bisect_right(ordered, above) : bisect_right(ordered, here)]:
+                found[k].add(current)
+            # below the deepest wanted level no edge enters a wanted level
+            if here < deepest and current not in expanded:
+                expanded.add(current)
+                low, high = bdd.cofactors(current, var)
+                stack.append((low, here))
+                stack.append((high, here))
+        return found
+
     # ------------------------------------------------------------------
     # census and per-event structure
     # ------------------------------------------------------------------
     def count_states(self) -> int:
         """Number of reachable states (explores first if needed)."""
         reached = self.explore()
-        return self.bdd.sat_count(reached, self.unprimed_levels)
+        with self.recursion_scope():
+            return self.bdd.sat_count(reached, self.unprimed_levels)
 
     def census(self) -> SymbolicCensus:
         """Explore (if needed) and report the structured census."""

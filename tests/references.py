@@ -25,6 +25,12 @@ reproduce exactly.
   excitation check.  The tier now reads all three off the graph's index.
 * :func:`reference_greedy_merge_indexed` is the one-by-one greedy merge
   of the Figure-4 search; the search batches its unions.
+* :func:`reference_chained_reached` is the chained image fixpoint over
+  the whole reached set, the iteration symbolic exploration replaces
+  with saturation; :func:`transition_update` gives it, and the other
+  symbolic references, each transition's image relation.
+  :func:`reference_safety_failure` is the safety/consistency test on
+  the whole reached set, which the symbolic state graph runs per level.
 """
 
 from __future__ import annotations
@@ -360,3 +366,62 @@ def reference_greedy_merge_indexed(ranked, evaluator, num_states, settings) -> O
     if not improved:
         return None
     return current + (current_eval.cost,)
+
+
+def transition_update(ssg, transition):
+    """``(changed levels, after cube)`` of one compiled symbolic transition.
+
+    The image of a state set ``S`` under the transition is
+    ``(∃ changed . S ∧ enabling) ∧ after``: the variables the firing
+    writes are quantified out and set to their post-firing values.
+    """
+    after = {2 * var: value for var, _need, value in transition.effect if value is not None}
+    return sorted(after), ssg.bdd.cube(after)
+
+
+def reference_chained_reached(ssg, initial=None):
+    """The reachable set of a symbolic state graph by chained iteration.
+
+    Each transition's image over the whole reached set is folded into
+    the set at once; the loop stops after a quiet cycle, once every
+    transition in turn has fired without growing the set.  ``initial``
+    defaults to the graph's initial state.
+    """
+    bdd = ssg.bdd
+    updates = [(t.enabling, *transition_update(ssg, t)) for t in ssg._transitions]
+    reached = ssg.initial_cube() if initial is None else initial
+    quiet = 0
+    while quiet < len(updates):
+        for enabling, changed, after in updates:
+            moved = bdd.and_exists(reached, enabling, changed)
+            grown = bdd.apply_or(reached, bdd.apply_and(moved, after))
+            if grown != reached:
+                reached, quiet = grown, 1
+            else:
+                quiet += 1
+                if quiet == len(updates):
+                    break
+    return reached
+
+
+def reference_safety_failure(ssg, reached):
+    """The fused safety/consistency test on the whole reached set.
+
+    Returns ``None`` when every transition passes, ``"not safe"`` or the
+    name of the first inconsistent transition in net order otherwise —
+    the verdict the per-level test of the symbolic state graph must
+    reproduce.
+    """
+    bdd = ssg.bdd
+    for transition in ssg._transitions:
+        bad = bdd.apply_diff(
+            transition.place_enabling,
+            bdd.apply_and(transition.produced_empty, transition.enabling),
+        )
+        if bdd.apply_and(reached, bad) == bdd.false:
+            continue
+        enabled = bdd.apply_and(reached, transition.place_enabling)
+        if bdd.apply_diff(enabled, transition.produced_empty) != bdd.false:
+            return "not safe"
+        return transition.name
+    return None

@@ -382,10 +382,10 @@ class TestTrace:
         scans = sum(args["arc_scans"] for args in spans)
         assert 0 < scans < per_arc_calls
 
-    def test_symbolic_explore_spans_carry_passes_and_firings(self, tmp_path, active_trace):
-        """The ``explore`` span counts the passes the chained fixpoint
-        started and the image steps it fired; the safety check has its
-        own span."""
+    def test_symbolic_explore_span_carries_saturation_counts(self, tmp_path, active_trace):
+        """The ``explore`` span counts the firings of transitions at their
+        top level (the census's ``iterations``), the nodes saturated and
+        the recursive image steps; the safety check has its own span."""
         from repro.symbolic import SymbolicStateGraph
 
         ssg = SymbolicStateGraph(gen.vme_controller())
@@ -399,10 +399,13 @@ class TestTrace:
         ]
         assert [args["phase"] for args in spans] == ["explore", "safety"]
         explore = spans[0]
-        assert explore["passes"] == census.iterations
-        transitions = census.transitions
-        assert (explore["passes"] - 1) * transitions < explore["firings"]
-        assert explore["firings"] <= explore["passes"] * transitions
+        assert explore["firings"] == census.iterations
+        # every level's firing loop fires each of its transitions at least
+        # once, and every level is saturated once, on the initial cube's
+        # one path
+        assert explore["firings"] >= census.transitions
+        assert explore["saturated"] == ssg.num_state_vars
+        assert explore["images"] > 0
 
     def test_trace_context_round_trip(self, active_trace):
         ctx = trace_context()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import sys
+import threading
 import time
 
 import pytest
@@ -109,22 +110,21 @@ class TestCensus:
             expected = dict(zip(sg.signals, sg.code(sg.initial_state)))
             assert values == expected
 
-    def test_explore_stops_after_one_quiet_cycle(self):
-        # transitions declared against their firing order (b-, a+, a-, b+
-        # for a+ b+ a- b-): each pass gets only a step or two further, and
-        # the loop must run until every transition fired in turn without
-        # growing the reached set, and no further
+    def test_each_level_stops_after_one_quiet_cycle(self):
+        # both transitions of a toggle sit at the level of signal a: a+
+        # grows the initial node and counts as quiet at once (it flips a,
+        # so the cofactor it reads is unchanged), a- then fires without
+        # growing it — one quiet cycle, and no confirming firing
         stg = STG.from_arcs(
-            "backwards",
-            inputs=["a"],
-            outputs=["b"],
-            arcs=[("b-", "a+"), ("a-", "b-"), ("b+", "a-"), ("a+", "b+")],
-            marking=[("b-", "a+")],
+            "toggle",
+            inputs=[],
+            outputs=["a"],
+            arcs=[("a+", "a-"), ("a-", "a+")],
+            marking=[("a-", "a+")],
         )
-        assert list(stg.net.transitions) == ["b-", "a+", "a-", "b+"]
         census = SymbolicStateGraph(stg).census()
-        assert census.states == build_state_graph(stg).num_states == 4
-        assert census.iterations == 3  # the third pass ends quiet; no confirming pass
+        assert census.states == build_state_graph(stg).num_states == 2
+        assert census.iterations == 2
 
     def test_dummy_transitions_rejected(self):
         stg = gen.vme_controller()
@@ -192,6 +192,63 @@ class TestCensus:
         census = SymbolicStateGraph(gen.vme_controller()).census()
         assert census.states == 14
         assert census.seconds >= 0.2
+
+
+class TestRecursionLimit:
+    def test_entry_points_restore_the_recursion_limit(self, monkeypatch):
+        raised = []
+        saturate = SymbolicStateGraph._saturate
+
+        def spy(ssg, initial):
+            raised.append(sys.getrecursionlimit())
+            return saturate(ssg, initial)
+
+        monkeypatch.setattr(SymbolicStateGraph, "_saturate", spy)
+        limit = sys.getrecursionlimit()
+        stg = gen.pipeline(3)
+        symbolic_census(stg)
+        assert sys.getrecursionlimit() == limit
+        symbolic_check_csc(stg)
+        assert sys.getrecursionlimit() == limit
+        symbolic_encode(stg)
+        assert sys.getrecursionlimit() == limit
+        assert len(raised) == 3 and min(raised) > limit
+
+    def test_overlapping_scopes_restore_the_limit(self):
+        # worker threads enter and leave scopes in any interleaving; the
+        # last one out must restore the limit the first one in found
+        stg = gen.vme_controller()
+        limit = sys.getrecursionlimit()
+        errors = []
+
+        def work():
+            try:
+                for _ in range(20):
+                    SymbolicStateGraph(stg).census()
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sys.getrecursionlimit() == limit
+
+    def test_deep_saturation_fits_the_raised_limit(self):
+        # 503 state variables: saturation stacks more frames than the
+        # interpreter's default limit allows
+        stg = gen.parallel_toggles(100)
+        limit = sys.getrecursionlimit()
+        assert symbolic_census(stg).states == 2**101 + 2  # the par closed form
+        assert sys.getrecursionlimit() == limit
 
 
 # ----------------------------------------------------------------------
@@ -493,11 +550,10 @@ class TestEngineDispatch:
         assert serial.fingerprints() == parallel.fingerprints()
 
     def test_symbolic_timeout_reports_timeout_status(self):
-        # a coupled spec: composition makes the disjoint toggles rows far
-        # too fast to outlast the bound
-        result = encode_many(
-            [gen.parallel_toggles(24)], engine="symbolic", timeout=0.05
-        )
+        # a coupled spec whose check takes seconds: composition makes the
+        # disjoint toggles rows, and saturation the par rows, far too fast
+        # to outlast the bound
+        result = encode_many([gen.pipeline(12)], engine="symbolic", timeout=0.05)
         assert result.items[0].status == "timeout"
 
     def test_suite_cases_symbolic_admits_all_rows(self):

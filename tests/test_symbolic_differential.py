@@ -22,7 +22,14 @@ Covered here:
   conflict relation, the image/preimage conflict-core fixpoint and a
   breadth-first image fixpoint — on every library row but pipeline8
   and pipeline12 (too slow for the suite) and on the hypothesis STGs,
-  with and without variable reordering.
+  with and without variable reordering;
+* the saturated reachable set against the chained image fixpoint
+  (:func:`references.reference_chained_reached`): the same node of the
+  same manager on every library row but pipeline12 and on the
+  hypothesis STGs, with and without variable reordering, and on random
+  nets with arbitrary arcs (read arcs, unsafe and inconsistent nets,
+  any initial code), where the per-level safety/consistency test must
+  also give the whole-set verdict.
 
 The hybrid bridge's *solver* identity (materialized core solved to the
 same ``EncodingResult`` fingerprint as the explicit pipeline) is pinned
@@ -41,8 +48,16 @@ from repro.core.csc import csc_conflicts_from_scratch, has_csc, usc_conflicts
 from repro.core.excitation import excitation_set, switching_set
 from repro.engine import use_caches
 from repro.stg import build_state_graph
+from repro.stg.state_graph import InconsistentSTGError
+from repro.stg.stg import STG
 from repro.symbolic import SymbolicStateGraph, detect_csc_conflicts, ensure_core
 from repro.symbolic.csc import _code_equality
+
+from references import (
+    reference_chained_reached,
+    reference_safety_failure,
+    transition_update,
+)
 
 ENUMERABLE = [case for case in TABLE2_CASES + TABLE1_CASES if case.explicit_ok]
 _ENUM_IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(ENUMERABLE)]
@@ -84,6 +99,13 @@ def test_census_and_conflict_counts_match_explicit(case):
         assert symbolic_conflict_states == explicit_conflict_states
 
 
+def _fire(ssg, states, transition):
+    """States entered by firing ``transition`` in ``states``."""
+    bdd = ssg.bdd
+    changed, after = transition_update(ssg, transition)
+    return bdd.apply_and(bdd.and_exists(states, transition.enabling, changed), after)
+
+
 def _er_set(ssg, edge):
     """Reachable states enabling ``edge`` (the union of its ERs)."""
     return ssg.bdd.apply_and(ssg.explore(), ssg.enabled_predicate(edge))
@@ -93,9 +115,7 @@ def _sr_set(ssg, edge):
     """States entered by firing ``edge`` (the union of its SRs)."""
     bdd = ssg.bdd
     return bdd.disjoin(
-        bdd.apply_and(bdd.and_exists(ssg.explore(), t.enabling, t.changed_levels), t.after)
-        for t in ssg._transitions
-        if t.edge == edge
+        _fire(ssg, ssg.explore(), t) for t in ssg._transitions if t.edge == edge
     )
 
 
@@ -122,22 +142,19 @@ def test_er_sr_sets_match_explicit(case):
 # ----------------------------------------------------------------------
 def _image(ssg, states):
     """States reachable from ``states`` in exactly one firing."""
-    bdd = ssg.bdd
-    return bdd.disjoin(
-        bdd.apply_and(bdd.and_exists(states, t.enabling, t.changed_levels), t.after)
-        for t in ssg._transitions
-    )
+    return ssg.bdd.disjoin(_fire(ssg, states, t) for t in ssg._transitions)
 
 
 def _preimage(ssg, states):
     """States with a one-firing successor inside ``states``."""
     bdd = ssg.bdd
-    return bdd.disjoin(
-        bdd.conjoin(
-            (bdd.and_exists(states, t.after, t.changed_levels), t.enabling, t.produced_empty)
+    preimages = []
+    for t in ssg._transitions:
+        changed, after = transition_update(ssg, t)
+        preimages.append(
+            bdd.conjoin((bdd.and_exists(states, after, changed), t.enabling, t.produced_empty))
         )
-        for t in ssg._transitions
-    )
+    return bdd.disjoin(preimages)
 
 
 def _reference_reached(ssg):
@@ -180,12 +197,17 @@ def _reference_core(ssg, conflict_states):
     return core
 
 
-def _assert_matches_references(ssg, sift, breadth_first=True):
+def _explored(ssg, sift):
+    """The reached set of ``ssg``; with ``sift``, sifted once more, so the
+    references run under an order exploration never saw (node ids
+    survive sifting)."""
     reached = ssg.explore()
     if sift:
-        # sift once more, so the comparisons below also run under an
-        # order the explore loop never saw (node ids survive sifting)
         ssg.bdd.reorder(groups=ssg.pair_groups, max_growth=1.05, max_blocks=8, window=4)
+    return reached
+
+
+def _assert_matches_references(ssg, reached, breadth_first=True):
     bdd = ssg.bdd
     if breadth_first:
         assert reached == _reference_reached(ssg)
@@ -214,8 +236,19 @@ def test_library_shortcuts_match_reference_implementations(case, reorder):
         pytest.skip("the reference computations take 4 s and more on this row")
     ssg = SymbolicStateGraph(case.build(), reorder=reorder)
     _assert_matches_references(
-        ssg, sift=reorder, breadth_first=case.name not in _BREADTH_FIRST_TOO_SLOW
+        ssg,
+        _explored(ssg, sift=reorder),
+        breadth_first=case.name not in _BREADTH_FIRST_TOO_SLOW,
     )
+
+
+@pytest.mark.parametrize("reorder", [False, True], ids=["static", "reorder"])
+@pytest.mark.parametrize("case", LIBRARY, ids=_LIBRARY_IDS)
+def test_library_saturation_matches_chained_fixpoint(case, reorder):
+    if case.name == "pipeline12":
+        pytest.skip("the chained fixpoint takes 4 s and builds 775,000 nodes on this row")
+    ssg = SymbolicStateGraph(case.build(), reorder=reorder)
+    assert _explored(ssg, sift=reorder) == reference_chained_reached(ssg)
 
 
 # ----------------------------------------------------------------------
@@ -273,4 +306,61 @@ def test_random_stgs_symbolic_matches_explicit(stg):
 @hsettings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stg=random_stgs(), sift=st.booleans())
 def test_random_stgs_shortcuts_match_reference_implementations(stg, sift):
-    _assert_matches_references(SymbolicStateGraph(stg, reorder=sift), sift)
+    ssg = SymbolicStateGraph(stg, reorder=sift)
+    reached = _explored(ssg, sift)
+    assert reached == reference_chained_reached(ssg)
+    _assert_matches_references(ssg, reached)
+
+
+@st.composite
+def random_nets(draw):
+    """Small nets with arbitrary arcs and an arbitrary initial state.
+
+    Read arcs, unsafe and inconsistent nets all occur; the initial code
+    is drawn rather than inferred, so inconsistent nets explore too.
+    """
+    signals = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+    transitions = [
+        f"{signal}{draw(st.sampled_from('+-'))}/{k + 1}"
+        for signal in signals
+        for k in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    places = [f"p{i}" for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    some_places = st.lists(st.sampled_from(places), max_size=2, unique=True)
+    arcs = set()
+    for transition in transitions:
+        arcs.update((place, transition) for place in draw(some_places))
+        arcs.update((transition, place) for place in draw(some_places))
+    connected = sorted({node for arc in arcs for node in arc if node in places})
+    if not connected:
+        connected = ["p0"]
+        arcs.add(("p0", transitions[0]))
+    marking = draw(st.lists(st.sampled_from(connected), min_size=1, unique=True))
+    code = draw(st.lists(st.integers(0, 1), min_size=len(signals), max_size=len(signals)))
+    stg = STG.from_arcs(
+        "net", inputs=signals[:1], outputs=signals[1:], arcs=sorted(arcs), marking=marking
+    )
+    return stg, marking, dict(zip(signals, code))
+
+
+@hsettings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(net=random_nets())
+def test_random_nets_saturation_and_safety_match_references(net):
+    stg, marking, code = net
+    ssg = SymbolicStateGraph(stg)
+    assignment = {2 * var: int(place in marking) for place, var in ssg.place_vars.items()}
+    assignment.update({2 * var: code[signal] for signal, var in ssg.signal_vars.items()})
+    initial = ssg.bdd.cube(assignment)
+    reached, _counts = ssg._saturate(initial)
+    assert reached == reference_chained_reached(ssg, initial)
+    failure = reference_safety_failure(ssg, reached)
+    if failure is None:
+        ssg._check_safe_and_consistent(reached)
+    else:
+        with pytest.raises(InconsistentSTGError) as raised:
+            ssg._check_safe_and_consistent(reached)
+        message = str(raised.value)
+        if failure == "not safe":
+            assert "is not safe" in message
+        else:
+            assert message.startswith(f"transition {failure!r} of 'net' is enabled")
