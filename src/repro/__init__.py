@@ -13,58 +13,49 @@ Typical use::
     print(report.inserted_signals, report.area_literals)
 """
 
-from repro.api import EncodingReport, analyze_stg, encode_stg
-from repro.stg import (
-    STG,
-    SignalEdge,
-    SignalType,
-    StateGraph,
-    build_state_graph,
-    parse_g,
-    read_g_file,
-    stg_to_g_text,
-    write_g,
-)
-from repro.core import (
-    SearchSettings,
-    SolverSettings,
-    csc_conflicts,
-    has_csc,
-    solve_csc,
-)
-from repro.logic import estimate_circuit
-from repro.petri import PetriNet, build_reachability_graph
-from repro.petri.synthesis import synthesize_net, synthesize_stg
-from repro.ts import TransitionSystem
+from importlib import import_module
+
+#: Each public name and the module that defines it.  The names load on
+#: first use (PEP 562), so ``import repro`` stays cheap and pulls in
+#: neither the engine nor numpy.
+_EXPORTS = {
+    "EncodingReport": "repro.api",
+    "analyze_stg": "repro.api",
+    "encode_stg": "repro.api",
+    "STG": "repro.stg",
+    "SignalEdge": "repro.stg",
+    "SignalType": "repro.stg",
+    "StateGraph": "repro.stg",
+    "build_state_graph": "repro.stg",
+    "parse_g": "repro.stg",
+    "read_g_file": "repro.stg",
+    "stg_to_g_text": "repro.stg",
+    "write_g": "repro.stg",
+    "SearchSettings": "repro.core",
+    "SolverSettings": "repro.core",
+    "csc_conflicts": "repro.core",
+    "has_csc": "repro.core",
+    "solve_csc": "repro.core",
+    "estimate_circuit": "repro.logic",
+    "PetriNet": "repro.petri",
+    "build_reachability_graph": "repro.petri",
+    "synthesize_net": "repro.petri.synthesis",
+    "synthesize_stg": "repro.petri.synthesis",
+    "TransitionSystem": "repro.ts",
+}
 
 # The single source of the package version: pyproject.toml reads it via
 # ``[tool.setuptools.dynamic]`` and the CLI exposes it as ``pyetrify
 # --version``, so this constant is the only place it is ever bumped.
 __version__ = "0.8.0"
 
-__all__ = [
-    "EncodingReport",
-    "analyze_stg",
-    "encode_stg",
-    "STG",
-    "SignalEdge",
-    "SignalType",
-    "StateGraph",
-    "build_state_graph",
-    "parse_g",
-    "read_g_file",
-    "stg_to_g_text",
-    "write_g",
-    "SearchSettings",
-    "SolverSettings",
-    "csc_conflicts",
-    "has_csc",
-    "solve_csc",
-    "estimate_circuit",
-    "PetriNet",
-    "build_reachability_graph",
-    "synthesize_net",
-    "synthesize_stg",
-    "TransitionSystem",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

@@ -551,12 +551,16 @@ class BDD:
         return result
 
     def disjoin(self, nodes: Iterable[Node]) -> Node:
-        result = FALSE
-        for node in nodes:
-            result = self.apply_or(result, node)
-            if result == TRUE:
-                break
-        return result
+        """The disjunction of ``nodes``, OR-ed in pairs round by round: each
+        OR meets operands of like size, where a running OR meets the
+        growing result once per operand."""
+        layer = list(nodes)
+        while len(layer) > 1:
+            layer = [
+                self.apply_or(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
+                for i in range(0, len(layer), 2)
+            ]
+        return layer[0] if layer else FALSE
 
     # ------------------------------------------------------------------
     # quantification and restriction

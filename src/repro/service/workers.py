@@ -58,10 +58,13 @@ _log = get_logger("service.workers")
 POLL_INTERVAL = 0.05
 
 #: Exception classes that are a property of the request itself (an
-#: unsafe or inconsistent STG, unparsable ``.g`` text): a job failing
-#: with one of them fails for good on its first attempt.  Worker deaths
-#: and timeouts keep the retry.
-SPEC_FAULTS = frozenset({"InconsistentSTGError", "GFormatError"})
+#: unsafe or inconsistent STG, unparsable ``.g`` text, a state space
+#: beyond the request's ``max_states``): a job failing with one of them
+#: fails for good on its first attempt.  Worker deaths and timeouts keep
+#: the retry.
+SPEC_FAULTS = frozenset(
+    {"InconsistentSTGError", "GFormatError", "StateSpaceLimitExceeded"}
+)
 
 _CLAIM_LATENCY = REGISTRY.histogram(
     "pyetrify_claim_latency_seconds",

@@ -16,7 +16,8 @@ conflict pairs: both states reachable, equal binary codes (the
 code-equality relation — one biconditional per signal-variable pair,
 linear thanks to the interleaved ordering), and some non-input signal
 edge ``e`` enabled in one state but not the other.  The signature
-disjunction is built over the small per-edge predicates first and
+disjunction is built over the small per-edge predicates first, OR-ed
+in pairs round by round (:meth:`repro.bdd.bdd.BDD.disjoin`), and
 conjoined with the large reachable-pair relation once.  ``sat_count``
 over all levels counts ordered pairs, so halving it reproduces the
 explicit pipeline's pair counts.  The USC pair count needs no relation
@@ -151,16 +152,14 @@ def _detect(ssg: SymbolicStateGraph, witness_limit: int) -> SymbolicConflictRepo
             # Only non-input signal edges matter for the signature (the
             # explicit detector's _noninput_signature); without any shared
             # code there is nothing to compare at all.
-            differs = bdd.false
+            signatures = []
             for edge in ssg.base_edges():
                 check_deadline()
                 if ssg.stg.is_input(edge.signal):
                     continue
                 enabled = ssg.enabled_predicate(edge)
-                differs = bdd.apply_or(
-                    differs, bdd.apply_xor(enabled, bdd.rename(enabled, mapping))
-                )
-            conflict_relation = bdd.apply_and(pair, differs)
+                signatures.append(bdd.apply_xor(enabled, bdd.rename(enabled, mapping)))
+            conflict_relation = bdd.apply_and(pair, bdd.disjoin(signatures))
         csc_pairs = bdd.sat_count(conflict_relation, all_levels) // 2
     csc_holds = conflict_relation == bdd.false
 

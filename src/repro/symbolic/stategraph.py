@@ -36,24 +36,31 @@ side.
 Exploration
 -----------
 The reachable set is built by *saturation* (Ciardo, Lüttgen and
-Siminiceanu, TACAS 2001).  Each transition's effect is compiled per
-state variable once: the value it needs there (a preset place must be
-marked, the fired signal must hold its pre-firing value, a produced
-place may hold anything) and the value it leaves (consumed places
-empty, produced places marked, the signal flipped, self-loop places
-kept).  A transition's *top* is the highest of its variables in the
-order.  Saturating a node at level ``k`` saturates both cofactors, then
-fires the transitions whose top is ``k`` on the node until none adds a
-state; firing maps the effect level by level down to the transition's
-lowest variable, and every node it builds on the way is saturated in
-turn.  A saturated node is therefore closed under every transition
-that lies wholly at or below its level, and the saturated initial
-state is the reachable set — the same unique fixpoint, hence the same
-canonical node, as any image iteration.  Initial signal values are
-inferred without building any state graph: a bounded marking-only BFS
-finds, per signal, the first edge of that signal that can fire
-(consistency forces its ``value_before`` to be the initial value),
-stopping as soon as every signal is resolved.
+Siminiceanu, TACAS 2001) of a *toggle system*: each transition's effect
+is compiled per state variable once, as the value each of 0 and 1 moves
+to (a preset place must be marked and is emptied, a produced place may
+hold anything and is marked, a self-loop place is kept) — except the
+fired signal, which is toggled whatever its value.  A transition's
+*top* is the highest of its variables in the order.  Saturating a node
+at level ``k`` saturates both cofactors, then fires the transitions
+whose top is ``k`` on the node until none adds a state; firing maps the
+effect level by level down to the transition's lowest variable, and
+every node it builds on the way is saturated in turn.  A saturated node
+is therefore closed under every transition that lies wholly at or below
+its level, and the saturated initial state is the unique fixpoint —
+the same canonical node as any image iteration.
+
+Because no firing waits for a signal value, the toggle system needs no
+initial code: declared signals start at their declared value, the rest
+at 0, and each signal bit of a saturated state is its start value
+xor the parity of that signal's firings.  Consistency makes a signal's
+value just before one of its transitions fires the transition's
+``value_before``, so any reachable state that enables a transition of
+the signal by tokens gives its initial value.  Complementing the
+signal bits whose initial value differs from the start turns the
+toggle system's set into the reachable set of the STG proper, exactly,
+whenever the STG is consistent; the safeness/consistency test below
+catches every STG that is not.
 
 The class also carries the symbolic twins of the explicit front-end
 checks: safeness and consistency violations are detected with one
@@ -83,7 +90,7 @@ from typing import (
     Tuple,
 )
 
-from repro.bdd.bdd import BDD, FALSE, Node, interleaved_pair_levels
+from repro.bdd.bdd import BDD, FALSE, TRUE, Node, interleaved_pair_levels
 from repro.obs import span
 from repro.petri.net import Marking
 from repro.stg.signals import SignalEdge
@@ -182,6 +189,12 @@ def state_variable_order(stg: STG) -> List[Tuple[str, Hashable]]:
     return order
 
 
+#: What a firing does to one state variable: the values 0 and 1 become.
+Moves = Tuple[Optional[int], Optional[int]]
+#: A variable the firing leaves alone.
+_KEPT: Moves = (0, 1)
+
+
 @dataclass
 class _SymbolicTransition:
     """One compiled net transition (all cubes over unprimed levels)."""
@@ -191,11 +204,10 @@ class _SymbolicTransition:
     enabling: Node  # preset places at 1 AND signal at value_before
     place_enabling: Node  # preset places at 1 only (marking token game)
     produced_empty: Node  # postset-minus-preset places at 0 (safeness)
-    place_changed_levels: List[int]  # marking-only image: places alone
-    place_after: Node  # post-firing place values alone
-    #: ``(state var, needed value, value after)`` per variable the firing
-    #: reads or writes, ``None`` for "any" and "kept" (saturation's input)
-    effect: Tuple[Tuple[int, Optional[int], Optional[int]], ...]
+    #: ``(state var, moves)`` per variable the firing reads or writes, in
+    #: variable order; ``moves[v]`` is the value ``v`` becomes, ``None``
+    #: where ``v`` disables the firing (saturation's input)
+    effect: Tuple[Tuple[int, Moves], ...]
 
 
 @dataclass
@@ -340,9 +352,6 @@ class SymbolicStateGraph:
         self._transitions: List[_SymbolicTransition] = [
             self._compile_transition(name) for name in net.transitions
         ]
-        self._by_signal: Dict[str, List[_SymbolicTransition]] = {}
-        for transition in self._transitions:
-            self._by_signal.setdefault(transition.edge.signal, []).append(transition)
 
         self.initial_values: Dict[str, int] = {}
         self.reached: Optional[Node] = None
@@ -369,7 +378,6 @@ class SymbolicStateGraph:
 
         preset = list(net.preset(name))
         postset = list(net.postset(name))
-        consumed = [p for p in preset if p not in set(postset)]
         produced = [p for p in postset if p not in set(preset)]
 
         place_enabling = bdd.conjoin(
@@ -383,38 +391,27 @@ class SymbolicStateGraph:
             bdd.nvar(self.unprimed(self.place_vars[p])) for p in produced
         )
 
-        place_changed_levels = sorted(
-            [self.unprimed(self.place_vars[p]) for p in consumed]
-            + [self.unprimed(self.place_vars[p]) for p in produced]
-        )
-        place_after_literals = [
-            bdd.nvar(self.unprimed(self.place_vars[p])) for p in consumed
-        ]
-        place_after_literals += [
-            bdd.var(self.unprimed(self.place_vars[p])) for p in produced
-        ]
-        place_after = bdd.conjoin(place_after_literals)
-        before = 0 if edge.is_rising else 1
-        effect = {self.signal_vars[edge.signal]: (before, 1 - before)}
+        # the signal toggles; a preset place must be marked and is emptied
+        # (kept by a self loop), a produced place is marked
+        effect: Dict[int, Moves] = {self.signal_vars[edge.signal]: (1, 0)}
         for place in preset:
-            effect[self.place_vars[place]] = (1, None if place in postset else 0)
+            effect[self.place_vars[place]] = (None, 1 if place in postset else 0)
         for place in produced:
-            effect[self.place_vars[place]] = (None, 1)
+            effect[self.place_vars[place]] = (1, 1)
         return _SymbolicTransition(
             name=name,
             edge=edge,
             enabling=enabling,
             place_enabling=place_enabling,
             produced_empty=produced_empty,
-            place_changed_levels=place_changed_levels,
-            place_after=place_after,
-            effect=tuple((var, *effect[var]) for var in sorted(effect)),
+            effect=tuple(sorted(effect.items())),
         )
 
     # ------------------------------------------------------------------
     # initial state
     # ------------------------------------------------------------------
-    def _initial_marking_cube(self) -> Node:
+    def _state_cube(self, values: Dict[str, int]) -> Node:
+        """The initial marking with signal values ``values``, as a cube."""
         marking = self.stg.initial_marking
         assignment: Dict[int, int] = {}
         for place, var in self.place_vars.items():
@@ -424,76 +421,23 @@ class SymbolicStateGraph:
                     f"the initial marking of {self.name!r} is not safe"
                 )
             assignment[self.unprimed(var)] = 1 if count else 0
-        return self.bdd.cube(assignment)
-
-    def infer_initial_values(self) -> Dict[str, int]:
-        """Initial signal values, inferred without building a state graph.
-
-        Declared values (``stg.initial_values``) win.  For the rest, a
-        marking-only BFS from the initial marking finds the first level at
-        which some transition of the signal is enabled; consistency makes
-        its ``value_before`` the initial value (every firing sequence
-        must alternate the signal starting there).  Signals whose
-        transitions are never enabled keep the declared/default value —
-        exactly the fallback of
-        :func:`repro.stg.state_graph.infer_encoding`.  Two first-enabled
-        edges of one signal that disagree on ``value_before`` mean the
-        STG is not consistent.
-        """
-        if self.initial_values:
-            return self.initial_values
-        bdd = self.bdd
-        values: Dict[str, int] = dict(self.stg.initial_values)
-        pending = [s for s in self.signals if s not in values]
-
-        reached = self._initial_marking_cube()
-        frontier = reached
-        while pending and frontier != bdd.false:
-            check_deadline()
-            resolved: List[str] = []
-            for signal in pending:
-                befores = {
-                    0 if t.edge.is_rising else 1
-                    for t in self._by_signal.get(signal, ())
-                    if bdd.apply_and(frontier, t.place_enabling) != bdd.false
-                }
-                if len(befores) > 1:
-                    raise InconsistentSTGError(
-                        f"signal {signal!r} can first fire both rising and falling "
-                        f"from the initial marking of {self.name!r}"
-                    )
-                if befores:
-                    values[signal] = befores.pop()
-                    resolved.append(signal)
-            pending = [s for s in pending if s not in set(resolved)]
-            if not pending:
-                break
-            new = bdd.false
-            for transition in self._transitions:
-                enabled = bdd.apply_and(frontier, transition.place_enabling)
-                if enabled == bdd.false:
-                    continue
-                moved = bdd.exists(enabled, transition.place_changed_levels)
-                moved = bdd.apply_and(moved, transition.place_after)
-                new = bdd.apply_or(new, moved)
-            new = bdd.apply_diff(new, reached)
-            reached = bdd.apply_or(reached, new)
-            frontier = new
-        for signal in pending:
-            values[signal] = 0
-        self.initial_values = {s: values.get(s, 0) for s in self.signals}
-        return self.initial_values
-
-    def initial_cube(self) -> Node:
-        """The initial state (marking bits + inferred code bits) as a cube."""
-        values = self.infer_initial_values()
-        assignment: Dict[int, int] = {}
-        marking = self.stg.initial_marking
-        for place, var in self.place_vars.items():
-            assignment[self.unprimed(var)] = 1 if marking.count(place) else 0
         for signal, var in self.signal_vars.items():
             assignment[self.unprimed(var)] = values[signal]
         return self.bdd.cube(assignment)
+
+    def infer_initial_values(self) -> Dict[str, int]:
+        """Initial signal values, read off the exploration (explores if
+        needed; see the module docstring).
+
+        Declared values (``stg.initial_values``) win.  Every other signal
+        takes the ``value_before`` of one of its transitions that a
+        reachable state enables by tokens, corrected by the parity of the
+        signal's firings on the way; a signal none of whose transitions is
+        ever enabled starts at 0 — exactly the fallback of
+        :func:`repro.stg.state_graph.infer_encoding`.
+        """
+        self.explore()
+        return self.initial_values
 
     # ------------------------------------------------------------------
     # exploration
@@ -506,8 +450,9 @@ class SymbolicStateGraph:
         )
 
     def explore(self) -> Node:
-        """The reachable set, saturated from the initial state (module
-        docstring).
+        """The reachable set (module docstring): the toggle system
+        saturated from the start code, the initial values read off it,
+        and the signal bits that start wrong complemented.
 
         ``iterations`` counts the firings of transitions at their top
         level, the quiet firings that confirm a node's fixpoint
@@ -520,51 +465,63 @@ class SymbolicStateGraph:
         if self.reached is not None:
             return self.reached
         started = time.perf_counter()
+        declared = self.stg.initial_values
+        start = {signal: declared.get(signal, 0) for signal in self.signals}
         with self.recursion_scope():
-            initial = self.initial_cube()
             with span("bdd.apply", graph=self.name, phase="explore") as attrs:
-                reached, counts = self._saturate(initial)
+                toggled, counts = self._saturate(self._state_cube(start))
                 attrs.update(counts)
+                values = self._read_initial_values(toggled, start)
+                reached = self._flip(
+                    toggled,
+                    [
+                        self.unprimed(self.signal_vars[signal])
+                        for signal in self.signals
+                        if values[signal] != start[signal]
+                    ],
+                )
             self.iterations = counts["firings"]
             self._check_safe_and_consistent(reached)
             self.bdd.maybe_reorder(groups=self.pair_groups)
+        self.initial_values = values
         self.reached = reached
         self.explore_seconds = time.perf_counter() - started
         return reached
 
-    def _effects_by_level(
-        self,
-    ) -> Tuple[List[int], List[Dict[int, Tuple[Optional[int], Optional[int]]]]]:
+    def _effects_by_level(self) -> Tuple[List[int], List[Dict[int, Moves]]]:
         """The unprimed BDD variables, top level first (level ``k`` holds
         the ``k``-th of them in the current order), and each transition's
-        effect keyed by level: ``level -> (needed value, value after)``."""
+        effect keyed by level: ``level -> moves``."""
         levels = [var for var in self.bdd.var_order() if var % 2 == 0]
         level_of = {var: k for k, var in enumerate(levels)}
         effects = [
-            {level_of[2 * var]: (need, after) for var, need, after in t.effect}
+            {level_of[2 * var]: moves for var, moves in t.effect}
             for t in self._transitions
         ]
         return levels, effects
 
     def _saturate(self, initial: Node) -> Tuple[Node, Dict[str, int]]:
-        """Saturate ``initial``; returns the reached set and the counts
-        the ``explore`` span carries: top-level ``firings``, nodes
-        ``saturated`` and recursive ``images`` (cache entries both)."""
+        """Saturate ``initial`` under the toggle system; returns the
+        reached set and the counts the ``explore`` span carries: top-level
+        ``firings``, nodes ``saturated`` and recursive ``images`` (cache
+        entries both)."""
         bdd = self.bdd
         cofactors = bdd.cofactors
         make_node = bdd.make_node
         apply_or = bdd.apply_or
         levels, local = self._effects_by_level()
         depth = len(levels)
-        # per transition: its bottom level and whether it flips its top
-        # variable; transitions grouped by their top level
+        # per transition: its bottom level and whether its firing at its
+        # top level reads only the cofactor it does not write; transitions
+        # grouped by their top level
         bottom = [max(steps) for steps in local]
-        flips: List[bool] = []
+        one_way: List[bool] = []
         by_top: List[List[int]] = [[] for _ in range(depth)]
         for index, steps in enumerate(local):
             top = min(steps)
-            need, after = steps[top]
-            flips.append(need is not None and after is not None and after != need)
+            read = {value for value, to in enumerate(steps[top]) if to is not None}
+            written = {steps[top][value] for value in read}
+            one_way.append(not read & written)
             by_top[top].append(index)
         saturated: Dict[Tuple[int, Node], Node] = {}
         fired: Dict[Tuple[int, int, Node], Node] = {}
@@ -603,22 +560,22 @@ class SymbolicStateGraph:
                 if grown == node:
                     quiet += 1
                 else:
-                    # a transition that flips the top variable reads a
-                    # cofactor its own firing left alone: firing it again
-                    # adds nothing, so it counts as quiet at once
-                    node, quiet = grown, 1 if flips[event] else 0
+                    # a one-way transition reads a cofactor its own firing
+                    # left alone: firing it again adds nothing, so it
+                    # counts as quiet at once
+                    node, quiet = grown, 1 if one_way[event] else 0
             return node
 
         def step(event: int, k: int, low: Node, high: Node) -> Tuple[Node, Node]:
             # the event's effect at level k on the cofactors (low, high):
             # the images that land in each cofactor of the result
-            need, after = local[event].get(k, (None, None))
+            moves = local[event].get(k, _KEPT)
             add_low = add_high = FALSE
-            for value, child in ((0, low), (1, high)):
-                if child == FALSE or (need is not None and need != value):
+            for child, to in ((low, moves[0]), (high, moves[1])):
+                if child == FALSE or to is None:
                     continue
                 image = fire(event, k + 1, child)
-                if value if after is None else after:
+                if to:
                     add_high = apply_or(add_high, image)
                 else:
                     add_low = apply_or(add_low, image)
@@ -643,6 +600,83 @@ class SymbolicStateGraph:
             "saturated": len(saturated),
             "images": len(fired),
         }
+
+    def _read_initial_values(self, toggled: Node, start: Dict[str, int]) -> Dict[str, int]:
+        """Initial signal values, read off the toggle system's reached set.
+
+        A signal bit of ``toggled`` is the signal's start value xor the
+        parity of its firings, and undeclared signals start at 0, so a
+        state that enables transition ``t`` of undeclared signal ``s`` by
+        tokens, with bit ``b``, gives ``s`` the initial value
+        ``value_before(t) xor b``.  The first
+        transition of ``s`` in net order that some state enables decides,
+        from a state with bit 0 if there is one (for a consistent STG
+        every such state gives the same value).  The test runs on the
+        set's sub-functions at the transition's top level, as the
+        safety test does.
+        """
+        bdd = self.bdd
+        values = dict(start)
+        pending = {s for s in self.signals if s not in self.stg.initial_values}
+        levels, effects = self._effects_by_level()
+        candidates = [
+            (t, min(steps))
+            for t, steps in zip(self._transitions, effects)
+            if t.edge.signal in pending
+        ]
+        if not candidates:
+            return values
+        below = self._sub_functions(toggled, [top for _t, top in candidates], levels)
+        for transition, top in candidates:
+            signal = transition.edge.signal
+            if signal not in pending:
+                continue
+            check_deadline()
+            parts = below[top]
+            at_zero = bdd.apply_and(
+                transition.place_enabling,
+                bdd.nvar(self.unprimed(self.signal_vars[signal])),
+            )
+            if any(bdd.apply_and(part, at_zero) != FALSE for part in parts):
+                bit = 0
+            elif any(bdd.apply_and(part, transition.place_enabling) != FALSE for part in parts):
+                bit = 1
+            else:
+                continue
+            values[signal] = transition.edge.value_before() ^ bit
+            pending.discard(signal)
+        return values
+
+    def _flip(self, node: Node, variables: Sequence[int]) -> Node:
+        """``node`` with ``variables`` complemented: one cached walk that
+        swaps the cofactors at their levels and stops below the deepest."""
+        if not variables:
+            return node
+        bdd = self.bdd
+        flipped = set(variables)
+        rank = {var: position for position, var in enumerate(bdd.var_order())}
+        deepest = max(rank[var] for var in flipped)
+        memo: Dict[Node, Node] = {}
+
+        def walk(current: Node) -> Node:
+            if current < 0:
+                return -walk(-current)
+            if current == TRUE:
+                return current
+            var = bdd.level(current)
+            if rank[var] > deepest:
+                return current
+            result = memo.get(current)
+            if result is None:
+                low, high = bdd.cofactors(current, var)
+                low, high = walk(low), walk(high)
+                if var in flipped:
+                    low, high = high, low
+                result = bdd.make_node(var, low, high)
+                memo[current] = result
+            return result
+
+        return walk(node)
 
     def _check_safe_and_consistent(self, reached: Node) -> None:
         """Symbolic twins of the explicit front-end checks.

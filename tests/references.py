@@ -25,10 +25,16 @@ reproduce exactly.
   excitation check.  The tier now reads all three off the graph's index.
 * :func:`reference_greedy_merge_indexed` is the one-by-one greedy merge
   of the Figure-4 search; the search batches its unions.
+* :func:`reference_explore` is symbolic exploration as it ran before it
+  saturated a toggle system: a marking-only BFS infers the initial
+  signal values (:func:`reference_infer_initial_values`), then a
+  saturation of the STG's own firings, each waiting for its signal's
+  value, runs from them (:func:`reference_value_saturation`).
 * :func:`reference_chained_reached` is the chained image fixpoint over
-  the whole reached set, the iteration symbolic exploration replaces
-  with saturation; :func:`transition_update` gives it, and the other
-  symbolic references, each transition's image relation.
+  the whole reached set, of the STG's own firings or of the toggle
+  system, the iteration symbolic exploration replaces with saturation;
+  :func:`transition_update` gives it, and the other symbolic
+  references, each transition's image relation.
   :func:`reference_safety_failure` is the safety/consistency test on
   the whole reached set, which the symbolic state graph runs per level.
 """
@@ -368,28 +374,185 @@ def reference_greedy_merge_indexed(ranked, evaluator, num_states, settings) -> O
     return current + (current_eval.cost,)
 
 
-def transition_update(ssg, transition):
-    """``(changed levels, after cube)`` of one compiled symbolic transition.
+def transition_update(ssg, transition, before=None):
+    """``(enabling, changed levels, after cube)`` of one compiled symbolic
+    transition fired with its signal at ``before`` (its ``value_before``
+    unless given).
 
-    The image of a state set ``S`` under the transition is
-    ``(∃ changed . S ∧ enabling) ∧ after``: the variables the firing
-    writes are quantified out and set to their post-firing values.
+    The image of a state set ``S`` is ``(∃ changed . S ∧ enabling) ∧
+    after``: the variables the firing writes are quantified out and set
+    to their post-firing values.  With the default ``before`` it is the
+    firing of the STG proper; with both values, of the toggle system
+    symbolic exploration saturates.
     """
-    after = {2 * var: value for var, _need, value in transition.effect if value is not None}
-    return sorted(after), ssg.bdd.cube(after)
+    bdd = ssg.bdd
+    signal = 2 * ssg.signal_vars[transition.edge.signal]
+    if before is None:
+        before = transition.edge.value_before()
+    # every place a firing touches ends at what a 1 moves to (emptied,
+    # kept or marked); the signal's own entry is the toggle, overridden
+    after = {2 * var: moves[1] for var, moves in transition.effect}
+    after[signal] = 1 - before
+    enabling = bdd.apply_and(transition.place_enabling, bdd.cube({signal: before}))
+    return enabling, sorted(after), bdd.cube(after)
 
 
-def reference_chained_reached(ssg, initial=None):
+def reference_state_cube(ssg, values):
+    """The initial marking of ``ssg`` with signal values ``values``."""
+    marking = ssg.stg.initial_marking
+    assignment = {2 * var: int(marking.count(place) > 0) for place, var in ssg.place_vars.items()}
+    assignment.update({2 * var: values[signal] for signal, var in ssg.signal_vars.items()})
+    return ssg.bdd.cube(assignment)
+
+
+def reference_infer_initial_values(ssg):
+    """Initial signal values by a marking-only BFS from the initial marking.
+
+    Declared values win.  For the rest, the first BFS level at which some
+    transition of the signal is enabled by tokens gives the signal its
+    ``value_before``; two first-enabled edges that disagree mean the STG
+    is not consistent.  Signals never enabled start at 0.
+    """
+    bdd = ssg.bdd
+    values = dict(ssg.stg.initial_values)
+    pending = [s for s in ssg.signals if s not in values]
+    by_signal = {}
+    images = []
+    for transition in ssg._transitions:
+        by_signal.setdefault(transition.edge.signal, []).append(transition)
+        places = {
+            2 * var: to[1]
+            for var, to in transition.effect
+            if var != ssg.signal_vars[transition.edge.signal]
+        }
+        images.append((transition.place_enabling, sorted(places), bdd.cube(places)))
+    marking = ssg.stg.initial_marking
+    reached = frontier = bdd.cube(
+        {2 * var: int(marking.count(place) > 0) for place, var in ssg.place_vars.items()}
+    )
+    while pending and frontier != bdd.false:
+        resolved = []
+        for signal in pending:
+            befores = {
+                t.edge.value_before()
+                for t in by_signal.get(signal, ())
+                if bdd.apply_and(frontier, t.place_enabling) != bdd.false
+            }
+            if len(befores) > 1:
+                raise InconsistentSTGError(
+                    f"signal {signal!r} can first fire both rising and falling "
+                    f"from the initial marking of {ssg.name!r}"
+                )
+            if befores:
+                values[signal] = befores.pop()
+                resolved.append(signal)
+        pending = [s for s in pending if s not in resolved]
+        if not pending:
+            break
+        new = bdd.false
+        for enabling, changed, after in images:
+            moved = bdd.and_exists(frontier, enabling, changed)
+            new = bdd.apply_or(new, bdd.apply_and(moved, after))
+        frontier = bdd.apply_diff(new, reached)
+        reached = bdd.apply_or(reached, frontier)
+    return {s: values.get(s, 0) for s in ssg.signals}
+
+
+def reference_value_saturation(ssg, initial):
+    """Saturation of the STG's own firings, each waiting for its signal's
+    ``value_before`` (Ciardo, Lüttgen and Siminiceanu's algorithm as the
+    symbolic state graph ran it before it saturated a toggle system)."""
+    bdd = ssg.bdd
+    cofactors = bdd.cofactors
+    make_node = bdd.make_node
+    apply_or = bdd.apply_or
+    false = bdd.false
+    levels = [var for var in bdd.var_order() if var % 2 == 0]
+    level_of = {var: k for k, var in enumerate(levels)}
+    local = []
+    for transition in ssg._transitions:
+        effect = dict(transition.effect)
+        rising = transition.edge.value_before() == 0
+        effect[ssg.signal_vars[transition.edge.signal]] = (1, None) if rising else (None, 0)
+        local.append({level_of[2 * var]: moves for var, moves in effect.items()})
+    depth = len(levels)
+    bottom = [max(steps) for steps in local]
+    by_top = [[] for _ in range(depth)]
+    for index, steps in enumerate(local):
+        by_top[min(steps)].append(index)
+    saturated, fired = {}, {}
+
+    def saturate(k, node):
+        if node == false or k == depth:
+            return node
+        if (k, node) not in saturated:
+            low, high = cofactors(node, levels[k])
+            node_sat = make_node(levels[k], saturate(k + 1, low), saturate(k + 1, high))
+            saturated[(k, node)] = close(k, node_sat)
+        return saturated[(k, node)]
+
+    def close(k, node):
+        events = by_top[k]
+        quiet = position = 0
+        while quiet < len(events):
+            event = events[position]
+            position = (position + 1) % len(events)
+            low, high = cofactors(node, levels[k])
+            add_low, add_high = step(event, k, low, high)
+            grown = make_node(levels[k], apply_or(low, add_low), apply_or(high, add_high))
+            node, quiet = (node, quiet + 1) if grown == node else (grown, 0)
+        return node
+
+    def step(event, k, low, high):
+        moves = local[event].get(k, (0, 1))
+        added = [false, false]
+        for child, to in ((low, moves[0]), (high, moves[1])):
+            if child != false and to is not None:
+                added[to] = apply_or(added[to], fire(event, k + 1, child))
+        return added
+
+    def fire(event, k, node):
+        if node == false or k > bottom[event]:
+            return node
+        if (event, k, node) not in fired:
+            low, high = step(event, k, *cofactors(node, levels[k]))
+            fired[(event, k, node)] = close(k, make_node(levels[k], low, high))
+        return fired[(event, k, node)]
+
+    return saturate(0, initial)
+
+
+def reference_explore(ssg):
+    """``(initial values, reached set)`` of ``ssg`` by the marking-only BFS
+    and the value-conditioned saturation, checked for safeness and
+    consistency (raises :class:`InconsistentSTGError` like
+    :meth:`SymbolicStateGraph.explore`)."""
+    values = reference_infer_initial_values(ssg)
+    reached = reference_value_saturation(ssg, reference_state_cube(ssg, values))
+    ssg._check_safe_and_consistent(reached)
+    return values, reached
+
+
+def reference_chained_reached(ssg, initial=None, toggle=False):
     """The reachable set of a symbolic state graph by chained iteration.
 
     Each transition's image over the whole reached set is folded into
     the set at once; the loop stops after a quiet cycle, once every
-    transition in turn has fired without growing the set.  ``initial``
-    defaults to the graph's initial state.
+    image in turn has left the set as it was.  ``initial`` defaults to
+    the initial marking with the BFS-inferred values
+    (:func:`reference_infer_initial_values`); ``toggle`` fires the
+    toggle system (each signal flipped whatever its value) instead of
+    the STG's own firings.
     """
     bdd = ssg.bdd
-    updates = [(t.enabling, *transition_update(ssg, t)) for t in ssg._transitions]
-    reached = ssg.initial_cube() if initial is None else initial
+    updates = [
+        transition_update(ssg, t, before)
+        for t in ssg._transitions
+        for before in ((0, 1) if toggle else (t.edge.value_before(),))
+    ]
+    if initial is None:
+        initial = reference_state_cube(ssg, reference_infer_initial_values(ssg))
+    reached = initial
     quiet = 0
     while quiet < len(updates):
         for enabling, changed, after in updates:

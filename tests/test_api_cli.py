@@ -104,6 +104,23 @@ class TestCLI:
         assert 'version = { attr = "repro.__version__" }' in pyproject
         assert repro.__version__ == "0.8.0"
 
+    def test_package_exports_load_lazily(self):
+        # ``import repro`` alone loads neither the API layer nor numpy,
+        # and every exported name still resolves
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro\n"
+            "print('numpy' in sys.modules, 'repro.api' in sys.modules)\n"
+            "missing = [n for n in repro.__all__ if getattr(repro, n, None) is None]\n"
+            "print(missing, 'repro.api' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout.split("\n")
+        assert out[:2] == ["False False", "[] True"]
+
     def test_census_on_file(self, tmp_path, capsys):
         path = self._write(tmp_path, gen.vme_controller())
         assert main(["census", path]) == 0

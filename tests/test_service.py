@@ -450,6 +450,19 @@ class TestEncodingServiceEndToEnd:
             assert svc.queue.get(good["job_id"]).status == "done"
             assert svc.pool.running
 
+    def test_exceeded_state_budget_fails_on_the_first_attempt(self, tmp_path):
+        # a state space beyond the request's max_states is a property of
+        # the request: a second attempt would exceed it the same way
+        with EncodingService(str(tmp_path / "svc.db"), jobs=1) as svc:
+            outcome = svc.submit_benchmark("par4", max_states=5)
+            with pytest.raises(RuntimeError, match="finished as failed"):
+                svc.wait(outcome["fingerprint"], timeout=60.0)
+            _settle(svc)
+            job = svc.queue.get(outcome["job_id"])
+            assert job.status == "failed"
+            assert "StateSpaceLimitExceeded" in job.error
+            assert job.attempts == 1
+
     def test_pooled_dispatcher_completes_jobs_with_process_workers(self, tmp_path):
         # jobs>1 exercises the persistent-ProcessPoolExecutor path.
         with EncodingService(str(tmp_path / "svc.db"), jobs=2) as svc:

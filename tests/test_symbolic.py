@@ -111,10 +111,11 @@ class TestCensus:
             assert values == expected
 
     def test_each_level_stops_after_one_quiet_cycle(self):
-        # both transitions of a toggle sit at the level of signal a: a+
-        # grows the initial node and counts as quiet at once (it flips a,
-        # so the cofactor it reads is unchanged), a- then fires without
-        # growing it — one quiet cycle, and no confirming firing
+        # both transitions of a toggle sit at the level of signal a, and
+        # both toggle it: a+ grows the initial node, a- fires without
+        # growing it, and a+ fires once more to confirm — it reads the
+        # cofactor its own firing grew, so it cannot count as quiet at
+        # once — ending the one quiet cycle
         stg = STG.from_arcs(
             "toggle",
             inputs=[],
@@ -124,7 +125,7 @@ class TestCensus:
         )
         census = SymbolicStateGraph(stg).census()
         assert census.states == build_state_graph(stg).num_states == 2
-        assert census.iterations == 2
+        assert census.iterations == 3
 
     def test_dummy_transitions_rejected(self):
         stg = gen.vme_controller()
@@ -288,6 +289,13 @@ class TestDetection:
             first_sig = frozenset(sg.enabled_noninput_edges(first))
             second_sig = frozenset(sg.enabled_noninput_edges(second))
             assert first_sig != second_sig
+
+    def test_pipeline12_check_beyond_enumeration(self):
+        # the largest coupled Table-1 row: one component, 2.9e8 states
+        report = symbolic_check_csc(get_case("pipeline12", table="table1").build())
+        assert report.states == 292_968_750
+        assert report.csc_pairs == 5_878_595_666
+        assert not report.csc_holds
 
     def test_witness_limit_respected(self):
         report = symbolic_check_csc(gen.parallel_toggles(4), witness_limit=3)

@@ -29,7 +29,14 @@ Covered here:
   hypothesis STGs, with and without variable reordering, and on random
   nets with arbitrary arcs (read arcs, unsafe and inconsistent nets,
   any initial code), where the per-level safety/consistency test must
-  also give the whole-set verdict.
+  also give the whole-set verdict;
+* exploration (one saturation of the toggle system, initial values
+  read off it) against the marking-only BFS and the value-conditioned
+  saturation it replaced (:func:`references.reference_explore`): the
+  same initial values and the same node on every library row, static
+  and sifted, on generator STGs started a few random firings on (so
+  signals start high) with random declared codes, and on the random
+  nets; where one rejects an STG, so must the other.
 
 The hybrid bridge's *solver* identity (materialized core solved to the
 same ``EncodingResult`` fingerprint as the explicit pipeline) is pinned
@@ -55,7 +62,9 @@ from repro.symbolic.csc import _code_equality
 
 from references import (
     reference_chained_reached,
+    reference_explore,
     reference_safety_failure,
+    reference_state_cube,
     transition_update,
 )
 
@@ -102,8 +111,8 @@ def test_census_and_conflict_counts_match_explicit(case):
 def _fire(ssg, states, transition):
     """States entered by firing ``transition`` in ``states``."""
     bdd = ssg.bdd
-    changed, after = transition_update(ssg, transition)
-    return bdd.apply_and(bdd.and_exists(states, transition.enabling, changed), after)
+    enabling, changed, after = transition_update(ssg, transition)
+    return bdd.apply_and(bdd.and_exists(states, enabling, changed), after)
 
 
 def _er_set(ssg, edge):
@@ -150,9 +159,9 @@ def _preimage(ssg, states):
     bdd = ssg.bdd
     preimages = []
     for t in ssg._transitions:
-        changed, after = transition_update(ssg, t)
+        enabling, changed, after = transition_update(ssg, t)
         preimages.append(
-            bdd.conjoin((bdd.and_exists(states, after, changed), t.enabling, t.produced_empty))
+            bdd.conjoin((bdd.and_exists(states, after, changed), enabling, t.produced_empty))
         )
     return bdd.disjoin(preimages)
 
@@ -160,7 +169,7 @@ def _preimage(ssg, states):
 def _reference_reached(ssg):
     """Breadth-first image fixpoint from the initial state."""
     bdd = ssg.bdd
-    reached = frontier = ssg.initial_cube()
+    reached = frontier = reference_state_cube(ssg, ssg.infer_initial_values())
     while frontier != bdd.false:
         frontier = bdd.apply_diff(_image(ssg, frontier), reached)
         reached = bdd.apply_or(reached, frontier)
@@ -251,6 +260,14 @@ def test_library_saturation_matches_chained_fixpoint(case, reorder):
     assert _explored(ssg, sift=reorder) == reference_chained_reached(ssg)
 
 
+@pytest.mark.parametrize("reorder", [False, True], ids=["static", "reorder"])
+@pytest.mark.parametrize("case", LIBRARY, ids=_LIBRARY_IDS)
+def test_library_exploration_matches_bfs_and_value_saturation(case, reorder):
+    ssg = SymbolicStateGraph(case.build(), reorder=reorder)
+    reached = _explored(ssg, sift=reorder)
+    assert (ssg.infer_initial_values(), reached) == reference_explore(ssg)
+
+
 # ----------------------------------------------------------------------
 # hypothesis: random STGs from the parametric generator families
 # ----------------------------------------------------------------------
@@ -313,6 +330,55 @@ def test_random_stgs_shortcuts_match_reference_implementations(stg, sift):
 
 
 @st.composite
+def shifted_stgs(draw):
+    """Random STGs whose initial marking lies a few random firings on,
+    so signals may start high, each signal declared at its true initial
+    value, at a random value, or not at all."""
+    stg = draw(random_stgs())
+    marking = stg.initial_marking
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        enabled = stg.net.enabled_transitions(marking)
+        marking = stg.net.fire(marking, draw(st.sampled_from(enabled)))
+    stg.net.set_initial_marking(marking.as_dict())
+    sg = build_state_graph(stg, max_states=20000)
+    for signal, value in zip(sg.signals, sg.code(sg.initial_state)):
+        declared = draw(st.sampled_from(["true", "random", None]))
+        if declared == "true":
+            stg.set_initial_value(signal, value)
+        elif declared == "random":
+            stg.set_initial_value(signal, draw(st.integers(0, 1)))
+    return stg
+
+
+def _assert_exploration_matches_reference(ssg, sift=False):
+    """``explore`` gives the initial values and the very node of the BFS
+    and value-conditioned saturation, or both reject the STG."""
+    try:
+        reached = _explored(ssg, sift)
+    except InconsistentSTGError:
+        with pytest.raises(InconsistentSTGError):
+            reference_explore(ssg)
+        return False
+    assert (ssg.infer_initial_values(), reached) == reference_explore(ssg)
+    return True
+
+
+@hsettings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stg=shifted_stgs(), sift=st.booleans())
+def test_shifted_stgs_exploration_matches_references(stg, sift):
+    ssg = SymbolicStateGraph(stg, reorder=sift)
+    explored = _assert_exploration_matches_reference(ssg, sift)
+    try:
+        sg = build_state_graph(stg, max_states=20000)
+    except InconsistentSTGError:
+        assert not explored
+        return
+    assert explored
+    assert ssg.infer_initial_values() == dict(zip(sg.signals, sg.code(sg.initial_state)))
+    assert ssg.count_states() == sg.num_states
+
+
+@st.composite
 def random_nets(draw):
     """Small nets with arbitrary arcs and an arbitrary initial state.
 
@@ -344,15 +410,19 @@ def random_nets(draw):
 
 
 @hsettings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(net=random_nets())
-def test_random_nets_saturation_and_safety_match_references(net):
+@given(net=random_nets(), declared=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_random_nets_saturation_and_safety_match_references(net, declared):
     stg, marking, code = net
+    for signal, declare in zip(stg.signals, declared):
+        if declare:
+            stg.set_initial_value(signal, code[signal])
+    _assert_exploration_matches_reference(SymbolicStateGraph(stg))
     ssg = SymbolicStateGraph(stg)
     assignment = {2 * var: int(place in marking) for place, var in ssg.place_vars.items()}
     assignment.update({2 * var: code[signal] for signal, var in ssg.signal_vars.items()})
     initial = ssg.bdd.cube(assignment)
     reached, _counts = ssg._saturate(initial)
-    assert reached == reference_chained_reached(ssg, initial)
+    assert reached == reference_chained_reached(ssg, initial, toggle=True)
     failure = reference_safety_failure(ssg, reached)
     if failure is None:
         ssg._check_safe_and_consistent(reached)
