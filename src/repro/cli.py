@@ -36,6 +36,11 @@ own library settings (frontier width 16, relaxed cases with
 ``--engine symbolic`` (or ``auto``) routes the run through the symbolic
 tier, which also admits the very large Table-1 rows the explicit engine
 must skip.
+
+Importing this module loads only the argument parser's needs: each
+command imports the layers it runs (the API, the batch engine, the
+solver and through them numpy) when it starts, so a command pays only
+for its own imports.
 """
 
 from __future__ import annotations
@@ -45,16 +50,13 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.api import analyze_stg, encode_stg
-from repro.bench_stg.library import benchmark_names, get_case, load_benchmark
-from repro.core.search import SearchSettings
-from repro.core.solver import SolverSettings
-from repro.engine.batch import run_benchmark_suite
 from repro.stg.parser import read_g_file
-from repro.stg.writer import write_g
 
 
-def _solver_settings(args: argparse.Namespace) -> SolverSettings:
+def _solver_settings(args: argparse.Namespace):
+    from repro.core.search import SearchSettings
+    from repro.core.solver import SolverSettings
+
     return SolverSettings(
         search=SearchSettings(
             frontier_width=args.frontier_width if args.frontier_width is not None else 8,
@@ -75,6 +77,8 @@ def _load_stg(args: argparse.Namespace):
         return None
     if args.file is not None:
         return read_g_file(args.file)
+    from repro.bench_stg.library import load_benchmark
+
     return load_benchmark(args.benchmark, table=args.table)
 
 
@@ -114,6 +118,8 @@ def _cmd_check_csc(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.api import analyze_stg
+
     stg = read_g_file(args.file)
     info = analyze_stg(stg, max_states=args.max_states)
     width = max(len(key) for key in info)
@@ -123,6 +129,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.api import encode_stg
+    from repro.stg.writer import write_g
+
     stg = read_g_file(args.file)
     if args.trace is not None:
         from repro.obs import start_trace
@@ -174,6 +183,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     """
     import pathlib
 
+    from repro.api import encode_stg
     from repro.synth import synthesize
 
     stg = _load_stg(args)
@@ -234,6 +244,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.api import encode_stg
+    from repro.bench_stg.library import benchmark_names, get_case
+
     if args.list:
         for name in benchmark_names(None if args.table == "all" else args.table):
             print(name)
@@ -276,6 +289,8 @@ def _cmd_bench_all(args: argparse.Namespace) -> int:
     relaxed cases with ``allow_input_delay``); explicitly supplied CLI
     tuning flags overlay them.
     """
+    from repro.engine.batch import run_benchmark_suite
+
     result = run_benchmark_suite(
         table=args.table,
         jobs=args.jobs,
@@ -335,6 +350,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store to drain the queue (front first — it recovers interrupted
     jobs at boot).
     """
+    # Imports the whole encode stack (the API, the solver and numpy)
+    # before the front prints "listening on", so no request pays for it.
     from repro.api import serve as bind_server
     from repro.service import EncodingService
 
@@ -389,6 +406,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     """
     import time as _time
 
+    # The whole encode stack loads before the worker reports ready, as
+    # in ``serve``, so no job pays for the imports.
+    import repro.api  # noqa: F401
     from repro.service import EncodingService
 
     service = EncodingService(

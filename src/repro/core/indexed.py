@@ -64,13 +64,6 @@ REJECTION_KINDS = (
     "persistency",
 )
 
-_MISSING = object()
-
-#: Public sentinel distinguishing "memoized as None" from "not evaluated
-#: yet" (returned by :meth:`IndexedEvaluator.peek`).
-MISSING = _MISSING
-
-
 _WORD = (1 << 60) - 1
 
 
@@ -618,6 +611,25 @@ class IndexedStateGraph:
                     side[i] = code
         return side
 
+    def partition_of(self, side: Sequence[int]) -> IPartition:
+        """The object-space I-partition a full side table describes (the
+        inverse of :meth:`side_table`)."""
+        buckets: Tuple[List[State], List[State], List[State], List[State]] = (
+            [],
+            [],
+            [],
+            [],
+        )
+        states = self.states
+        for i, code in enumerate(side):
+            buckets[code].append(states[i])
+        return IPartition(
+            s0=frozenset(buckets[S0]),
+            splus=frozenset(buckets[SPLUS]),
+            s1=frozenset(buckets[S1]),
+            sminus=frozenset(buckets[SMINUS]),
+        )
+
     def decide_insertion(
         self,
         side: Sequence[int],
@@ -994,27 +1006,29 @@ def brick_adjacency_bitsets(isg: IndexedStateGraph, masks: Sequence[int]) -> Lis
 # block evaluation (the Figure-4 hot loop)
 # ----------------------------------------------------------------------
 class EvalKernel:
-    """Pure, picklable block-evaluation kernel of one insertion search.
+    """Pure, picklable block-costing kernel of one insertion search.
 
-    A self-contained snapshot of everything :meth:`evaluate` reads — the
+    A self-contained snapshot of everything :meth:`cost` reads — the
     successor lists, the border-incident signal arcs, the conflict-pair
     masks — with no reference to the state graph, its state objects or
     the engine caches.  That makes the kernel the unit the in-solve
     sharding ships to worker processes (:mod:`repro.engine.shard`): the
-    same kernel instance evaluates a block bitmask to the same
-    :class:`IndexedEvaluation` in any process, so parallel candidate
-    evaluation is deterministic by construction.
+    same kernel instance costs a block bitmask the same way in any
+    process, so parallel candidate evaluation is deterministic by
+    construction.
 
+    A batch is costed without side tables (:func:`evaluate_candidates`);
+    the side table of a candidate is derived from its mask on demand by
+    :meth:`side_table`, the scalar derivation :meth:`cost` runs too.
     :class:`IndexedEvaluator` owns a kernel and layers the per-search
-    memo (and the object-space conversions, which do need the state
-    objects) on top of it.
+    memo on top of it.
 
     ``impl`` selects the batch implementation :func:`evaluate_candidates`
-    dispatches to: ``"bigint"`` runs :meth:`evaluate` per mask (the
-    conformance oracle), ``"planes"`` routes whole batches through the
+    dispatches to: ``"bigint"`` runs :meth:`cost` per mask (the
+    conformance oracle), ``"planes"`` costs whole batches through the
     vectorized bit-plane kernel of :mod:`repro.core.planes`.  Both
-    produce byte-identical evaluations, so the knob is performance-only
-    and fingerprint-irrelevant.
+    produce identical costs, so the knob is performance-only and
+    fingerprint-irrelevant.
     """
 
     __slots__ = (
@@ -1082,16 +1096,12 @@ class EvalKernel:
             self._plane = plane
         return plane
 
-    def evaluate(self, mask: int) -> Optional["IndexedEvaluation"]:
-        """Evaluate a block bitmask (``None`` for degenerate blocks)."""
-        poll_deadline()
-        n = self.num_states
+    def _borders(self, mask: int) -> Optional[Tuple[bytearray, List[int], List[int]]]:
+        """``(side, splus, sminus)`` of a block bitmask: its side table and
+        the states of its two exit borders, ER(x+) and ER(x-) (``None``
+        for a degenerate block)."""
         if mask == 0 or mask == self.full_mask:
             return None
-        size = mask.bit_count()
-        if size >= n:
-            return None
-
         succ = self.succ_targets
 
         # The side table doubles as the membership table while the two
@@ -1147,6 +1157,23 @@ class EvalKernel:
                     side[t] = SMINUS
                     sminus.append(t)
                     stack.append(t)
+        return side, splus, sminus
+
+    def side_table(self, mask: int) -> Optional[bytearray]:
+        """The per-state side codes (``S0``, ``SPLUS``, ``S1``,
+        ``SMINUS``) of the I-partition a block bitmask induces (``None``
+        for a degenerate block)."""
+        poll_deadline()
+        borders = self._borders(mask)
+        return None if borders is None else borders[0]
+
+    def cost(self, mask: int) -> Optional[Cost]:
+        """Cost a block bitmask (``None`` for degenerate blocks)."""
+        poll_deadline()
+        borders = self._borders(mask)
+        if borders is None:
+            return None
+        side, splus, sminus = borders
 
         splus_mask = 0
         for i in splus:
@@ -1203,95 +1230,57 @@ class EvalKernel:
             is_input = self.signal_is_input
             input_delays = sum(1 for signal in delayed if is_input[signal])
 
-        cost = Cost(
+        return Cost(
             unsolved_conflicts=unsolved,
             input_delays=input_delays,
             trigger_estimate=len(entering_plus) + len(entering_minus) + len(delayed),
             border_size=len(splus) + len(sminus),
         )
-        return IndexedEvaluation(mask, size, side, cost)
+
+    def cost_batch(self, masks: Sequence[int]) -> Tuple[List[Optional[Cost]], int]:
+        """``(costs, passes)`` of ``masks`` with the scalar loop: the same
+        batch API as :meth:`repro.core.planes.PlaneKernel.cost_batch`,
+        with no plane passes."""
+        cost = self.cost
+        return [cost(mask) for mask in masks], 0
 
 
 def evaluate_candidates(
     kernel: EvalKernel, masks: Sequence[int]
-) -> List[Optional["IndexedEvaluation"]]:
-    """Evaluate a batch of block bitmasks with a pure kernel.
+) -> Tuple[List[Optional[Cost]], int]:
+    """Cost a batch of block bitmasks with a pure kernel.
 
     The module-level worker body of the in-solve sharding: picklable,
     stateless (all state lives in ``kernel``), and position-aligned with
-    its input — ``result[i]`` is the evaluation of ``masks[i]`` — so the
-    caller can merge shards back in generation order.
+    its input — ``costs[i]`` is the cost of ``masks[i]`` in the returned
+    ``(costs, passes)`` — so the caller can merge shards back in
+    generation order.
 
-    Dispatches on ``kernel.impl``: a planes kernel evaluates the whole
-    batch through the bit-plane lanes of :mod:`repro.core.planes`, the
-    big-int kernel runs the scalar loop.  Results are byte-identical.
+    A planes kernel costs a batch of two or more masks in bit-plane
+    passes (:mod:`repro.core.planes`); a single mask, or a big-int
+    kernel, runs the scalar loop.  The costs are identical.
     """
     plane = kernel.batch_kernel()
-    if plane is not None:
-        return plane.evaluate_batch(masks)
-    evaluate = kernel.evaluate
-    return [evaluate(mask) for mask in masks]
-
-
-class IndexedEvaluation:
-    """A candidate block with its side table and cost (index space)."""
-
-    __slots__ = ("mask", "size", "side", "cost")
-
-    def __init__(self, mask: int, size: int, side: bytearray, cost: Cost) -> None:
-        self.mask = mask
-        self.size = size
-        self.side = side
-        self.cost = cost
-
-    def to_partition(self, index: IndexedStateGraph) -> IPartition:
-        """The object-space I-partition this evaluation describes."""
-        buckets: Tuple[List[State], List[State], List[State], List[State]] = (
-            [],
-            [],
-            [],
-            [],
-        )
-        states = index.states
-        for i, code in enumerate(self.side):
-            buckets[code].append(states[i])
-        return IPartition(
-            s0=frozenset(buckets[S0]),
-            splus=frozenset(buckets[SPLUS]),
-            s1=frozenset(buckets[S1]),
-            sminus=frozenset(buckets[SMINUS]),
-        )
-
-    def block_states(self, index: IndexedStateGraph) -> FrozenSet[State]:
-        states = index.states
-        return frozenset(
-            states[i] for i, code in enumerate(self.side) if code in (S0, SPLUS)
-        )
+    if plane is not None and len(masks) > 1:
+        return plane.cost_batch(masks)
+    return kernel.cost_batch(masks)
 
 
 class IndexedEvaluator:
-    """Memoized block evaluation for one insertion search.
+    """Memoized block costing for one insertion search.
 
-    Evaluations are keyed by block bitmask (equivalently: by the block's
-    state frozenset), so repeated unions explored by the frontier growth,
-    the greedy merge and the concurrency enlargement are costed once.
-    The numbers produced are exactly those of
-    :func:`repro.core.cost.evaluate_block` — the object-space oracle.
+    Costs are keyed by block bitmask (equivalently: by the block's state
+    frozenset), so repeated unions explored by the frontier growth and
+    the greedy merge are costed once.  The numbers produced are exactly
+    those of :func:`repro.core.cost.evaluate_block` — the object-space
+    oracle.
 
     The arithmetic lives in the evaluator's :class:`EvalKernel` — a pure,
-    picklable snapshot the in-solve sharding ships to worker processes;
-    :meth:`record` lets the search feed shard-evaluated results back into
-    the memo so the greedy merge and the concurrency enlargement reuse
-    them.
+    picklable snapshot the in-solve sharding ships to worker processes.
+    ``passes`` counts the plane passes the search's batches took.
     """
 
-    __slots__ = (
-        "index",
-        "kernel",
-        "memo",
-        "hits",
-        "misses",
-    )
+    __slots__ = ("index", "kernel", "memo", "passes")
 
     def __init__(
         self, sg, conflicts, allow_input_delay: bool, kernel_impl: str = "auto"
@@ -1310,31 +1299,32 @@ class IndexedEvaluator:
             count_input_delays=not allow_input_delay,
             impl=resolve_kernel(kernel_impl),
         )
-        self.memo: Dict[int, Optional[IndexedEvaluation]] = {}
-        self.hits = 0
-        self.misses = 0
+        self.memo: Dict[int, Optional[Cost]] = {}
+        self.passes = 0
 
-    def evaluate(self, mask: int) -> Optional[IndexedEvaluation]:
-        """Evaluate a block bitmask (``None`` for degenerate blocks)."""
-        found = self.memo.get(mask, _MISSING)
-        if found is not _MISSING:
-            self.hits += 1
-            return found
-        self.misses += 1
-        evaluation = self.kernel.evaluate(mask)
-        self.memo[mask] = evaluation
-        return evaluation
+    def costs(self, masks: Sequence[int], pool=None) -> List[Optional[Cost]]:
+        """The costs of ``masks``, position-aligned (``None`` for degenerate
+        blocks).
 
-    def peek(self, mask: int):
-        """The memoized evaluation of ``mask``, or ``_MISSING`` sentinel
-        (used by the sharded search to skip already-evaluated blocks
-        without touching the hit/miss accounting)."""
-        return self.memo.get(mask, _MISSING)
-
-    def record(self, mask: int, evaluation: Optional[IndexedEvaluation]) -> None:
-        """Feed one shard-evaluated result back into the memo.
-
-        Counted as a miss: the work was done (in a worker), not recalled.
+        The masks not memoized yet are costed as one batch — on the shard
+        ``pool``'s workers when one is open and the batch is worth a
+        round trip, inline otherwise — and memoized.
         """
-        self.misses += 1
-        self.memo[mask] = evaluation
+        memo = self.memo
+        pending = [mask for mask in dict.fromkeys(masks) if mask not in memo]
+        if pending:
+            if pool is not None and len(pending) >= pool.min_batch:
+                costs, passes = pool.evaluate_batch(pending)
+            else:
+                costs, passes = evaluate_candidates(self.kernel, pending)
+            self.passes += passes
+            memo.update(zip(pending, costs))
+            if len(pending) == len(masks):
+                return costs  # all new and distinct: already aligned
+        return [memo[mask] for mask in masks]
+
+    def side_table(self, mask: int) -> Optional[bytearray]:
+        """The side table of a block bitmask, derived on demand (counted
+        in ``engine.caches.STATS.side_tables``)."""
+        caches.STATS.side_tables += 1
+        return self.kernel.side_table(mask)

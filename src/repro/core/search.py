@@ -313,60 +313,33 @@ class _IndexedCandidate:
     bitmask, and ``bricks`` / ``neighbours`` are brick-index bitsets (its
     bricks, and the union of their adjacency rows)."""
 
-    __slots__ = ("mask", "size", "bricks", "neighbours", "evaluation", "seq")
+    __slots__ = ("mask", "size", "bricks", "neighbours", "cost", "seq")
 
     def __init__(
-        self,
-        mask: int,
-        bricks: int,
-        neighbours: int,
-        evaluation: "indexed.IndexedEvaluation",
-        seq: int = 0,
+        self, mask: int, bricks: int, neighbours: int, cost: Cost, seq: int = 0
     ) -> None:
         self.mask = mask
-        self.size = evaluation.size
+        self.size = mask.bit_count()
         self.bricks = bricks
         self.neighbours = neighbours
-        self.evaluation = evaluation
+        self.cost = cost
         self.seq = seq
-
-    @property
-    def cost(self) -> Cost:
-        return self.evaluation.cost
 
 
 def _rank_indexed(candidates: Sequence[_IndexedCandidate]) -> List[_IndexedCandidate]:
     return _canonical_rank(candidates, lambda c: c.size)
 
 
-def _evaluate_masks(evaluator, masks: Sequence[int], pool) -> None:
-    """Make sure every mask in ``masks`` is in the evaluator's memo.
-
-    The evaluation half of the generate/evaluate split: masks not yet
-    memoized are costed either inline or — when a shard pool is open and
-    the batch is worth a round trip — on the pool's workers, whose pure
-    :class:`~repro.core.indexed.EvalKernel` results are recorded back
-    into the memo.  Either way the subsequent merge reads evaluations
-    from the memo in generation order, so the outcome is identical.
-    """
-    pending = [
-        mask
-        for mask in dict.fromkeys(masks)
-        if evaluator.peek(mask) is indexed.MISSING
-    ]
-    if pool is not None and len(pending) >= pool.min_batch:
-        for mask, evaluation in zip(pending, pool.evaluate_batch(pending)):
-            evaluator.record(mask, evaluation)
-    elif len(pending) > 1 and evaluator.kernel.batch_kernel() is not None:
-        # no pool (or a batch below the round-trip threshold), but a
-        # batch-capable kernel: evaluate the whole batch in plane lanes
-        for mask, evaluation in zip(
-            pending, indexed.evaluate_candidates(evaluator.kernel, pending)
-        ):
-            evaluator.record(mask, evaluation)
-    else:
-        for mask in pending:
-            evaluator.evaluate(mask)
+def _evaluate_masks(
+    evaluator: "indexed.IndexedEvaluator", masks: Sequence[int], pool, **attrs
+) -> List[Optional[Cost]]:
+    """The costs of ``masks`` in generation order, under one
+    ``search.evaluate`` span that records the plane passes they took."""
+    with span("search.evaluate", masks=len(masks), **attrs) as span_attrs:
+        passes = evaluator.passes
+        costs = evaluator.costs(masks, pool)
+        span_attrs["passes"] = evaluator.passes - passes
+    return costs
 
 
 def _find_insertion_plan_indexed(
@@ -420,16 +393,14 @@ def _find_insertion_plan_indexed(
     next_seq = itertools.count()
     with shard.search_pool(evaluator.kernel, search_jobs) as pool:
         # --- seed: every brick is a candidate block ---------------------
-        with span("search.evaluate", masks=len(masks), seed=True):
-            _evaluate_masks(evaluator, masks, pool)
-        for brick_index, mask in enumerate(masks):
-            evaluation = evaluator.evaluate(mask)
-            if evaluation is None or mask in seen_blocks:
+        seed_costs = _evaluate_masks(evaluator, masks, pool, seed=True)
+        for brick_index, (mask, cost) in enumerate(zip(masks, seed_costs)):
+            if cost is None or mask in seen_blocks:
                 continue
             seen_blocks.add(mask)
             good.append(
                 _IndexedCandidate(
-                    mask, 1 << brick_index, adjacency[brick_index], evaluation, next(next_seq)
+                    mask, 1 << brick_index, adjacency[brick_index], cost, next(next_seq)
                 )
             )
         if not good:
@@ -441,7 +412,8 @@ def _find_insertion_plan_indexed(
         for iteration in range(settings.max_search_iterations):
             # generation: enlargements in frontier order, deduplicated by
             # the seen-set exactly as the serial interleaving would
-            grown_tasks: List[Tuple[_IndexedCandidate, int, int]] = []
+            grown_masks: List[int] = []
+            origins: List[Tuple[_IndexedCandidate, int]] = []
             with span("search.generate", frontier=len(frontier)):
                 for candidate in frontier:
                     check_deadline()
@@ -453,22 +425,21 @@ def _find_insertion_plan_indexed(
                         if grown_mask in seen_blocks or grown_mask.bit_count() >= num_states:
                             continue
                         seen_blocks.add(grown_mask)
-                        grown_tasks.append((candidate, brick_index, grown_mask))
+                        grown_masks.append(grown_mask)
+                        origins.append((candidate, brick_index))
             # evaluation: pure per-mask work, sharded when worth it
-            with span("search.evaluate", masks=len(grown_tasks)):
-                _evaluate_masks(evaluator, [task[2] for task in grown_tasks], pool)
+            grown_costs = _evaluate_masks(evaluator, grown_masks, pool)
             # merge: acceptance in generation order (deterministic)
             new_frontier: List[_IndexedCandidate] = []
-            for candidate, brick_index, grown_mask in grown_tasks:
-                evaluation = evaluator.evaluate(grown_mask)
-                if evaluation is None:
-                    continue
-                if evaluation.cost < candidate.cost:
+            for (candidate, brick_index), grown_mask, cost in zip(
+                origins, grown_masks, grown_costs
+            ):
+                if cost is not None and cost < candidate.cost:
                     grown = _IndexedCandidate(
                         grown_mask,
                         candidate.bricks | (1 << brick_index),
                         candidate.neighbours | adjacency[brick_index],
-                        evaluation,
+                        cost,
                         next(next_seq),
                     )
                     good.append(grown)
@@ -478,7 +449,7 @@ def _find_insertion_plan_indexed(
                 signal=signal,
                 iteration=iteration,
                 frontier=len(frontier),
-                generated=len(grown_tasks),
+                generated=len(grown_masks),
                 accepted=len(new_frontier),
                 candidates_ranked=len(good),
                 cache=engine_caches.STATS.snapshot(),
@@ -510,8 +481,9 @@ def _find_insertion_plan_indexed(
         with span("search.sip", examined=examined) as attrs:
             # Decided on the parent's index; only the committed candidate
             # is materialised as an expanded state graph.
+            side = evaluator.side_table(candidate.mask)
             verdict = index.decide_insertion(
-                candidate.evaluation.side,
+                side,
                 signal,
                 persistent_before,
                 check_commutativity=settings.check_commutativity,
@@ -529,7 +501,7 @@ def _find_insertion_plan_indexed(
                 outcome = "no_progress"
             attrs["outcome"] = outcome
             if outcome == "ok":
-                partition = candidate.evaluation.to_partition(index)
+                partition = index.partition_of(side)
                 check = InsertionCheck(
                     ok=True,
                     new_sg=insert_signal(sg, partition, signal, SignalType.INTERNAL),
@@ -587,7 +559,7 @@ def _greedy_merge_indexed(
     current_mask = best.mask
     current_bricks = best.bricks
     current_neighbours = best.neighbours
-    current_eval = best.evaluation
+    current_cost = best.cost
     improved = False
     rest = list(ranked[1 : settings.max_merge_candidates])
     while rest:
@@ -596,21 +568,20 @@ def _greedy_merge_indexed(
             union_mask = current_mask | other.mask
             if union_mask.bit_count() < num_states and union_mask != current_mask:
                 unions.append((other, union_mask))
-        _evaluate_masks(evaluator, [union_mask for _other, union_mask in unions], None)
+        costs = evaluator.costs([union_mask for _other, union_mask in unions])
         rest = []
-        for position, (other, union_mask) in enumerate(unions):
-            evaluation = evaluator.evaluate(union_mask)
-            if evaluation is not None and evaluation.cost < current_eval.cost:
+        for position, ((other, union_mask), cost) in enumerate(zip(unions, costs)):
+            if cost is not None and cost < current_cost:
                 current_mask = union_mask
                 current_bricks |= other.bricks
                 current_neighbours |= other.neighbours
-                current_eval = evaluation
+                current_cost = cost
                 improved = True
                 rest = [later for later, _union in unions[position + 1 :]]
                 break
     if not improved:
         return None
-    return _IndexedCandidate(current_mask, current_bricks, current_neighbours, current_eval)
+    return _IndexedCandidate(current_mask, current_bricks, current_neighbours, current_cost)
 
 
 def _greedy_merge(

@@ -75,6 +75,7 @@ class CacheStats:
         "brick_carries",
         "region_explored",
         "region_arc_scans",
+        "side_tables",
     )
 
     def __init__(self) -> None:
@@ -88,6 +89,9 @@ class CacheStats:
         # candidate sets visited, and events that needed the per-arc test.
         self.region_explored = 0
         self.region_arc_scans = 0
+        # Side tables the Figure-4 search derived on demand for its SIP
+        # checks (repro.core.indexed.IndexedEvaluator.side_table).
+        self.side_tables = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -96,6 +100,7 @@ class CacheStats:
             "brick_carries": self.brick_carries,
             "region_explored": self.region_explored,
             "region_arc_scans": self.region_arc_scans,
+            "side_tables": self.side_tables,
         }
 
     def hit_rate(self) -> float:

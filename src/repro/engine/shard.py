@@ -4,8 +4,8 @@ The batch engine of :mod:`repro.engine.batch` parallelises *across* STGs;
 this module parallelises *inside* one solve.  The Figure-4 frontier
 search (:mod:`repro.core.search`) separates candidate **generation**
 (ordered, stateful: the seen-set and the frontier ranking) from candidate
-**evaluation** (pure: a block bitmask in, an
-:class:`~repro.core.indexed.IndexedEvaluation` out), and ships the
+**evaluation** (pure: a block bitmask in, a
+:class:`~repro.core.cost.Cost` out), and ships the
 evaluation batches of one search through the pool provided here.  Because
 every evaluation is a pure function of the search's
 :class:`~repro.core.indexed.EvalKernel` and results are merged back in
@@ -20,9 +20,9 @@ Two executor kinds:
     ``fork`` start method.  The kernel is *inherited*, not pickled: it is
     registered in a module-level table before the pool is created, and
     the lazily-forked workers see it via copy-on-write memory.  Tasks and
-    results are therefore just lists of ``int`` masks and compact
-    evaluation records.  Fork cost is paid once per insertion search
-    (a few milliseconds), not per batch.
+    results are therefore just lists of ``int`` masks and cost tuples.
+    Fork cost is paid once per insertion search (a few milliseconds), not
+    per batch.
 
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor` fallback for
@@ -48,9 +48,10 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.indexed import EvalKernel, IndexedEvaluation, evaluate_candidates
+from repro.core.cost import Cost
+from repro.core.indexed import EvalKernel, evaluate_candidates
 from repro.obs import adopt_trace_context, get_logger, span, trace_context
 from repro.utils.deadline import deadline, remaining_time
 
@@ -139,7 +140,7 @@ def _clamp_counter():
     )
 
 
-def _fork_worker(task) -> List[Optional[IndexedEvaluation]]:
+def _fork_worker(task) -> Tuple[List[Optional[Cost]], int]:
     """Worker body in fork mode: look the kernel up by token and batch.
 
     The submitting thread's *remaining* wall-clock budget rides along in
@@ -154,7 +155,9 @@ def _fork_worker(task) -> List[Optional[IndexedEvaluation]]:
         return evaluate_candidates(_PARENT_KERNELS[token], masks)
 
 
-def _thread_worker(kernel: EvalKernel, masks, remaining) -> List[Optional[IndexedEvaluation]]:
+def _thread_worker(
+    kernel: EvalKernel, masks, remaining
+) -> Tuple[List[Optional[Cost]], int]:
     """Worker body in thread mode (same deadline re-arming as fork)."""
     with deadline(remaining), span("shard.evaluate", masks=len(masks)):
         return evaluate_candidates(kernel, masks)
@@ -184,10 +187,12 @@ class SearchPool:
         #: the search evaluates such batches inline.
         self.min_batch = max(2 * jobs, 16)
 
-    def evaluate_batch(self, masks: Sequence[int]) -> List[Optional[IndexedEvaluation]]:
-        """Evaluate ``masks`` on the pool; ``result[i]`` matches ``masks[i]``."""
+    def evaluate_batch(self, masks: Sequence[int]) -> Tuple[List[Optional[Cost]], int]:
+        """Cost ``masks`` on the pool: ``(costs, passes)`` as from
+        :func:`~repro.core.indexed.evaluate_candidates`, with ``costs[i]``
+        the cost of ``masks[i]`` and ``passes`` summed over the chunks."""
         if not masks:
-            return []
+            return [], 0
         chunk_count = min(self.jobs * 2, len(masks))
         chunks: List[Sequence[int]] = []
         base, extra = divmod(len(masks), chunk_count)
@@ -197,10 +202,13 @@ class SearchPool:
             chunks.append(masks[start:end])
             start = end
         futures = [self._submit(chunk) for chunk in chunks]
-        results: List[Optional[IndexedEvaluation]] = []
+        costs: List[Optional[Cost]] = []
+        passes = 0
         for future in futures:
-            results.extend(future.result())
-        return results
+            chunk_costs, chunk_passes = future.result()
+            costs.extend(chunk_costs)
+            passes += chunk_passes
+        return costs, passes
 
 
 @contextmanager

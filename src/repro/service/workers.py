@@ -52,9 +52,21 @@ __all__ = ["WorkerPool"]
 _log = get_logger("service.workers")
 
 #: Seconds between queue polls of the idle dispatcher and of the ASGI event
-#: feed.  Both poll because other processes share the queue, and push
-#: wake-ups measured slower: the woken in-process solve takes the GIL from
-#: warm requests.
+#: feed.  Both poll because other processes share the queue.  Alternatives
+#: measured on the perfbench ``service`` workload (seeds 11-12,
+#: ``--seconds 35``, 2-vCPU VM), so nobody retries them:
+#:
+#: * push wake-ups with the in-process solve: ``latency_p50_ms`` 4.2 ->
+#:   8.3-9.3 ms, the woken solve takes the GIL from warm requests;
+#: * a 0.5 ms GIL switch interval on top: p50 stays at 8.1-8.4 ms;
+#: * a solve that yields to active requests: p50 is restored, ``encode_s``
+#:   stays flat;
+#: * a forked solver process: ``encode_s`` 1.40 -> 0.99-1.04 s, but the
+#:   counted ``peak_rss_mb`` 46.7 -> 81 MB, past the benchmark's 10% bound.
+#:
+#: Per 100 requests about 30 cold solves of the ten specs (~27-38 ms each)
+#: hold the server's one GIL for 0.8-1.1 s of its 1.2-1.4 s: the solve is
+#: the lever, not the poll.
 POLL_INTERVAL = 0.05
 
 #: Exception classes that are a property of the request itself (an

@@ -25,6 +25,10 @@ reproduce exactly.
   excitation check.  The tier now reads all three off the graph's index.
 * :func:`reference_greedy_merge_indexed` is the one-by-one greedy merge
   of the Figure-4 search; the search batches its unions.
+* :func:`reference_block_evaluation` is the eager candidate evaluation
+  the Figure-4 search ran on every generated block: side table and cost
+  in one scalar pass.  The search now costs batches without side tables
+  and derives a side table only for a candidate its SIP check examines.
 * :func:`reference_explore` is symbolic exploration as it ran before it
   saturated a toggle system: a marking-only BFS infers the initial
   signal values (:func:`reference_infer_initial_values`), then a
@@ -44,8 +48,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.cost import Cost
 from repro.core.excitation import excitation_regions, trigger_events
 from repro.core.insertion import ARC_VALUES, IllegalInsertionError, illegal_crossing
+from repro.core.ipartition import S0, S1, SMINUS, SPLUS
 from repro.core.regions import (
     RegionSearchBudgetExceeded,
     _expansion_choices_mask,
@@ -348,6 +354,85 @@ def reference_check_excitation(network, sg) -> VerificationReport:
 # ----------------------------------------------------------------------
 # the greedy merge of the Figure-4 search
 # ----------------------------------------------------------------------
+def reference_block_evaluation(kernel, mask: int) -> Optional[Tuple[bytes, Cost]]:
+    """``(side table, cost)`` of a block bitmask under an
+    :class:`~repro.core.indexed.EvalKernel`, or ``None`` for a degenerate
+    block: exit borders by a worklist over the successor lists, solved
+    pairs against the stable sides, and trigger/delay accounting over
+    the border-incident signal arcs."""
+    n = kernel.num_states
+    if mask == 0 or mask == kernel.full_mask or mask.bit_count() >= n:
+        return None
+    succ = kernel.succ_targets
+    side = bytearray(kernel.s1_template)
+    members = [i for i in range(n) if mask >> i & 1]
+    for i in members:
+        side[i] = S0
+
+    def close(seeds, inside, mark):
+        border = list(seeds)
+        for i in seeds:
+            side[i] = mark
+        stack = list(seeds)
+        while stack:
+            i = stack.pop()
+            for t in succ[i]:
+                if side[t] == inside:
+                    side[t] = mark
+                    border.append(t)
+                    stack.append(t)
+        return border
+
+    splus = close(
+        [i for i in members if any(side[t] == S1 for t in succ[i])], S0, SPLUS
+    )
+    if not splus:
+        return None
+    complement = [i for i in range(n) if side[i] == S1]
+    sminus = close(
+        [i for i in complement if any(side[t] < S1 for t in succ[i])], S1, SMINUS
+    )
+    if not sminus:
+        return None
+
+    solved = 0
+    for first, second_mask in zip(kernel.first_sides, kernel.second_masks):
+        for second in range(n):
+            if second_mask >> second & 1 and {side[first], side[second]} == {S0, S1}:
+                solved += 1
+    entering_plus: Set[int] = set()
+    entering_minus: Set[int] = set()
+    delayed: Set[int] = set()
+    for b in splus:
+        for src, signal in kernel.in_sig_arcs[b]:
+            if side[src] != SPLUS:
+                entering_plus.add(signal)
+                if side[src] == SMINUS:
+                    delayed.add(signal)
+        for tgt, signal in kernel.out_sig_arcs[b]:
+            if side[tgt] == S1:
+                delayed.add(signal)
+    for b in sminus:
+        for src, signal in kernel.in_sig_arcs[b]:
+            if side[src] != SMINUS:
+                entering_minus.add(signal)
+                if side[src] == SPLUS:
+                    delayed.add(signal)
+        for tgt, signal in kernel.out_sig_arcs[b]:
+            if side[tgt] == S0:
+                delayed.add(signal)
+    input_delays = 0
+    if kernel.count_input_delays:
+        input_delays = sum(1 for signal in delayed if kernel.signal_is_input[signal])
+    cost = Cost(
+        unsolved_conflicts=kernel.pair_count - solved,
+        input_delays=input_delays,
+        trigger_estimate=len(entering_plus) + len(entering_minus) + len(delayed),
+        border_size=len(splus) + len(sminus),
+    )
+    return bytes(side), cost
+
+
 def reference_greedy_merge_indexed(ranked, evaluator, num_states, settings) -> Optional[tuple]:
     """``(mask, bricks, neighbours, cost)`` of the one-by-one greedy
     merge (each union costed on its own), or ``None`` when no union
@@ -356,22 +441,20 @@ def reference_greedy_merge_indexed(ranked, evaluator, num_states, settings) -> O
         return None
     best = ranked[0]
     current = (best.mask, best.bricks, best.neighbours)
-    current_eval = best.evaluation
+    current_cost = best.cost
     improved = False
     for other in ranked[1 : settings.max_merge_candidates]:
         union_mask = current[0] | other.mask
         if union_mask.bit_count() >= num_states or union_mask == current[0]:
             continue
-        evaluation = evaluator.kernel.evaluate(union_mask)
-        if evaluation is None:
-            continue
-        if evaluation.cost < current_eval.cost:
+        cost = evaluator.kernel.cost(union_mask)
+        if cost is not None and cost < current_cost:
             current = (union_mask, current[1] | other.bricks, current[2] | other.neighbours)
-            current_eval = evaluation
+            current_cost = cost
             improved = True
     if not improved:
         return None
-    return current + (current_eval.cost,)
+    return current + (current_cost,)
 
 
 def transition_update(ssg, transition, before=None):

@@ -121,6 +121,21 @@ class TestCLI:
         ).stdout.split("\n")
         assert out[:2] == ["False False", "[] True"]
 
+    def test_cli_import_leaves_numpy_and_the_solver_unloaded(self):
+        # every command imports the layers it runs when it starts
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in ('numpy', 'repro.api', 'repro.core.solver',"
+            " 'repro.engine.batch') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_census_on_file(self, tmp_path, capsys):
         path = self._write(tmp_path, gen.vme_controller())
         assert main(["census", path]) == 0

@@ -85,27 +85,27 @@ def test_enlarge_concurrency_matches_legacy(name):
 
 
 def test_indexed_evaluator_matches_object_space(vme_sg):
-    """Per-block: the indexed evaluation equals evaluate_block, and the
-    memo returns the identical result object on a repeat evaluation."""
+    """Per-block: the indexed cost and on-demand partition equal
+    evaluate_block's, and the memo returns the identical cost object on a
+    repeat evaluation."""
     conflicts = csc_conflicts(vme_sg)
     evaluator = IndexedEvaluator(vme_sg, conflicts, allow_input_delay=False)
     index = indexed_state_graph(vme_sg)
     bricks = caches.get_bricks(vme_sg, "regions", 20000)
     assert bricks, "vme must decompose into bricks"
-    for brick in bricks:
-        mask = index.mask_of(brick)
-        indexed = evaluator.evaluate(mask)
+    masks = [index.mask_of(brick) for brick in bricks]
+    costs = evaluator.costs(masks)
+    for brick, mask, cost in zip(bricks, masks, costs):
         reference = evaluate_block(vme_sg, brick, conflicts, allow_input_delay=False)
         if reference is None:
-            assert indexed is None
+            assert cost is None
         else:
-            assert indexed is not None
-            assert indexed.cost == reference.cost
-            assert indexed.to_partition(index) == reference.partition
-    hits_before = evaluator.hits
-    first = evaluator.evaluate(index.mask_of(bricks[0]))
-    assert evaluator.hits == hits_before + 1
-    assert first is evaluator.evaluate(index.mask_of(bricks[0]))
+            assert cost == reference.cost
+            assert index.partition_of(evaluator.side_table(mask)) == reference.partition
+    assert len(evaluator.memo) == len(set(masks))
+    first = evaluator.costs(masks[:1])[0]
+    assert first is costs[0]
+    assert len(evaluator.memo) == len(set(masks))
 
 
 # ----------------------------------------------------------------------
@@ -348,17 +348,8 @@ class TestShard:
         masks, _adjacency = indexed_brick_bundle(vme_sg)
         clone = pickle.loads(pickle.dumps(evaluator.kernel))
         for mask in masks:
-            original = evaluator.kernel.evaluate(mask)
-            copied = clone.evaluate(mask)
-            if original is None:
-                assert copied is None
-                continue
-            assert (copied.mask, copied.size, copied.cost, bytes(copied.side)) == (
-                original.mask,
-                original.size,
-                original.cost,
-                bytes(original.side),
-            )
+            assert clone.cost(mask) == evaluator.kernel.cost(mask)
+            assert clone.side_table(mask) == evaluator.kernel.side_table(mask)
 
     @pytest.mark.parametrize("mode", ["thread", "fork"])
     def test_search_pool_matches_inline_kernel(self, vme_sg, mode):
@@ -368,22 +359,12 @@ class TestShard:
             vme_sg, csc_conflicts(vme_sg), allow_input_delay=False
         )
         masks, _adjacency = indexed_brick_bundle(vme_sg)
-        inline = [evaluator.kernel.evaluate(mask) for mask in masks]
+        inline = [evaluator.kernel.cost(mask) for mask in masks]
         with use_shard_mode(mode):
             with search_pool(evaluator.kernel, 2) as pool:
                 assert pool is not None and pool.kind == mode
-                pooled = pool.evaluate_batch(list(masks))
-        assert len(pooled) == len(inline)
-        for got, expected in zip(pooled, inline):
-            if expected is None:
-                assert got is None
-            else:
-                assert (got.mask, got.size, got.cost, bytes(got.side)) == (
-                    expected.mask,
-                    expected.size,
-                    expected.cost,
-                    bytes(expected.side),
-                )
+                pooled, _passes = pool.evaluate_batch(list(masks))
+        assert pooled == inline
 
     def test_search_pool_width_one_is_inline(self):
         from repro.engine.shard import search_pool

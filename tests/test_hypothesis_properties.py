@@ -143,7 +143,7 @@ def test_signal_edge_parse_format_roundtrip(signal, direction, index):
 
 
 # ----------------------------------------------------------------------
-# evaluation-kernel properties: planes vs the big-int oracle
+# evaluation-kernel properties: planes, big-int and the eager reference
 # ----------------------------------------------------------------------
 _KERNEL_CACHE = {}
 
@@ -170,33 +170,42 @@ def _candidate_kernels():
     return _KERNEL_CACHE["kernels"]
 
 
-def _evaluation_key(evaluation):
-    if evaluation is None:
-        return None
-    return (
-        evaluation.mask,
-        evaluation.size,
-        bytes(evaluation.side),
-        evaluation.cost,
-    )
+def _random_masks(data, num_states):
+    batch_size = data.draw(st.integers(min_value=1, max_value=70))
+    return [
+        data.draw(st.integers(min_value=0, max_value=(1 << num_states) - 1))
+        for _ in range(batch_size)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_plane_kernels_match_bigint_oracle(data):
-    from repro.core.indexed import evaluate_candidates
-
     pytest.importorskip("numpy")
     bigint, planes = _candidate_kernels()
-    num_states = bigint.num_states
-    batch_size = data.draw(st.integers(min_value=1, max_value=70))
-    masks = [
-        data.draw(st.integers(min_value=0, max_value=(1 << num_states) - 1))
-        for _ in range(batch_size)
-    ]
-    expected = [_evaluation_key(e) for e in evaluate_candidates(bigint, masks)]
-    got = [_evaluation_key(e) for e in evaluate_candidates(planes, masks)]
-    assert got == expected
+    masks = _random_masks(data, bigint.num_states)
+    costs, passes = planes.batch_kernel().cost_batch(masks)
+    assert costs == bigint.cost_batch(masks)[0]
+    assert passes == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bigint_kernel_matches_eager_reference(data):
+    """The big-int kernel's batch costs and on-demand side tables are
+    those of the eager evaluation the search used to run per candidate."""
+    from references import reference_block_evaluation
+
+    bigint, _planes = _candidate_kernels()
+    masks = _random_masks(data, bigint.num_states)
+    costs, _passes = bigint.cost_batch(masks)
+    for mask, cost in zip(masks, costs):
+        reference = reference_block_evaluation(bigint, mask)
+        side = bigint.side_table(mask)
+        if reference is None:
+            assert cost is None and side is None
+        else:
+            assert (bytes(side), cost) == reference
 
 
 # ----------------------------------------------------------------------

@@ -304,7 +304,7 @@ class TestIndexSpaceDecision:
         kinds = set()
         for index, side, signal, persistent_before, kwargs, verdict in decided:
             sg = graphs[id(index)]
-            partition = indexed.IndexedEvaluation(0, 0, bytearray(side), None).to_partition(index)
+            partition = index.partition_of(side)
             ok, kind, remaining = _oracle_decision(
                 sg, partition, persistent_before, kwargs["allow_input_delay"]
             )

@@ -305,6 +305,37 @@ class TestTrace:
         assert "persistency" in outcomes  # par4
         assert "no_progress" in outcomes  # master-read
 
+    @pytest.mark.parametrize("kernel", ["auto", "bigint"])
+    def test_search_evaluate_spans_count_passes_and_sip_spans_side_tables(
+        self, tmp_path, active_trace, kernel
+    ):
+        """``search.evaluate`` spans carry the plane passes their batch
+        took (none on the big-int kernel), and the search derives one side
+        table per ``search.sip`` span, i.e. per examined candidate."""
+        from repro.core import solve_csc
+        from repro.core.planes import resolve_kernel
+        from repro.engine import caches
+
+        case = get_case("master-read")
+        settings = case.solver_settings()
+        settings.kernel = kernel
+        before = caches.STATS.snapshot()["side_tables"]
+        solve_csc(build_state_graph(case.build()), settings)
+        side_tables = caches.STATS.snapshot()["side_tables"] - before
+        out = tmp_path / "trace.json"
+        export_chrome_trace(str(out))
+        events = json.loads(out.read_text())["traceEvents"]
+        sip_spans = [event for event in events if event["name"] == "search.sip"]
+        evaluate_spans = [event["args"] for event in events if event["name"] == "search.evaluate"]
+        assert side_tables == len(sip_spans) > 0
+        assert evaluate_spans and all("passes" in args for args in evaluate_spans)
+        passes = sum(args["passes"] for args in evaluate_spans)
+        if resolve_kernel(kernel) == "bigint":
+            assert passes == 0
+        else:
+            # master-read's batches each fit one pass
+            assert passes > 0 and all(args["passes"] <= 1 for args in evaluate_spans)
+
     def test_search_bricks_spans_carry_brick_counts(self, tmp_path, active_trace):
         """``search.bricks`` spans report the brick count and how many
         per-event entries were carried over or computed afresh: the

@@ -155,9 +155,7 @@ class TestCanonicalRank:
         tied = Cost(1, 0, 2, 2)
         masks = [1 << i for i in [3, 0, 5, 1, 4, 2]]
         indexed_candidates = [
-            _IndexedCandidate(
-                mask, 0, 0, idx.IndexedEvaluation(mask, 1, bytearray(), tied), seq
-            )
+            _IndexedCandidate(mask, 0, 0, tied, seq)
             for seq, mask in enumerate(masks)
         ]
         legacy_candidates = [
@@ -282,3 +280,34 @@ class TestBatchedMerge:
                 solve_csc(build_state_graph(case.build()), case.solver_settings())
         assert len(merges) > 50
         assert sum(merges) > 10  # merges that accepted at least one union
+
+
+class TestSideTablesOnDemand:
+    def test_sip_side_tables_match_the_eager_evaluation(self, monkeypatch):
+        """The search derives a side table only for a candidate its SIP
+        check examines; on every Table-2 row that table, and the batch
+        cost the candidate was ranked by, are those of the eager
+        evaluation the search used to run on every generated block."""
+        from references import reference_block_evaluation
+
+        from repro.bench_stg.library import TABLE2_CASES
+
+        derive = idx.IndexedEvaluator.side_table
+        derived = []
+
+        def recording(evaluator, mask):
+            side = derive(evaluator, mask)
+            derived.append(
+                (
+                    (bytes(side), evaluator.memo[mask]),
+                    reference_block_evaluation(evaluator.kernel, mask),
+                )
+            )
+            return side
+
+        monkeypatch.setattr(idx.IndexedEvaluator, "side_table", recording)
+        for case in TABLE2_CASES:
+            solve_csc(build_state_graph(case.build()), case.solver_settings())
+        assert len(derived) > 200
+        for got, expected in derived:
+            assert got == expected
