@@ -1,6 +1,6 @@
 """Bench-regression gate: fail CI when a benchmark sweep regresses.
 
-Seven suites, selected by ``--suite``:
+Six suites, selected by ``--suite``:
 
 ``table2`` (default)
     Runs the full Table-2 sweep three ways via
@@ -17,16 +17,6 @@ Seven suites, selected by ``--suite``:
     every deterministic verdict field (state counts, USC/CSC pair
     counts, CSC verdicts, modes) reproduces the baseline exactly: a
     verdict drift is a correctness bug, not a performance one.
-
-``search``
-    Runs the in-solve sharding sweep via
-    :func:`benchmarks.bench_parallel_search.run_search_benchmark`
-    (refreshing ``BENCH_search.json``), fails unless the serial and
-    ``search_jobs=4`` sweeps are byte-identical, fails on any per-row
-    result-fingerprint drift against the committed baseline, and gates
-    the *search serial* wall-clock — so the generate/evaluate/merge
-    restructure of the Figure-4 search can never quietly slow the
-    serial path down.
 
 ``obs``
     Runs the observability guard via
@@ -73,7 +63,7 @@ Seven suites, selected by ``--suite``:
 
 Raw wall-clock comparisons across CI runners would gate on machine
 speed, not on code.  Each suite therefore carries its own frozen-code
-yardstick: the legacy object-space sweep for ``table2`` and ``search``,
+yardstick: the legacy object-space sweep for ``table2``,
 the explicit census of the enumerable Table-1 rows for ``table1``.  The
 gate scales the committed baseline by ``new_yardstick /
 baseline_yardstick`` and fails when the gated time exceeds that
@@ -83,7 +73,6 @@ Usage (CI runs exactly this)::
 
     python benchmarks/check_bench_regression.py --baseline BENCH_batch.json.orig
     python benchmarks/check_bench_regression.py --suite table1 --baseline BENCH_table1.json.orig
-    python benchmarks/check_bench_regression.py --suite search --baseline BENCH_search.json.orig
 
 where the baseline file is a copy of the committed record taken
 *before* the run refreshes it.
@@ -108,10 +97,6 @@ from bench_obs import (  # noqa: E402
     MAX_OVERHEAD_RATIO,
     RECORD_PATH as OBS_RECORD_PATH,
     run_obs_benchmark,
-)
-from bench_parallel_search import (  # noqa: E402
-    RECORD_PATH as SEARCH_RECORD_PATH,
-    run_search_benchmark,
 )
 from bench_synth import (  # noqa: E402
     RECORD_PATH as SYNTH_RECORD_PATH,
@@ -222,55 +207,6 @@ def check_table1(baseline_path: pathlib.Path, tolerance: float) -> int:
         tolerance,
     )
     print(f"refreshed {TABLE1_RECORD_PATH}")
-    if not ok:
-        return 1
-    print("OK: no bench regression")
-    return 0
-
-
-def check_search(baseline_path: pathlib.Path, tolerance: float) -> int:
-    baseline = json.loads(baseline_path.read_text())
-    record = run_search_benchmark()
-
-    if not record["identical"]:
-        print("FAIL: serial and search_jobs=4 sweeps are no longer byte-identical")
-        return 1
-
-    baseline_rows = {row["name"]: row for row in baseline["per_stg"]}
-    new_rows = {row["name"]: row for row in record["per_stg"]}
-    drifted = False
-    for name in baseline_rows.keys() - new_rows.keys():
-        print(f"FAIL: Table-2 row {name} disappeared from the search sweep")
-        drifted = True
-    for row in record["per_stg"]:
-        base_row = baseline_rows.get(row["name"])
-        if base_row is None:
-            print(f"note: new search-sweep row {row['name']} (no baseline fingerprint)")
-            continue
-        if row["fingerprint_sha256"] != base_row["fingerprint_sha256"]:
-            print(
-                f"FAIL: result-fingerprint drift on {row['name']}: "
-                f"baseline {base_row['fingerprint_sha256'][:12]}… -> "
-                f"now {row['fingerprint_sha256'][:12]}…"
-            )
-            drifted = True
-    if drifted:
-        return 1
-
-    ok = _gate(
-        "search serial",
-        float(baseline["legacy_serial_seconds"]),
-        float(record["legacy_serial_seconds"]),
-        float(baseline["search_serial_seconds"]),
-        float(record["search_serial_seconds"]),
-        tolerance,
-    )
-    print(
-        f"slowest row {record['slowest_row']}: serial {record['slowest_serial_cpu']}s "
-        f"-> search_jobs=4 {record['slowest_sharded_cpu']}s "
-        f"({record['slowest_row_speedup']}x on {record['cores']} core(s)); "
-        f"refreshed {SEARCH_RECORD_PATH}"
-    )
     if not ok:
         return 1
     print("OK: no bench regression")
@@ -506,7 +442,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--suite",
-        choices=["table2", "table1", "search", "swarm", "obs", "kernel", "synth"],
+        choices=["table2", "table1", "swarm", "obs", "kernel", "synth"],
         default="table2",
         help="which sweep to gate (default: the Table-2 engine sweep)",
     )
@@ -529,9 +465,6 @@ def main(argv=None) -> int:
     if args.suite == "table1":
         baseline_path = args.baseline or TABLE1_RECORD_PATH
         return check_table1(baseline_path, args.tolerance)
-    if args.suite == "search":
-        baseline_path = args.baseline or SEARCH_RECORD_PATH
-        return check_search(baseline_path, args.tolerance)
     if args.suite == "swarm":
         baseline_path = args.baseline or SWARM_RECORD_PATH
         return check_swarm(baseline_path, args.tolerance)

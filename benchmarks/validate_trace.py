@@ -18,7 +18,7 @@ Usage (CI runs exactly this)::
 
 ``--require NAME`` asserts a span name appears at least once;
 ``--require-multiprocess`` asserts events from more than one pid (a
-sharded or pooled run actually traced its workers).
+pooled run, such as ``encode_many(jobs=2)``, actually traced its workers).
 """
 
 from __future__ import annotations

@@ -65,7 +65,6 @@ def _solver_settings(args: argparse.Namespace):
         ),
         max_signals=args.max_signals if args.max_signals is not None else 32,
         verbose=args.verbose,
-        search_jobs=args.search_jobs if getattr(args, "search_jobs", None) is not None else 1,
         kernel=getattr(args, "kernel", None) or "auto",
     )
 
@@ -303,7 +302,6 @@ def _cmd_bench_all(args: argparse.Namespace) -> int:
         max_states=args.max_states,
         timeout=args.timeout,
         engine=args.engine,
-        search_jobs=args.search_jobs,
         kernel=getattr(args, "kernel", None),
     )
     name_width = max((len(item.name) for item in result.items), default=4)
@@ -360,7 +358,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         timeout=args.timeout,
         max_entries=args.max_entries,
-        search_jobs=args.search_jobs,
         max_backlog=args.max_backlog,
         autostart=not args.no_workers,
     )
@@ -415,7 +412,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         args.store,
         jobs=args.jobs,
         timeout=args.timeout,
-        search_jobs=args.search_jobs,
         recover=False,
     )
     print(
@@ -508,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-signals", type=int, default=None, help="maximum number of inserted state signals (default 32)")
         sub.add_argument("--max-states", type=int, default=200000, help="bound on explicit state-graph size; with a symbolic engine, on the conflicted graph materialized for the solver (a larger one gets the detection-only verdict)")
         sub.add_argument("--enlarge-concurrency", action="store_true", help="greedily increase concurrency of inserted signals")
-        sub.add_argument("--search-jobs", type=int, default=None, metavar="N", help="shard each insertion search across N workers (results identical to serial; in --all mode clamped so --jobs x N fits the machine)")
         sub.add_argument("--kernel", choices=["auto", "bigint", "planes"], default=None, help="block-evaluation kernel: bit-plane batches (planes), the big-integer oracle (bigint), or planes when numpy is importable (auto, the default); results are byte-identical either way")
         sub.add_argument("--verbose", action="store_true", help="log per-insertion solver progress (debug level)")
         sub.add_argument("-q", "--quiet", action="store_true", help="log errors only")
@@ -578,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=1, help="worker-pool width (process workers per batch)")
     serve.add_argument("--store", default="pyetrify-service.db", metavar="PATH", help="sqlite file holding jobs and results (survives restarts)")
     serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="per-job wall-clock bound")
-    serve.add_argument("--search-jobs", type=int, default=None, metavar="N", help="default in-solve sharding width for jobs that do not request one (clamped so --jobs x N fits the machine)")
     serve.add_argument("--max-entries", type=int, default=None, metavar="N", help="LRU bound on the result store (default unbounded)")
     serve.add_argument("--max-backlog", type=int, default=None, metavar="N", help="reject submissions with 503 when N jobs are already pending (default unbounded)")
     serve.add_argument("--no-workers", action="store_true", help="serve the API only; drain the queue with separate `pyetrify worker` processes")
@@ -591,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--store", default="pyetrify-service.db", metavar="PATH", help="backend shared with the serving front")
     worker.add_argument("--jobs", type=int, default=1, help="concurrent encodings in this worker process")
     worker.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="per-job wall-clock bound")
-    worker.add_argument("--search-jobs", type=int, default=None, metavar="N", help="default in-solve sharding width (clamped against --jobs)")
     worker.add_argument("--verbose", action="store_true", help="debug-level logging")
     worker.add_argument("-q", "--quiet", action="store_true", help="log errors only")
     worker.set_defaults(handler=_cmd_worker)

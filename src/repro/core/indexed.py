@@ -1006,16 +1006,13 @@ def brick_adjacency_bitsets(isg: IndexedStateGraph, masks: Sequence[int]) -> Lis
 # block evaluation (the Figure-4 hot loop)
 # ----------------------------------------------------------------------
 class EvalKernel:
-    """Pure, picklable block-costing kernel of one insertion search.
+    """Pure block-costing kernel of one insertion search.
 
     A self-contained snapshot of everything :meth:`cost` reads — the
     successor lists, the border-incident signal arcs, the conflict-pair
     masks — with no reference to the state graph, its state objects or
-    the engine caches.  That makes the kernel the unit the in-solve
-    sharding ships to worker processes (:mod:`repro.engine.shard`): the
-    same kernel instance costs a block bitmask the same way in any
-    process, so parallel candidate evaluation is deterministic by
-    construction.
+    the engine caches, so a cost is a function of the block bitmask
+    alone.
 
     A batch is costed without side tables (:func:`evaluate_candidates`);
     the side table of a candidate is derived from its mask on demand by
@@ -1250,11 +1247,9 @@ def evaluate_candidates(
 ) -> Tuple[List[Optional[Cost]], int]:
     """Cost a batch of block bitmasks with a pure kernel.
 
-    The module-level worker body of the in-solve sharding: picklable,
-    stateless (all state lives in ``kernel``), and position-aligned with
-    its input — ``costs[i]`` is the cost of ``masks[i]`` in the returned
-    ``(costs, passes)`` — so the caller can merge shards back in
-    generation order.
+    Stateless (all state lives in ``kernel``) and position-aligned with
+    its input: ``costs[i]`` is the cost of ``masks[i]`` in the returned
+    ``(costs, passes)``.
 
     A planes kernel costs a batch of two or more masks in bit-plane
     passes (:mod:`repro.core.planes`); a single mask, or a big-int
@@ -1275,9 +1270,9 @@ class IndexedEvaluator:
     those of :func:`repro.core.cost.evaluate_block` — the object-space
     oracle.
 
-    The arithmetic lives in the evaluator's :class:`EvalKernel` — a pure,
-    picklable snapshot the in-solve sharding ships to worker processes.
-    ``passes`` counts the plane passes the search's batches took.
+    The arithmetic lives in the evaluator's :class:`EvalKernel`, a pure
+    snapshot of the graph and the conflict pairs.  ``passes`` counts the
+    plane passes the search's batches took.
     """
 
     __slots__ = ("index", "kernel", "memo", "passes")
@@ -1302,21 +1297,16 @@ class IndexedEvaluator:
         self.memo: Dict[int, Optional[Cost]] = {}
         self.passes = 0
 
-    def costs(self, masks: Sequence[int], pool=None) -> List[Optional[Cost]]:
+    def costs(self, masks: Sequence[int]) -> List[Optional[Cost]]:
         """The costs of ``masks``, position-aligned (``None`` for degenerate
         blocks).
 
-        The masks not memoized yet are costed as one batch — on the shard
-        ``pool``'s workers when one is open and the batch is worth a
-        round trip, inline otherwise — and memoized.
+        The masks not memoized yet are costed as one batch and memoized.
         """
         memo = self.memo
         pending = [mask for mask in dict.fromkeys(masks) if mask not in memo]
         if pending:
-            if pool is not None and len(pending) >= pool.min_batch:
-                costs, passes = pool.evaluate_batch(pending)
-            else:
-                costs, passes = evaluate_candidates(self.kernel, pending)
+            costs, passes = evaluate_candidates(self.kernel, pending)
             self.passes += passes
             memo.update(zip(pending, costs))
             if len(pending) == len(masks):

@@ -106,8 +106,7 @@ class PlaneKernel:
     also flattens the signal arcs into per-signal runs and expands the
     grouped conflict pairs back into aligned ``(first, second)`` index
     arrays.  All of it is derived purely from the ``EvalKernel``
-    snapshot, so a ``PlaneKernel`` is as picklable and process-portable
-    as its parent and rides along with it into shard workers.
+    snapshot.
 
     ``pass_lanes`` is the number of candidates one pass costs: as many
     lane words as :data:`PASS_WORDS` allows over the tallest table.

@@ -14,8 +14,8 @@ brick.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bricks import brick_adjacency, compute_bricks
 from repro.core.cost import BlockEvaluation, Cost, evaluate_block, evaluate_partition
@@ -25,7 +25,6 @@ from repro.core.ipartition import IPartition
 from repro.core.sip import InsertionCheck, check_insertion
 from repro.core import indexed
 from repro.engine import caches as engine_caches
-from repro.engine import shard
 from repro.obs import emit_progress, span
 from repro.stg.signals import SignalType
 from repro.stg.state_graph import StateGraph
@@ -130,7 +129,6 @@ def find_insertion_plan(
     signal: str,
     settings: Optional[SearchSettings] = None,
     conflicts: Optional[Sequence[CSCConflict]] = None,
-    search_jobs: int = 1,
     kernel: str = "auto",
 ) -> Optional[InsertionPlan]:
     """Find the best valid insertion of one new state signal.
@@ -144,16 +142,9 @@ def find_insertion_plan(
     implementation below is the cache-disabled baseline and produces
     identical plans.
 
-    ``search_jobs > 1`` shards the candidate *evaluations* of the
-    indexed path across the worker pool of :mod:`repro.engine.shard`;
-    generation and ranking stay in-process and results are merged in
-    generation order, so the chosen plan is byte-identical to a serial
-    search at any worker count.  The legacy (cache-disabled) path is the
-    frozen differential oracle and always runs serially.
-
     ``kernel`` selects the block-evaluation implementation of the
-    indexed path (see :mod:`repro.core.planes`); like ``search_jobs``
-    it never changes the chosen plan, only how fast it is found.
+    indexed path (see :mod:`repro.core.planes`); it never changes the
+    chosen plan, only how fast it is found.
     """
     settings = settings or SearchSettings()
     if conflicts is None:
@@ -169,7 +160,7 @@ def find_insertion_plan(
 
     if engine_caches.caches_enabled():
         return _find_insertion_plan_indexed(
-            sg, signal, settings, conflicts, full_conflict_count, search_jobs, kernel
+            sg, signal, settings, conflicts, full_conflict_count, kernel
         )
     return _find_insertion_plan_legacy(
         sg, signal, settings, conflicts, full_conflict_count
@@ -331,13 +322,13 @@ def _rank_indexed(candidates: Sequence[_IndexedCandidate]) -> List[_IndexedCandi
 
 
 def _evaluate_masks(
-    evaluator: "indexed.IndexedEvaluator", masks: Sequence[int], pool, **attrs
+    evaluator: "indexed.IndexedEvaluator", masks: Sequence[int], **attrs
 ) -> List[Optional[Cost]]:
     """The costs of ``masks`` in generation order, under one
     ``search.evaluate`` span that records the plane passes they took."""
     with span("search.evaluate", masks=len(masks), **attrs) as span_attrs:
         passes = evaluator.passes
-        costs = evaluator.costs(masks, pool)
+        costs = evaluator.costs(masks)
         span_attrs["passes"] = evaluator.passes - passes
     return costs
 
@@ -348,7 +339,6 @@ def _find_insertion_plan_indexed(
     settings: SearchSettings,
     conflicts: Sequence[CSCConflict],
     full_conflict_count: int,
-    search_jobs: int = 1,
     kernel: str = "auto",
 ) -> Optional[InsertionPlan]:
     """The Figure-4 search on the integer-indexed fast path.
@@ -358,12 +348,11 @@ def _find_insertion_plan_indexed(
     are memoized per block, and brick decomposition/adjacency come from
     the per-graph cache.
 
-    Candidate handling is split into ordered *generation* (the seen-set
-    and frontier bookkeeping, always in-process) and pure *evaluation*
-    (batched through :func:`_evaluate_masks`, sharded across
-    ``search_jobs`` workers when requested).  The merge that follows each
-    evaluation batch walks the generated candidates in generation order,
-    which reproduces the serial search decision for decision.
+    Each iteration first *generates* the enlargements of the frontier
+    (the seen-set and frontier bookkeeping), then costs them as one batch
+    (:func:`_evaluate_masks`), then walks them in generation order to
+    accept the improving ones, which reproduces the one-at-a-time search
+    decision for decision.
     """
     stats = engine_caches.STATS
     carries, misses = stats.brick_carries, stats.brick_misses
@@ -391,72 +380,71 @@ def _find_insertion_plan_indexed(
     seen_blocks: Set[int] = set()
     good: List[_IndexedCandidate] = []
     next_seq = itertools.count()
-    with shard.search_pool(evaluator.kernel, search_jobs) as pool:
-        # --- seed: every brick is a candidate block ---------------------
-        seed_costs = _evaluate_masks(evaluator, masks, pool, seed=True)
-        for brick_index, (mask, cost) in enumerate(zip(masks, seed_costs)):
-            if cost is None or mask in seen_blocks:
-                continue
-            seen_blocks.add(mask)
-            good.append(
-                _IndexedCandidate(
-                    mask, 1 << brick_index, adjacency[brick_index], cost, next(next_seq)
+    # --- seed: every brick is a candidate block -------------------------
+    seed_costs = _evaluate_masks(evaluator, masks, seed=True)
+    for brick_index, (mask, cost) in enumerate(zip(masks, seed_costs)):
+        if cost is None or mask in seen_blocks:
+            continue
+        seen_blocks.add(mask)
+        good.append(
+            _IndexedCandidate(
+                mask, 1 << brick_index, adjacency[brick_index], cost, next(next_seq)
+            )
+        )
+    if not good:
+        return None
+
+    frontier = _rank_indexed(good)[: settings.frontier_width]
+
+    # --- Figure 4: grow blocks with adjacent bricks ---------------------
+    for iteration in range(settings.max_search_iterations):
+        # generation: enlargements in frontier order, deduplicated by
+        # the seen-set exactly as the serial interleaving would
+        grown_masks: List[int] = []
+        origins: List[Tuple[_IndexedCandidate, int]] = []
+        with span("search.generate", frontier=len(frontier)):
+            for candidate in frontier:
+                check_deadline()
+                # neighbour bricks in ascending index order
+                for brick_index in indexed.bits_of(
+                    candidate.neighbours & ~candidate.bricks
+                ):
+                    grown_mask = candidate.mask | masks[brick_index]
+                    if grown_mask in seen_blocks or grown_mask.bit_count() >= num_states:
+                        continue
+                    seen_blocks.add(grown_mask)
+                    grown_masks.append(grown_mask)
+                    origins.append((candidate, brick_index))
+        # evaluation: every enlargement of this iteration in one batch
+        grown_costs = _evaluate_masks(evaluator, grown_masks)
+        # merge: acceptance in generation order (deterministic)
+        new_frontier: List[_IndexedCandidate] = []
+        for (candidate, brick_index), grown_mask, cost in zip(
+            origins, grown_masks, grown_costs
+        ):
+            if cost is not None and cost < candidate.cost:
+                grown = _IndexedCandidate(
+                    grown_mask,
+                    candidate.bricks | (1 << brick_index),
+                    candidate.neighbours | adjacency[brick_index],
+                    cost,
+                    next(next_seq),
                 )
-            )
-        if not good:
-            return None
-
-        frontier = _rank_indexed(good)[: settings.frontier_width]
-
-        # --- Figure 4: grow blocks with adjacent bricks -----------------
-        for iteration in range(settings.max_search_iterations):
-            # generation: enlargements in frontier order, deduplicated by
-            # the seen-set exactly as the serial interleaving would
-            grown_masks: List[int] = []
-            origins: List[Tuple[_IndexedCandidate, int]] = []
-            with span("search.generate", frontier=len(frontier)):
-                for candidate in frontier:
-                    check_deadline()
-                    # neighbour bricks in ascending index order
-                    for brick_index in indexed.bits_of(
-                        candidate.neighbours & ~candidate.bricks
-                    ):
-                        grown_mask = candidate.mask | masks[brick_index]
-                        if grown_mask in seen_blocks or grown_mask.bit_count() >= num_states:
-                            continue
-                        seen_blocks.add(grown_mask)
-                        grown_masks.append(grown_mask)
-                        origins.append((candidate, brick_index))
-            # evaluation: pure per-mask work, sharded when worth it
-            grown_costs = _evaluate_masks(evaluator, grown_masks, pool)
-            # merge: acceptance in generation order (deterministic)
-            new_frontier: List[_IndexedCandidate] = []
-            for (candidate, brick_index), grown_mask, cost in zip(
-                origins, grown_masks, grown_costs
-            ):
-                if cost is not None and cost < candidate.cost:
-                    grown = _IndexedCandidate(
-                        grown_mask,
-                        candidate.bricks | (1 << brick_index),
-                        candidate.neighbours | adjacency[brick_index],
-                        cost,
-                        next(next_seq),
-                    )
-                    good.append(grown)
-                    new_frontier.append(grown)
-            emit_progress(
-                stage="search",
-                signal=signal,
-                iteration=iteration,
-                frontier=len(frontier),
-                generated=len(grown_masks),
-                accepted=len(new_frontier),
-                candidates_ranked=len(good),
-                cache=engine_caches.STATS.snapshot(),
-            )
-            if not new_frontier:
-                break
-            frontier = _rank_indexed(new_frontier)[: settings.frontier_width]
+                good.append(grown)
+                new_frontier.append(grown)
+        emit_progress(
+            stage="search",
+            signal=signal,
+            iteration=iteration,
+            frontier=len(frontier),
+            generated=len(grown_masks),
+            accepted=len(new_frontier),
+            candidates_ranked=len(good),
+            cache=engine_caches.STATS.snapshot(),
+        )
+        if not new_frontier:
+            break
+        frontier = _rank_indexed(new_frontier)[: settings.frontier_width]
 
     ranked = _rank_indexed(good)
 

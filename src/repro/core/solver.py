@@ -44,21 +44,11 @@ class SolverSettings:
     works on an explicit graph; dispatch happens in
     :mod:`repro.engine.batch`.
 
-    ``search_jobs`` shards the candidate evaluations *inside* each
-    Figure-4 insertion search across the worker pool of
-    :mod:`repro.engine.shard`.  Unlike ``engine`` it is
-    fingerprint-*irrelevant*: a sharded search merges its results in
-    generation order and is byte-identical to a serial one by
-    construction, so the service excludes it from the request identity
-    (like ``verbose``).  ``encode_many`` clamps it by the pool-budget
-    rule so STG-level ``jobs`` × ``search_jobs`` never oversubscribes
-    the machine.
-
     ``kernel`` picks the block-evaluation implementation of the indexed
     search (:mod:`repro.core.planes`): ``"bigint"`` is the scalar
     conformance oracle, ``"planes"`` the vectorized 64-lane bit-plane
     kernel, and ``"auto"`` (default) planes-when-numpy-is-importable.
-    Like ``search_jobs`` it is fingerprint-irrelevant: both kernels
+    Unlike ``engine`` it is fingerprint-irrelevant: both kernels
     produce byte-identical evaluations, so the service strips it from
     the request identity.
     """
@@ -69,7 +59,6 @@ class SolverSettings:
     verbose: bool = False
     require_progress: bool = True
     engine: str = "explicit"
-    search_jobs: int = 1
     kernel: str = "auto"
 
 
@@ -187,7 +176,6 @@ def solve_csc(sg: StateGraph, settings: Optional[SolverSettings] = None) -> Enco
                 signal,
                 settings.search,
                 conflicts=conflicts,
-                search_jobs=settings.search_jobs,
                 kernel=settings.kernel,
             )
         if plan is None:

@@ -9,11 +9,8 @@ benchmark libraries:
   invalidation and index derivation across signal insertions;
 * :mod:`repro.engine.batch` — ``encode_many``: encode many STGs
   concurrently through a process pool, with byte-identical results
-  between serial and parallel runs;
-* :mod:`repro.engine.shard` — in-solve sharding: the worker pool behind
-  ``SolverSettings.search_jobs``, which parallelises the candidate
-  evaluations *inside* one Figure-4 insertion search (byte-identical to
-  serial at any width, budget-clamped against batch-level ``jobs``).
+  between serial and parallel runs.  Each solve runs the one serial
+  Figure-4 search; parallelism is across STGs only.
 
 ``repro.engine.batch`` imports the high-level API (which in turn imports
 the core solver and therefore this package), so its names are re-exported

@@ -38,7 +38,6 @@ from repro.bench_stg.library import BenchmarkCase, TABLE1_CASES, TABLE2_CASES
 from repro.core.planes import KERNELS
 from repro.core.solver import ENGINES, SolverSettings
 from repro.engine.caches import use_caches
-from repro.engine.shard import shard_budget
 from repro.obs import (
     adopt_trace_context,
     collect_phases,
@@ -147,35 +146,6 @@ def resolve_engine(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     return engine
-
-
-def budgeted_settings(
-    settings: Optional[SolverSettings],
-    jobs: int,
-    search_jobs: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> Optional[SolverSettings]:
-    """Settings with ``search_jobs`` overridden and budget-clamped.
-
-    The pool-budget rule (:func:`repro.engine.shard.shard_budget`): with
-    ``jobs`` STG-level workers, the per-request in-solve worker count is
-    clamped so ``jobs × search_jobs`` never exceeds the machine budget.
-    Clamping never changes results — a sharded search is byte-identical
-    at any worker count — but it does change effective parallelism, so
-    :func:`shard_budget` logs a structured warning (and counts it in the
-    metrics registry) whenever it reduces a request.  Returns the input
-    object untouched when nothing changes.
-    """
-    requested = search_jobs
-    if requested is None:
-        requested = settings.search_jobs if settings is not None else 1
-    effective = shard_budget(jobs, requested, budget=budget)
-    current = settings.search_jobs if settings is not None else 1
-    if effective == current:
-        return settings
-    if settings is None:
-        settings = SolverSettings()
-    return dataclasses.replace(settings, search_jobs=effective)
 
 
 def _encode_one(payload) -> BatchItem:
@@ -367,7 +337,6 @@ def encode_many(
     caches_on: bool = True,
     timeout: Optional[float] = None,
     engine: Optional[str] = None,
-    search_jobs: Optional[int] = None,
     kernel: Optional[str] = None,
     phases: bool = False,
     synth: bool = False,
@@ -405,13 +374,6 @@ def encode_many(
         batch; ``None`` (default) respects each request's
         ``SolverSettings.engine``.  For symbolic engines ``max_states``
         doubles as the hybrid materialization budget.
-    search_jobs:
-        In-solve sharding width applied to the whole batch; ``None``
-        (default) respects each request's ``SolverSettings.search_jobs``.
-        Either way the value is clamped by the pool-budget rule
-        (:func:`budgeted_settings`) so ``jobs × search_jobs`` never
-        oversubscribes the machine; results are byte-identical at any
-        width.
     kernel:
         Block-evaluation kernel applied to the whole batch
         (``"bigint"``/``"planes"``/``"auto"``, see
@@ -439,18 +401,11 @@ def encode_many(
                 f"got {len(per_stg)} settings for {len(stgs)} STGs; "
                 "pass one SolverSettings or one per STG"
             )
-    # The budget clamp keys on the worker count that will actually run:
-    # the executor below spawns min(jobs, len(stgs)) workers, and a
-    # batch of fewer than two items executes serially regardless of
-    # ``jobs`` — either way the solves keep the sharding width the real
-    # process count affords.
-    effective_jobs = min(jobs, len(stgs)) if (jobs > 1 and len(stgs) >= 2) else 1
     if kernel is not None and kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     obs = _obs_envelope(phases=phases)
     payloads = []
     for stg, case_settings in zip(stgs, per_stg):
-        case_settings = budgeted_settings(case_settings, effective_jobs, search_jobs)
         if kernel is not None and (
             case_settings is None or case_settings.kernel != kernel
         ):
@@ -538,7 +493,6 @@ def run_benchmark_suite(
     caches_on: bool = True,
     timeout: Optional[float] = None,
     engine: str = "explicit",
-    search_jobs: Optional[int] = None,
     kernel: Optional[str] = None,
     phases: bool = False,
     synth: bool = False,
@@ -587,7 +541,6 @@ def run_benchmark_suite(
         caches_on=caches_on,
         timeout=timeout,
         engine=engine,
-        search_jobs=search_jobs,
         kernel=kernel,
         phases=phases,
         synth=synth,

@@ -2,8 +2,8 @@
 
 Every layer of the stack reports through this package — the solver and
 the Figure-4 search emit phase spans and per-iteration progress records,
-the engine propagates one trace across ``encode_many`` process workers
-and the ``engine/shard`` fork pools, and the service exports the whole
+the engine propagates one trace across ``encode_many`` process workers,
+and the service exports the whole
 registry as Prometheus text on ``GET /v1/metrics``.  Four small modules:
 
 ``metrics``

@@ -5,7 +5,7 @@ Replaces every bare ``print()`` in the stack.  Records are one line —
 without being JSON-unreadable to a human watching a terminal.  There is
 one process-global threshold, wired to the CLI's ``--verbose`` (debug)
 and ``-q`` (errors only) flags; the default ``info`` keeps operational
-warnings (shard-budget clamps, worker recoveries) visible while the
+warnings (a conflict core beyond the hybrid budget) visible while the
 per-request access log and per-iteration solver chatter sit at
 ``debug``.
 

@@ -153,12 +153,6 @@ class EncodingService:
         Per-job wall-clock bound in seconds, ``None`` = unbounded.
     max_entries:
         Optional LRU bound on the result store.
-    search_jobs:
-        Server-side default for in-solve sharding
-        (``SolverSettings.search_jobs``), applied to jobs that do not
-        request a width themselves; always budget-clamped against
-        ``jobs`` (see :class:`repro.service.workers.WorkerPool`).
-        Fingerprint-irrelevant, so it never splits the result store.
     max_backlog:
         Optional bound on the pending queue depth; the HTTP front
         answers 503 to submissions beyond it (``None`` = unbounded).
@@ -182,7 +176,6 @@ class EncodingService:
         timeout: Optional[float] = None,
         max_entries: Optional[int] = None,
         autostart: bool = True,
-        search_jobs: Optional[int] = None,
         max_backlog: Optional[int] = None,
         recover: bool = True,
     ) -> None:
@@ -192,13 +185,7 @@ class EncodingService:
         self.tenants = self.backend.open_tenants()
         self.max_backlog = max_backlog
         self.recovered_jobs = self.queue.recover() if recover else 0
-        self.pool = WorkerPool(
-            self.queue,
-            self.store,
-            jobs=jobs,
-            timeout=timeout,
-            search_jobs=search_jobs,
-        )
+        self.pool = WorkerPool(self.queue, self.store, jobs=jobs, timeout=timeout)
         self._started_at = time.time()
         if autostart:
             self.pool.start()
@@ -210,7 +197,6 @@ class EncodingService:
         settings: Optional[SolverSettings] = None,
         max_states: Optional[int] = 200000,
         engine: Optional[str] = None,
-        search_jobs: Optional[int] = None,
         kernel: Optional[str] = None,
         synth: bool = False,
         tenant: Optional[str] = None,
@@ -236,26 +222,16 @@ class EncodingService:
         fingerprint: an explicit encoding and a symbolic verdict of the
         same STG are different results and dedupe separately.
 
-        ``search_jobs`` is the request's *explicit* in-solve sharding
-        width (``None`` falls back to ``settings.search_jobs``, where the
-        default ``1`` means "unspecified" and inherits the server-wide
-        default).  The width is execution-only: it is persisted on the
-        job (not in the canonical settings), capped by the worker pool
-        against the service budget, and deliberately absent from the
-        request fingerprint — a sharded solve stores the identical
-        payload a serial one would.
-
         ``kernel`` is the request's explicit block-evaluation kernel
         (``"bigint"``/``"planes"``/``"auto"``; ``None`` falls back to
         ``settings.kernel``, where ``"auto"`` means "unspecified").
-        Performance-only like ``search_jobs``: persisted on the job
-        record, absent from the fingerprint — both kernels store the
-        identical payload.
+        Performance-only: persisted on the job record, absent from the
+        fingerprint — both kernels store the identical payload.
 
         ``synth=True`` makes this a *synthesis* job: the worker runs the
         full :mod:`repro.synth` tier after the encode and the stored
         result's ``synth`` field carries the verified netlist.  Unlike
-        the execution-only knobs above, synthesis changes the stored
+        the kernel, synthesis changes the stored
         payload, so it *is* part of the request fingerprint — a synth
         job and a plain encode of the same STG dedupe separately.
 
@@ -302,17 +278,9 @@ class EncodingService:
         }
         if synth:
             request["synth"] = True
-        # The canonical settings drop execution-only knobs, so the
-        # requested width travels on the job record itself; ``1`` from
-        # the dataclass default is "unspecified", an explicit value via
-        # the parameter (the HTTP layer forwards the raw field, so a
-        # client's literal ``"search_jobs": 1`` arrives here) is kept.
-        if search_jobs is None and settings is not None and settings.search_jobs != 1:
-            search_jobs = settings.search_jobs
-        if search_jobs is not None:
-            request["search_jobs"] = int(search_jobs)
-        # Same treatment for the kernel knob: "auto" from the dataclass
-        # default is "unspecified", anything explicit rides on the job.
+        # The canonical settings drop the kernel, so an explicit one
+        # travels on the job record itself; "auto" from the dataclass
+        # default is "unspecified".
         if kernel is None and settings is not None and settings.kernel != "auto":
             kernel = settings.kernel
         if kernel is not None:
@@ -356,7 +324,6 @@ class EncodingService:
         settings: Optional[SolverSettings] = None,
         max_states: Optional[int] = 200000,
         engine: Optional[str] = None,
-        search_jobs: Optional[int] = None,
         kernel: Optional[str] = None,
         synth: bool = False,
         tenant: Optional[str] = None,
@@ -390,7 +357,6 @@ class EncodingService:
             settings=settings,
             max_states=max_states,
             engine=engine,
-            search_jobs=search_jobs,
             kernel=kernel,
             synth=synth,
             tenant=tenant,

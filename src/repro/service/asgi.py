@@ -556,27 +556,17 @@ class _ServiceApp:
             except (TypeError, ValueError) as error:
                 raise ApiError.bad_request(f'invalid "settings" object: {error}')
         max_states = body.get("max_states", 200000)
-        if max_states is not None and not isinstance(max_states, int):
+        if max_states is not None and type(max_states) is not int:  # bool is an int subclass
             raise ApiError.bad_request('"max_states" must be an integer or null')
         engine = body.get("engine")
         if engine is not None and not isinstance(engine, str):
             raise ApiError.bad_request('"engine" must be a string')
-        # The raw field distinguishes an explicit "search_jobs": 1 (a
-        # serial-solve request, respected over the server default) from
-        # an absent one — the parsed SolverSettings cannot, because 1 is
-        # also the dataclass default.
-        search_jobs = None
-        if isinstance(body.get("settings"), dict) and "search_jobs" in body["settings"]:
-            search_jobs = body["settings"]["search_jobs"]
-            if not isinstance(search_jobs, int) or search_jobs < 1:
-                raise ApiError.bad_request('"settings.search_jobs" must be a positive integer')
-        # Same raw-field treatment for the kernel knob ("auto" is also
-        # the dataclass default, so only the raw body shows intent).
+        # The raw field distinguishes an explicit "kernel": "auto" from an
+        # absent one ("auto" is also the dataclass default, so only the
+        # raw body shows intent); settings_from_dict has checked its type.
         kernel = None
-        if isinstance(body.get("settings"), dict) and "kernel" in body["settings"]:
+        if settings is not None and "kernel" in body["settings"]:
             kernel = body["settings"]["kernel"]
-            if not isinstance(kernel, str):
-                raise ApiError.bad_request('"settings.kernel" must be a string')
         synth = body.get("synth", False)
         if not isinstance(synth, bool):
             raise ApiError.bad_request('"synth" must be a boolean')
@@ -601,7 +591,6 @@ class _ServiceApp:
                     settings=settings,
                     max_states=max_states,
                     engine=engine,
-                    search_jobs=search_jobs,
                     kernel=kernel,
                     synth=synth,
                     tenant=tenant_name,
@@ -618,7 +607,6 @@ class _ServiceApp:
                         settings=settings,
                         max_states=max_states,
                         engine=engine,
-                        search_jobs=search_jobs,
                         kernel=kernel,
                         synth=synth,
                         tenant=tenant_name,

@@ -48,13 +48,11 @@ __all__ = [
 FINGERPRINT_VERSION = 2
 
 #: Settings fields that do not influence the produced encoding:
-#: ``verbose`` is presentation-only, ``search_jobs`` is execution-only
-#: (the sharded Figure-4 search is byte-identical to the serial one by
-#: construction — see :mod:`repro.engine.shard`), and ``kernel`` selects
-#: between block-evaluation implementations that are byte-identical by
-#: the conformance harness (:mod:`repro.core.planes`), so requests
-#: differing only in these dedupe to the same fingerprint.
-_PRESENTATION_ONLY = {"verbose", "search_jobs", "kernel"}
+#: ``verbose`` is presentation-only, and ``kernel`` selects between
+#: block-evaluation implementations that are byte-identical by the
+#: conformance harness (:mod:`repro.core.planes`), so requests differing
+#: only in these dedupe to the same fingerprint.
+_PRESENTATION_ONLY = {"verbose", "kernel"}
 
 
 def canonical_stg(stg: STG) -> Dict[str, object]:
@@ -115,21 +113,41 @@ def settings_from_dict(data: Optional[Dict[str, object]]) -> SolverSettings:
     The inverse of :func:`canonical_settings` used when a persisted job is
     re-run after a restart and when HTTP clients pass a ``settings``
     object.  Missing fields keep their defaults; unknown fields are
-    ignored so newer clients do not break older servers.
+    ignored, so newer clients do not break older servers and older
+    clients may still send fields this version has dropped.
+
+    Every known field must have exactly the type of its default — a
+    ``bool`` is no ``int`` here, and ``"no"`` is no ``False`` — or
+    :class:`TypeError` is raised: settings are untrusted input, and a
+    wrongly typed value would otherwise be solved under a fingerprint
+    of its own or crash inside the solver.
     """
     data = dict(data or {})
-    search_data = dict(data.pop("search", None) or {})
-    search_fields = {field.name for field in dataclasses.fields(SearchSettings)}
-    search = SearchSettings(
-        **{key: value for key, value in search_data.items() if key in search_fields}
-    )
-    solver_fields = {
-        field.name for field in dataclasses.fields(SolverSettings) if field.name != "search"
-    }
+    search_data = data.pop("search", None)
+    if search_data is not None and not isinstance(search_data, dict):
+        raise TypeError('"search" must be an object')
     return SolverSettings(
-        search=search,
-        **{key: value for key, value in data.items() if key in solver_fields},
+        search=SearchSettings(**_typed_fields(SearchSettings, search_data or {}, "search.")),
+        **_typed_fields(SolverSettings, data, ""),
     )
+
+
+def _typed_fields(cls, data: Dict[str, object], prefix: str) -> Dict[str, object]:
+    """The entries of ``data`` that name a plain-default field of the
+    dataclass ``cls``, each checked to have its default's exact type."""
+    typed = {}
+    for field in dataclasses.fields(cls):
+        if field.name not in data or field.default is dataclasses.MISSING:
+            continue
+        value = data[field.name]
+        expected = type(field.default)
+        if type(value) is not expected:
+            raise TypeError(
+                f'"{prefix}{field.name}" must be {expected.__name__}, '
+                f"not {type(value).__name__}"
+            )
+        typed[field.name] = value
+    return typed
 
 
 def canonical_request(

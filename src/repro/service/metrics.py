@@ -5,7 +5,7 @@ One scrape is the union of two sources:
 * the process-global :data:`repro.obs.REGISTRY` — everything the
   instrumented code paths incremented as they ran: HTTP request
   counters and latency histograms, queue claim latency, processed-job
-  counters, shard-budget clamps, per-tenant request counters, the SSE
+  counters, per-tenant request counters, the SSE
   subscriber gauge;
 * *state gauges* refreshed from :meth:`EncodingService.stats
   <repro.service.EncodingService.stats>` at scrape time — queue depth,
@@ -55,10 +55,6 @@ def render_service_metrics(service, registry=REGISTRY) -> str:
     workers = stats["workers"]
     gauge("pyetrify_worker_slots", "Configured worker-pool width").set(workers["jobs"])
     gauge("pyetrify_worker_running", "Jobs executing right now").set(workers["running"])
-    gauge(
-        "pyetrify_effective_search_jobs",
-        "Budget-clamped in-solve sharding width jobs actually get",
-    ).set(workers["effective_search_jobs"])
     gauge(
         "pyetrify_worker_busy_seconds", "Cumulative seconds worker slots were busy"
     ).set(workers["busy_seconds"])

@@ -4,13 +4,11 @@ A single dispatcher thread claims jobs from the
 :class:`~repro.service.queue.JobQueue` in FIFO order and encodes them
 with the worker body of :func:`repro.engine.batch.encode_many`
 (:func:`repro.engine.batch._encode_one`), so service results are
-byte-identical to ``pyetrify bench`` runs.  With ``jobs=1`` and no
-server-wide sharding default each job is encoded in-process (no fork) —
-what the tests and small deployments use.  With ``jobs>1`` — or with a
-``search_jobs`` default, which needs the solve in a single-threaded
-child so the in-solve shard pool can fork — the dispatcher owns one
-*persistent* :class:`~concurrent.futures.ProcessPoolExecutor` and feeds
-it one job per worker slot: process startup is paid once for the pool's lifetime,
+byte-identical to ``pyetrify bench`` runs.  With ``jobs=1`` each job is
+encoded in-process (no fork) — what the tests and small deployments
+use.  With ``jobs>1`` the dispatcher owns one *persistent*
+:class:`~concurrent.futures.ProcessPoolExecutor` and feeds it one job
+per worker slot: process startup is paid once for the pool's lifetime,
 jobs complete independently (a slow job never blocks the others' results
 from landing), and a broken pool (a worker killed by the OS) fails only
 the in-flight jobs and is rebuilt.
@@ -102,17 +100,6 @@ class WorkerPool:
     timeout:
         Per-job wall-clock bound in seconds (``None`` = unbounded),
         forwarded to the engine's cooperative deadline.
-    search_jobs:
-        Server-side default width for in-solve sharding, applied to
-        jobs that carry no explicit width of their own (an explicit
-        ``search_jobs: 1`` — persisted on the job record by ``submit``
-        — is a serial-solve request and is respected).  Whether the
-        width comes from here or from the request, the service caps it
-        against its own budget — ``max(jobs, cpu_count, server
-        default) // jobs`` — because request settings are untrusted
-        input: a client asking for ``search_jobs: 5000`` must not be
-        able to fork 5000 workers per insertion search.
-        Execution-only: it never changes a result or a fingerprint.
     """
 
     def __init__(
@@ -121,7 +108,6 @@ class WorkerPool:
         store: ResultStore,
         jobs: int = 1,
         timeout: Optional[float] = None,
-        search_jobs: Optional[int] = None,
         name: Optional[str] = None,
     ) -> None:
         if jobs < 1:
@@ -130,7 +116,6 @@ class WorkerPool:
         self.store = store
         self.jobs = jobs
         self.timeout = timeout
-        self.search_jobs = search_jobs
         # Recorded on every claim (jobs.claimed_by): in a multi-process
         # deployment each ``pyetrify worker`` names itself host:pid so
         # /v1 job records show which process ran what.
@@ -145,7 +130,6 @@ class WorkerPool:
         self.jobs_retried = 0
         self.dispatch_errors = 0
         self.last_error: Optional[str] = None
-        self.search_jobs_clamps = 0
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "WorkerPool":
@@ -171,13 +155,7 @@ class WorkerPool:
 
     # -- dispatcher -----------------------------------------------------
     def _run(self) -> None:
-        # A server-wide sharding default routes even jobs=1 through the
-        # process pool: the solve then runs in a single-threaded child
-        # where the shard pool can fork, instead of on this dispatcher
-        # thread inside the multi-threaded server process (where auto
-        # shard mode must fall back to GIL-bound threads — overhead with
-        # no speedup).
-        if self.jobs == 1 and self.search_jobs is None:
+        if self.jobs == 1:
             self._run_serial()
         else:
             self._run_pooled()
@@ -276,7 +254,6 @@ class WorkerPool:
             settings = settings_from_dict(job.request.get("settings"))
             max_states = job.request.get("max_states")
             engine = resolve_engine(settings)
-            settings = self._sharding_settings(settings, job.request.get("search_jobs"))
             kernel = job.request.get("kernel")
             if kernel is not None and kernel != settings.kernel:
                 # Persisted outside the canonical settings (the
@@ -291,47 +268,6 @@ class WorkerPool:
         except Exception as error:
             self._finish(job, "failed", f"invalid persisted request: {error}", retry=False)
             return None
-
-    def _sharding_settings(self, settings, requested):
-        """The effective in-solve sharding width of one job.
-
-        ``requested`` is the job record's explicit width (persisted by
-        ``EncodingService.submit`` outside the canonical settings, which
-        drop execution-only knobs; an explicit ``1`` — a serial-solve
-        request — arrives here as ``1``).  ``None`` means the request
-        stated no width and the server-wide default applies.  Either
-        source is then capped against the service budget — requests are
-        untrusted input, so a huge ``search_jobs`` must degrade to the
-        host's capacity instead of forking thousands of processes per
-        insertion search.  Clamping never changes results, only wall
-        clock.
-        """
-        if self.jobs == 1 and self.search_jobs is None:
-            # Serial in-dispatcher encoding (no pool): the solve runs on
-            # a thread of the multi-threaded server process, where the
-            # shard pool cannot fork and thread sharding only adds
-            # overhead — run serially whatever width the request asked
-            # for (results are identical by construction).
-            effective = 1
-        else:
-            if requested is None:
-                requested = self.search_jobs if self.search_jobs is not None else 1
-            budget = max(self.jobs, os.cpu_count() or 1, self.search_jobs or 1)
-            effective = max(1, min(int(requested), budget // self.jobs))
-            if effective < int(requested):
-                # Never silent: the requester asked for more in-solve
-                # parallelism than the service budget affords.
-                self.search_jobs_clamps += 1
-                _log.warning(
-                    "search_jobs_clamped",
-                    requested=int(requested),
-                    effective=effective,
-                    jobs=self.jobs,
-                    budget=budget,
-                )
-        if effective == settings.search_jobs:
-            return settings
-        return dataclasses.replace(settings, search_jobs=effective)
 
     def _complete(self, job: JobRecord, item: BatchItem) -> None:
         try:
@@ -372,21 +308,6 @@ class WorkerPool:
         self.last_error = f"{type(error).__name__}: {error}"
 
     # -- accounting -----------------------------------------------------
-    def effective_search_jobs(self) -> int:
-        """The in-solve width the server default actually yields.
-
-        What :meth:`_sharding_settings` would grant a job with no
-        explicit width: 1 on the serial path, else the server default
-        capped by the pool budget.  Surfaced in ``/v1/stats`` so
-        operators see effective parallelism, not just the configured
-        knob.
-        """
-        if self.jobs == 1 and self.search_jobs is None:
-            return 1
-        requested = self.search_jobs if self.search_jobs is not None else 1
-        budget = max(self.jobs, os.cpu_count() or 1, self.search_jobs or 1)
-        return max(1, min(int(requested), budget // self.jobs))
-
     def stats(self) -> Dict[str, object]:
         """Throughput counters and utilisation of the worker slots."""
         elapsed = (
@@ -398,9 +319,6 @@ class WorkerPool:
             "jobs": self.jobs,
             "running": self.running,
             "timeout": self.timeout,
-            "search_jobs": self.search_jobs,
-            "effective_search_jobs": self.effective_search_jobs(),
-            "search_jobs_clamps": self.search_jobs_clamps,
             "done": self.jobs_done,
             "failed": self.jobs_failed,
             "timed_out": self.jobs_timeout,

@@ -1,9 +1,8 @@
 """Cross-engine conformance harness.
 
-With four ways to produce an encoding — the frozen legacy object-space
-pipeline (``use_caches(False)``), the indexed engine, the symbolic tier's
-hybrid bridge, and the sharded in-solve search (``search_jobs > 1``) —
-per-PR differential files stopped scaling.  This module is the one
+With three ways to produce an encoding — the frozen legacy object-space
+pipeline (``use_caches(False)``), the indexed engine and the symbolic
+tier's hybrid bridge — per-PR differential files stopped scaling.  This module is the one
 parameterized harness that pins every engine to the legacy oracle:
 
 * ``EncodingResult.fingerprint()`` (insertions, costs, conflict and
@@ -21,9 +20,8 @@ Covered inputs: every solvable+enumerable library case of both tables
 (the ``pyetrify bench --all`` regime, each with its own library solver
 settings) plus the coupled ``pipeline(n)`` generator family, and
 hypothesis-generated STGs from the parametric families.  The hypothesis
-stress block is the deterministic-merge torture test of the sharded
-search: random STGs solved at ``search_jobs ∈ {1, 2, 4}`` must
-fingerprint identically (derandomized via the repository-wide
+block solves random STGs on the legacy and the indexed engine, which
+must fingerprint identically (derandomized via the repository-wide
 ``--repro-seed`` profile, like every hypothesis suite here).
 
 This file subsumes the solver-identity assertions that previously lived
@@ -36,7 +34,6 @@ explicit solver); those files keep their representation-level checks
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 from typing import Dict
 
@@ -51,10 +48,8 @@ from repro.bench_stg.library import BenchmarkCase, TABLE1_CASES, TABLE2_CASES
 from repro.core import search, sip
 from repro.core.csc import has_csc
 from repro.core.insertion import insert_signal
-from repro.core.solver import SolverSettings, solve_csc
+from repro.core.solver import solve_csc
 from repro.engine import use_caches
-from repro.engine.shard import use_shard_mode
-from repro.service.fingerprint import request_fingerprint
 from repro.stg import build_state_graph
 from repro.symbolic import symbolic_encode
 
@@ -78,10 +73,8 @@ CASES = _LIBRARY + _PIPELINE_FAMILY
 # Case names repeat across tables (e.g. master-read), so ids carry an index.
 _IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(CASES)]
 
-#: The engines pinned against the legacy oracle.  ``sharded*`` run the
-#: real worker pool (fork where the platform has it), so the
-#: generate/evaluate/merge split is exercised end to end.
-ENGINES = ("indexed", "sharded2", "sharded4", "hybrid")
+#: The engines pinned against the legacy oracle.
+ENGINES = ("indexed", "hybrid")
 
 _MAX_STATES = 200000
 _reference_cache: Dict[int, Dict[str, object]] = {}
@@ -172,8 +165,6 @@ def test_engine_conforms_to_legacy_oracle(case_index, engine):
         _assert_result_conforms(outcome.result, reference)
         return
 
-    if engine.startswith("sharded"):
-        settings = dataclasses.replace(settings, search_jobs=int(engine[len("sharded"):]))
     report = encode_stg(case.build(), settings=settings, max_states=_MAX_STATES)
     _assert_result_conforms(report.result, reference)
     assert {k: v for k, v in report.table_row().items() if k != "cpu"} == reference["row"]
@@ -193,21 +184,8 @@ def test_legacy_insertions_match_object_space_reference(case_index):
     assert [signal for signal, matched in insertions if not matched] == []
 
 
-def test_search_jobs_is_fingerprint_irrelevant():
-    """Requests differing only in ``search_jobs`` dedupe to one store key
-    (the sharded search is byte-identical to the serial one, so a width
-    difference must not split the content-addressed result store)."""
-    stg = gen.vme_controller()
-    assert request_fingerprint(stg, SolverSettings()) == request_fingerprint(
-        stg, SolverSettings(search_jobs=8)
-    )
-    assert request_fingerprint(stg, SolverSettings(search_jobs=2)) == request_fingerprint(
-        stg, SolverSettings(search_jobs=4)
-    )
-
-
 # ----------------------------------------------------------------------
-# hypothesis: the deterministic merge under random STGs
+# hypothesis: legacy == indexed under random STGs
 # ----------------------------------------------------------------------
 @st.composite
 def random_stgs(draw):
@@ -245,22 +223,14 @@ def random_stgs(draw):
 
 @hsettings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stg=random_stgs())
-def test_random_stgs_sharded_matches_serial_and_legacy(stg):
-    """Random STGs: legacy == indexed == sharded at every worker count.
-
-    The sharded runs use the thread executor — same generate/evaluate/
-    merge path as the process pool (the conformance tests above fork for
-    real), without paying a fork per hypothesis example.
-    """
+def test_random_stgs_indexed_matches_legacy(stg):
+    """Random STGs: the indexed engine fingerprints like the legacy oracle."""
     with use_caches(False):
         legacy = solve_csc(build_state_graph(stg, max_states=20000))
-    fingerprints = {json.dumps(legacy.fingerprint(), sort_keys=True)}
-    sg = build_state_graph(stg, max_states=20000)
-    for jobs in (1, 2, 4):
-        with use_shard_mode("thread"):
-            result = solve_csc(sg, SolverSettings(search_jobs=jobs))
-        fingerprints.add(json.dumps(result.fingerprint(), sort_keys=True))
-    assert len(fingerprints) == 1
+    indexed = solve_csc(build_state_graph(stg, max_states=20000))
+    assert json.dumps(indexed.fingerprint(), sort_keys=True) == json.dumps(
+        legacy.fingerprint(), sort_keys=True
+    )
 
 
 @hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -301,79 +301,12 @@ def test_cli_bench_all_json(tmp_path):
     assert {"jobs", "wall_seconds", "items"} <= set(record)
 
 
-# ----------------------------------------------------------------------
-# in-solve sharding (repro.engine.shard)
-# ----------------------------------------------------------------------
-class TestShard:
-    def test_shard_budget_rules(self):
-        from repro.engine.shard import shard_budget
-
-        # single-STG runs are never clamped: an explicit width is obeyed
-        assert shard_budget(1, 4) == 4
-        assert shard_budget(4, 1) == 1
-        # two levels share the budget: jobs * search_jobs <= budget
-        assert shard_budget(2, 8, budget=8) == 4
-        assert shard_budget(4, 4, budget=4) == 1
-        assert shard_budget(3, 2, budget=100) == 2
-        # never clamps below one worker
-        assert shard_budget(16, 16, budget=1) == 1
-
-    def test_budgeted_settings_override_and_identity(self):
-        from repro.core.solver import SolverSettings
-        from repro.engine.batch import budgeted_settings
-
-        base = SolverSettings()
-        # no change -> the very same object (and never a mutation)
-        assert budgeted_settings(base, jobs=1) is base
-        boosted = budgeted_settings(base, jobs=1, search_jobs=4)
-        assert boosted.search_jobs == 4
-        assert base.search_jobs == 1
-        clamped = budgeted_settings(SolverSettings(search_jobs=8), jobs=2, budget=8)
-        assert clamped.search_jobs == 4
-        assert budgeted_settings(None, jobs=1) is None
-        built = budgeted_settings(None, jobs=1, search_jobs=2)
-        assert built is not None and built.search_jobs == 2
-
-    def test_use_shard_mode_rejects_unknown_mode(self):
-        from repro.engine.shard import use_shard_mode
-
-        with pytest.raises(ValueError):
-            with use_shard_mode("rayon"):
-                pass
-
-    def test_eval_kernel_is_picklable_and_pure(self, vme_sg):
-        evaluator = IndexedEvaluator(
-            vme_sg, csc_conflicts(vme_sg), allow_input_delay=False
-        )
-        masks, _adjacency = indexed_brick_bundle(vme_sg)
-        clone = pickle.loads(pickle.dumps(evaluator.kernel))
-        for mask in masks:
-            assert clone.cost(mask) == evaluator.kernel.cost(mask)
-            assert clone.side_table(mask) == evaluator.kernel.side_table(mask)
-
-    @pytest.mark.parametrize("mode", ["thread", "fork"])
-    def test_search_pool_matches_inline_kernel(self, vme_sg, mode):
-        from repro.engine.shard import search_pool, use_shard_mode
-
-        evaluator = IndexedEvaluator(
-            vme_sg, csc_conflicts(vme_sg), allow_input_delay=False
-        )
-        masks, _adjacency = indexed_brick_bundle(vme_sg)
-        inline = [evaluator.kernel.cost(mask) for mask in masks]
-        with use_shard_mode(mode):
-            with search_pool(evaluator.kernel, 2) as pool:
-                assert pool is not None and pool.kind == mode
-                pooled, _passes = pool.evaluate_batch(list(masks))
-        assert pooled == inline
-
-    def test_search_pool_width_one_is_inline(self):
-        from repro.engine.shard import search_pool
-
-        with search_pool(None, 1) as pool:
-            assert pool is None
-
-    def test_encode_many_search_jobs_is_invisible_in_results(self):
-        stgs = [gen.vme_controller(), gen.mixed_controller(1, 1)]
-        serial = encode_many(stgs, jobs=1, max_states=5000)
-        sharded = encode_many(stgs, jobs=1, max_states=5000, search_jobs=2)
-        assert serial.fingerprints() == sharded.fingerprints()
+def test_eval_kernel_is_picklable_and_pure(vme_sg):
+    evaluator = IndexedEvaluator(
+        vme_sg, csc_conflicts(vme_sg), allow_input_delay=False
+    )
+    masks, _adjacency = indexed_brick_bundle(vme_sg)
+    clone = pickle.loads(pickle.dumps(evaluator.kernel))
+    for mask in masks:
+        assert clone.cost(mask) == evaluator.kernel.cost(mask)
+        assert clone.side_table(mask) == evaluator.kernel.side_table(mask)

@@ -2,7 +2,7 @@
 
 The canonical integer/bitset representation (:mod:`repro.core.indexed`)
 must be invisible in the results.  The solver-level identity — legacy
-oracle vs indexed engine vs sharded search vs hybrid bridge, over the
+oracle vs indexed engine vs hybrid bridge, over the
 full library and random STGs — is pinned by the cross-engine harness in
 ``tests/test_conformance.py``; this file keeps the *representation*
 checks: every bitmask helper twin (exit borders, MWFEB, I-partition

@@ -3,9 +3,8 @@
 Covers metric semantics (counters, gauges, log-bucket histograms, the
 allocation-free disabled mode, the Prometheus text rendition), the
 structured logging facade, hierarchical spans and their Chrome-trace
-export — including trace propagation across a *real* fork shard pool —
-progress hooks, the shard-budget clamp warning, the presentation-only
-invariant (fingerprints byte-identical with observability on vs off),
+export — including trace propagation into ``encode_many`` worker
+processes — progress hooks, the presentation-only invariant (fingerprints byte-identical with observability on vs off),
 and the service surface: ``GET /v1/metrics``, ``X-Request-Id``
 propagation onto job records, and live ``progress`` heartbeats over the
 durable event feed and SSE.
@@ -25,9 +24,7 @@ import pytest
 
 from repro.bench_stg import generators as gen
 from repro.bench_stg.library import get_case
-from repro.core.csc import csc_conflicts
 from repro.obs import (
-    REGISTRY,
     MetricsRegistry,
     adopt_trace_context,
     collect_phases,
@@ -456,25 +453,21 @@ class TestTrace:
         assert not spool.exists()
         assert not tracing_active()
 
-    def test_fork_pool_workers_join_the_trace(self, tmp_path, active_trace):
-        """Spans emitted inside a real fork shard pool land in the trace
-        with the worker's pid — the context propagates across fork."""
-        from repro.core.indexed import IndexedEvaluator, indexed_brick_bundle
-        from repro.engine.shard import search_pool, use_shard_mode
+    def test_encode_many_pool_workers_join_the_trace(self, tmp_path, active_trace):
+        """Solver spans emitted inside ``encode_many(jobs=2)``'s worker
+        processes land in the trace with the worker's pid — the context
+        crosses the process boundary."""
+        from repro.api import encode_many
 
-        sg = build_state_graph(gen.vme_controller())
-        evaluator = IndexedEvaluator(sg, csc_conflicts(sg), allow_input_delay=False)
-        masks, _adjacency = indexed_brick_bundle(sg)
-        with use_shard_mode("fork"):
-            with search_pool(evaluator.kernel, 2) as pool:
-                assert pool is not None
-                pool.evaluate_batch(list(masks))
-        out = tmp_path / "fork.json"
+        encode_many(
+            [gen.vme_controller(), gen.mixed_controller(1, 1)], jobs=2, max_states=5000
+        )
+        out = tmp_path / "pool.json"
         export_chrome_trace(str(out))
         events = json.loads(out.read_text())["traceEvents"]
-        shard_events = [e for e in events if e["name"] == "shard.evaluate"]
-        assert shard_events, "fork workers produced no shard.evaluate spans"
-        assert any(event["pid"] != os.getpid() for event in shard_events)
+        evaluate = [e for e in events if e["name"] == "search.evaluate"]
+        assert evaluate, "pool workers produced no search.evaluate spans"
+        assert any(event["pid"] != os.getpid() for event in evaluate)
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +510,7 @@ class TestProgress:
 
 
 # ----------------------------------------------------------------------
-# presentation-only invariant + clamp warning
+# presentation-only invariant
 # ----------------------------------------------------------------------
 def test_observability_never_changes_results(tmp_path):
     """Fingerprints are byte-identical with every channel wide open."""
@@ -538,26 +531,6 @@ def test_observability_never_changes_results(tmp_path):
         stop_trace(cleanup=True)
         configure_logging("info", stream=sys.stderr)
     assert traced.result.fingerprint() == plain.result.fingerprint()
-
-
-def test_shard_budget_clamp_warns_and_counts(captured_log):
-    from repro.engine.shard import shard_budget
-
-    counter = REGISTRY.counter("pyetrify_shard_clamps_total")
-    before = counter._unlabeled().value
-    effective = shard_budget(4, 8, budget=8)
-    assert effective == 2  # 4 jobs x 8 requested clamped into budget 8
-    output = captured_log.getvalue()
-    assert "search_jobs_clamped" in output
-    assert "requested=8" in output and "effective=2" in output
-    assert counter._unlabeled().value == before + 1
-
-
-def test_unclamped_budget_stays_silent(captured_log):
-    from repro.engine.shard import shard_budget
-
-    assert shard_budget(1, 2, budget=8) == 2
-    assert "search_jobs_clamped" not in captured_log.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -656,10 +629,3 @@ def test_v1_metrics_endpoint(service_server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(base + "/metrics", timeout=30)
     assert excinfo.value.code == 404
-
-
-def test_stats_surfaces_effective_search_jobs(service_server):
-    service, _ = service_server
-    workers = service.stats()["workers"]
-    assert workers["effective_search_jobs"] == 1  # jobs=1, no server default
-    assert workers["search_jobs_clamps"] == 0

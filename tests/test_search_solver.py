@@ -1,7 +1,5 @@
 """Tests for the Figure-4 heuristic search and the iterative CSC solver."""
 
-import pytest
-
 from repro.bench_stg import generators as gen
 from repro.core import (
     SearchSettings,
@@ -14,7 +12,6 @@ from repro.core import (
 from repro.core import indexed as idx
 from repro.core.cost import BlockEvaluation, Cost
 from repro.core.search import _BlockCandidate, _IndexedCandidate, _rank, _rank_indexed
-from repro.engine.shard import use_shard_mode
 from repro.stg import build_state_graph
 
 
@@ -51,15 +48,6 @@ class TestSearch:
         plan = find_insertion_plan(vme_sg, "csc0", SearchSettings(brick_mode="states"))
         if plan is not None:
             assert plan.check.ok
-
-    def test_sharded_search_finds_the_same_plan(self, vme_sg):
-        serial = find_insertion_plan(vme_sg, "csc0")
-        with use_shard_mode("thread"):
-            sharded = find_insertion_plan(vme_sg, "csc0", search_jobs=3)
-        assert serial is not None and sharded is not None
-        assert sharded.block == serial.block
-        assert sharded.cost == serial.cost
-        assert sharded.partition == serial.partition
 
 
 def _legacy_candidate(states, cost, seq):

@@ -53,11 +53,11 @@ class TestFingerprint:
             request_fingerprint(stg, settings=SolverSettings(verbose=False))
         )
 
-    def test_search_jobs_is_execution_only(self):
-        """The in-solve sharding width never changes the encoding, so a
-        width difference must not split the content-addressed store."""
+    def test_dropped_search_jobs_key_is_fingerprint_neutral(self):
+        """Settings from a client that still sends the removed in-solve
+        sharding width address the same stored result as without it."""
         stg = load_benchmark("vme2int")
-        assert request_fingerprint(stg, settings=SolverSettings(search_jobs=4)) == (
+        assert request_fingerprint(stg, settings=settings_from_dict({"search_jobs": 4})) == (
             request_fingerprint(stg, settings=SolverSettings())
         )
 
@@ -94,6 +94,27 @@ class TestFingerprint:
             {"search": {"frontier_width": 3, "not_a_knob": 1}, "bogus": True}
         )
         assert rebuilt.search.frontier_width == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"search": {"frontier_width": "wide"}},
+            {"search": {"frontier_width": 8.0}},
+            {"search": {"frontier_width": True}},
+            {"search": {"allow_input_delay": "no"}},
+            {"search": {"allow_input_delay": 0}},
+            {"search": "regions"},
+            {"max_signals": "many"},
+            {"max_signals": None},
+            {"kernel": 5},
+            {"engine": ["symbolic"]},
+        ],
+    )
+    def test_settings_from_dict_rejects_mistyped_known_fields(self, data):
+        """Every known field must have its default's exact type (a bool is
+        no int, a string is no bool)."""
+        with pytest.raises(TypeError):
+            settings_from_dict(data)
 
 
 # ----------------------------------------------------------------------
@@ -294,24 +315,6 @@ def _result_identity(payload):
 
 
 class TestEncodingServiceEndToEnd:
-    def test_sharded_submission_dedupes_against_serial_result(self, tmp_path):
-        """A request with ``search_jobs=2`` must content-address to the
-        serial result (and the server-default sharded solve must store
-        the identical payload a serial service run would)."""
-        import dataclasses
-
-        case = get_case("vme2int")
-        settings = case.solver_settings()
-        with EncodingService(str(tmp_path / "svc.db"), jobs=1, search_jobs=2) as svc:
-            first = svc.submit(case.build(), settings=settings, max_states=5000)
-            payload = svc.wait(first["fingerprint"], timeout=120.0)
-            _settle(svc)
-            sharded = dataclasses.replace(settings, search_jobs=2)
-            second = svc.submit(case.build(), settings=sharded, max_states=5000)
-            assert second["cached"], "sharded request missed the serial result"
-            assert second["fingerprint"] == first["fingerprint"]
-            assert _result_identity(second["result"]) == _result_identity(payload)
-
     def test_submit_twice_dedupes_and_matches_encode_stg(self, tmp_path):
         case = get_case("vme2int")
         settings = case.solver_settings()
@@ -493,67 +496,45 @@ class TestEncodingServiceEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# worker-pool sharding policy (server default, explicit width, cap)
+# job records persisted by older code or edited by hand
 # ----------------------------------------------------------------------
-class TestWorkerShardingPolicy:
-    @staticmethod
-    def _pool(tmp_path, jobs=1, search_jobs=None):
-        from repro.service.workers import WorkerPool
+def _persist_raw_job(svc, stg, settings_dict, **extra):
+    """Queue a job record as stored, bypassing ``submit``'s checks."""
+    fingerprint = request_fingerprint(stg, max_states=200000)
+    request = {
+        "g": stg_to_g_text(stg),
+        "settings": settings_dict,
+        "max_states": 200000,
+        **extra,
+    }
+    return fingerprint, svc.queue.submit(fingerprint, stg.name, request)
 
-        queue = JobQueue(str(tmp_path / "q.db"))
-        store = ResultStore(str(tmp_path / "s.db"))
-        return WorkerPool(queue, store, jobs=jobs, search_jobs=search_jobs)
 
-    def test_huge_requested_width_is_capped(self, tmp_path):
-        """Untrusted request widths cannot fork thousands of workers."""
-        import os
-
-        pool = self._pool(tmp_path, jobs=1)
-        settings = pool._sharding_settings(settings_from_dict(None), 5000)
-        assert settings.search_jobs <= max(1, os.cpu_count() or 1)
-
-    def test_explicit_serial_request_is_respected(self, tmp_path):
-        """An explicit width of 1 means serial even under a server
-        default — 1 on the job record is explicit, not absent."""
-        pool = self._pool(tmp_path, jobs=1, search_jobs=4)
-        settings = pool._sharding_settings(settings_from_dict(None), 1)
-        assert settings.search_jobs == 1
-
-    def test_server_default_applies_when_width_absent(self, tmp_path):
-        pool = self._pool(tmp_path, jobs=1, search_jobs=3)
-        settings = pool._sharding_settings(settings_from_dict(None), None)
-        # capped against max(jobs, cpu_count, default) — never above the
-        # server default itself on a small host
-        assert 1 <= settings.search_jobs <= 3
-
-    def test_width_shares_budget_with_job_slots(self, tmp_path):
-        """jobs × width stays within the service budget."""
-        import os
-
-        pool = self._pool(tmp_path, jobs=4, search_jobs=8)
-        settings = pool._sharding_settings(settings_from_dict(None), None)
-        budget = max(4, os.cpu_count() or 1, 8)
-        assert 4 * settings.search_jobs <= budget
-
-    def test_submit_persists_requested_width_outside_canonical_settings(self, tmp_path):
-        """The canonical settings drop search_jobs (fingerprint-irrelevant),
-        so the requested width must ride on the job record itself —
-        including an explicit 1, which the HTTP layer forwards from the
-        raw settings body."""
+class TestPersistedRequests:
+    def test_record_with_top_level_search_jobs_still_runs(self, tmp_path):
+        """Job records written before in-solve sharding was removed carry
+        the width outside the settings; the worker ignores it."""
         stg = load_benchmark("vme2int")
-        with EncodingService(str(tmp_path / "svc.db"), autostart=False) as svc:
-            sharded = svc.submit(stg, settings=SolverSettings(search_jobs=4))
-            job = svc.job(sharded["job_id"])
-            assert job.request["search_jobs"] == 4
-            assert "search_jobs" not in job.request["settings"]
-
-            explicit_serial = svc.submit(
-                stg, settings=SolverSettings(search=SearchSettings(frontier_width=4)),
-                search_jobs=1,
+        with EncodingService(str(tmp_path / "svc.db"), jobs=1, autostart=False) as svc:
+            fingerprint, job_id = _persist_raw_job(
+                svc, stg, canonical_settings(None), search_jobs=4
             )
-            job = svc.job(explicit_serial["job_id"])
-            assert job.request["search_jobs"] == 1
+            svc.pool.start()
+            svc.wait(fingerprint, timeout=120.0)
+            _settle(svc)
+            assert svc.job(job_id).status == "done"
 
-            unspecified = svc.submit(stg, max_states=1000)
-            job = svc.job(unspecified["job_id"])
-            assert "search_jobs" not in job.request
+    def test_record_with_mistyped_settings_fails_once(self, tmp_path):
+        """A persisted request that no longer validates fails on its
+        first attempt, without a retry."""
+        stg = load_benchmark("vme2int")
+        with EncodingService(str(tmp_path / "svc.db"), jobs=1, autostart=False) as svc:
+            settings = canonical_settings(None)
+            settings["max_signals"] = "many"
+            _fingerprint, job_id = _persist_raw_job(svc, stg, settings)
+            svc.pool.start()
+            _settle(svc)
+            job = svc.job(job_id)
+            assert job.status == "failed"
+            assert job.attempts == 1
+            assert job.error.startswith("invalid persisted request")

@@ -213,30 +213,22 @@ def test_malformed_json_body_is_a_400(service_server):
     assert excinfo.value.code == 400
 
 
-def test_search_jobs_width_is_forwarded_and_fingerprint_neutral(service_server):
-    """The raw settings field reaches the job record (explicit 1
-    included), while the fingerprint ignores it — a width-only variation
-    dedupes against the stored result."""
+@pytest.mark.parametrize("width", [2, 0, 5000])
+def test_old_client_search_jobs_is_ignored_and_dedupes(service_server, width):
+    """A client that still sends the removed in-solve sharding width is
+    accepted: the key is ignored like any unknown settings key, so the
+    request dedupes to the fingerprint of the same request without it."""
     service, base = service_server
     g_text = stg_to_g_text(load_benchmark("vme2int"))
 
-    status, first = _request(
-        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": 2}}
-    )
+    status, plain = _request(base, "POST", "/v1/jobs", {"g": g_text})
     assert status == 202
-    job = service.job(first["job_id"])
-    assert job.request["search_jobs"] == 2
-    assert "search_jobs" not in job.request["settings"]
-    _await_done(base, first["job_id"])
-
-    # width-only variation: instant store hit, same fingerprint
-    status, second = _request(
-        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": 1}}
+    status, old = _request(
+        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": width}}
     )
-    assert status == 200 and second["cached"]
-    assert second["fingerprint"] == first["fingerprint"]
-
-    status, bad = _request(
-        base, "POST", "/v1/jobs", {"g": g_text, "settings": {"search_jobs": 0}}
-    )
-    assert status == 400
+    assert status in (200, 202)  # a store hit, or coalesced onto the first job
+    assert old["fingerprint"] == plain["fingerprint"]
+    if not old["cached"]:
+        assert old["job_id"] == plain["job_id"]
+    job = _await_done(base, plain["job_id"])
+    assert "search_jobs" not in service.job(job["id"]).request

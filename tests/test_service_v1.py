@@ -106,7 +106,7 @@ def test_v1_submit_wait_and_fetch_result(service_server):
 # the error envelope, on every /v1 error path
 # ----------------------------------------------------------------------
 def test_v1_400_bad_request_envelope(service_server):
-    _, base = service_server
+    service, base = service_server
     for body in (
         {},  # neither g nor benchmark
         {"g": "x", "benchmark": "nak-pa"},  # both
@@ -116,14 +116,19 @@ def test_v1_400_bad_request_envelope(service_server):
         {"benchmark": "nak-pa", "settings": "hello"},
         {"benchmark": "nak-pa", "settings": {"search": "hello"}},
         {"benchmark": "nak-pa", "max_states": "many"},
+        {"benchmark": "nak-pa", "max_states": True},
         {"benchmark": "nak-pa", "engine": 3},
         {"benchmark": "nak-pa", "engine": "bogus"},
-        {"benchmark": "nak-pa", "settings": {"search_jobs": 0}},
+        {"benchmark": "nak-pa", "settings": {"search": {"frontier_width": "wide"}}},
+        {"benchmark": "nak-pa", "settings": {"max_signals": "many"}},
+        {"benchmark": "nak-pa", "settings": {"search": {"allow_input_delay": "no"}}},
+        {"benchmark": "nak-pa", "settings": {"kernel": 5}},
         {"benchmark": "nak-pa", "fingerprint": 12},
     ):
         status, _, payload = _request(base, "POST", "/v1/jobs", body)
         assert status == 400, body
         _assert_envelope(payload, "bad_request")
+    assert not any(service.queue.counts().values()), "a rejected body was queued"
 
     # malformed JSON body
     request = urllib.request.Request(
