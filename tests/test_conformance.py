@@ -1,9 +1,22 @@
 """Cross-engine conformance harness.
 
-With three ways to produce an encoding — the frozen legacy object-space
-pipeline (``use_caches(False)``), the indexed engine and the symbolic
-tier's hybrid bridge — per-PR differential files stopped scaling.  This module is the one
-parameterized harness that pins every engine to the legacy oracle:
+Besides the frozen legacy object-space pipeline (``use_caches(False)``)
+there are several ways to produce an encoding, and per-PR differential
+files stopped scaling.  This module is the one parameterized harness
+that pins every one of them to the legacy oracle:
+
+* ``indexed`` — :func:`repro.api.encode_stg` with the default kernel
+  (the bit-plane kernel wherever numpy imports);
+* ``bigint`` — the same, on the scalar ``bigint`` block-evaluation
+  kernel (the fallback without numpy);
+* ``batch`` — :func:`repro.engine.batch.encode_many` with two worker
+  processes, so every result crosses a process boundary;
+* ``service`` — an in-process :class:`repro.service.EncodingService`:
+  the STG travels as ``.g`` text, the settings through the type-checked
+  ``settings_from_dict``, and the result comes back from the store;
+* ``hybrid`` — the symbolic tier's hybrid bridge.
+
+Every engine must agree with the oracle on:
 
 * ``EncodingResult.fingerprint()`` (insertions, costs, conflict and
   state counts, solved flag) must be byte-identical, JSON round-trip
@@ -11,7 +24,9 @@ parameterized harness that pins every engine to the legacy oracle:
 * the inserted-signal *names* and the per-insertion :class:`Cost`
   tuples must match exactly;
 * for the explicit engines, the benchmark table row (logic estimate
-  included) must match as well;
+  included) must match as well (``batch`` and ``service`` carry the
+  result as its JSON summary, which is checked in place of the
+  in-memory records);
 * every expanded graph the legacy oracle materialises must equal the
   object-space insertion of ``tests/references.py``, every order
   included (the oracle's ``insert_signal`` shares the indexed replay).
@@ -34,13 +49,14 @@ explicit solver); those files keep their representation-level checks
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 from typing import Dict
 
 import pytest
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
-from repro.api import encode_stg
+from repro.api import EncodingService, encode_many, encode_stg
 from repro.bench_stg import generators as gen
 from references import insertion_outcome, reference_insert_signal, state_graph_layout
 
@@ -74,7 +90,7 @@ CASES = _LIBRARY + _PIPELINE_FAMILY
 _IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(CASES)]
 
 #: The engines pinned against the legacy oracle.
-ENGINES = ("indexed", "hybrid")
+ENGINES = ("indexed", "bigint", "batch", "service", "hybrid")
 
 _MAX_STATES = 200000
 _reference_cache: Dict[int, Dict[str, object]] = {}
@@ -142,12 +158,67 @@ def _assert_result_conforms(result, reference) -> None:
     assert [insertion.cost for insertion in result.records] == reference["costs"]
 
 
+def _assert_item_conforms(item: Dict[str, object], reference) -> None:
+    """A JSON result record (``BatchItem.as_dict()``, a stored service
+    payload) against the oracle: summary minus timing, table row minus
+    timing, and the inserted signals with their costs."""
+    assert item["status"] == "ok", item["error"]
+    assert item["engine"] == "explicit"
+    assert item["solved"] == reference["solved"]
+    summary = {key: value for key, value in item["summary"].items() if key != "cpu_seconds"}
+    assert json.dumps(summary, sort_keys=True) == reference["fingerprint_json"]
+    insertions = item["summary"]["insertions"]
+    assert [insertion["signal"] for insertion in insertions] == reference["signals"]
+    assert [insertion["cost"] for insertion in insertions] == [
+        cost.as_dict() for cost in reference["costs"]
+    ]
+    row = {key: value for key, value in item["table_row"].items() if key != "cpu"}
+    assert row == reference["row"]
+
+
+@pytest.fixture(scope="module")
+def batch_records():
+    """Every case encoded by one ``encode_many`` run on two worker
+    processes, keyed by case index."""
+    result = encode_many(
+        [case.build() for case in CASES],
+        settings=[case.solver_settings() for case in CASES],
+        jobs=2,
+        max_states=_MAX_STATES,
+    )
+    assert len(result.items) == len(CASES)
+    return {index: item.as_dict() for index, item in enumerate(result.items)}
+
+
+@pytest.fixture(scope="module")
+def service_records(tmp_path_factory):
+    """Every case submitted to one in-process service (one worker
+    thread) and read back from its result store, keyed by case index."""
+    path = str(tmp_path_factory.mktemp("conformance") / "svc.db")
+    with EncodingService(path, jobs=1) as service:
+        submitted = [
+            service.submit(case.build(), settings=case.solver_settings(), max_states=_MAX_STATES)
+            for case in CASES
+        ]
+        return {
+            index: service.wait(outcome["fingerprint"], timeout=600.0)
+            for index, outcome in enumerate(submitted)
+        }
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case_index", range(len(CASES)), ids=_IDS)
-def test_engine_conforms_to_legacy_oracle(case_index, engine):
+def test_engine_conforms_to_legacy_oracle(case_index, engine, request):
     case = CASES[case_index]
     reference = _reference(case_index)
     settings = case.solver_settings()
+
+    if engine in ("batch", "service"):
+        records = request.getfixturevalue(f"{engine}_records")
+        _assert_item_conforms(records[case_index], reference)
+        return
+    if engine == "bigint":
+        settings = dataclasses.replace(settings, kernel="bigint")
 
     if engine == "hybrid":
         outcome = symbolic_encode(case.build(), settings=settings)
