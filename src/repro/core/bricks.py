@@ -26,7 +26,7 @@ masks), and the canonical order and the adjacency have mask twins in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.core.excitation import excitation_regions
 from repro.core.regions import (
@@ -96,15 +96,19 @@ def _intersection_closure_masks(masks: Sequence[int], max_per_event: int = 64) -
     return closure
 
 
-def event_region_brick_masks(isg, event, max_explored: int = 20000) -> List[int]:
+def event_region_brick_masks(
+    isg, event, max_explored: int = 20000, memo: Optional[dict] = None
+) -> List[int]:
     """Mask twin of :func:`event_region_bricks`.
 
     Pre/post-regions are expanded and closed under intersection entirely
     in bitmask space on the :class:`~repro.core.indexed.IndexedStateGraph`.
     The same sets, in the same order, as the object-space function.
+    ``memo`` keeps each expansion per seed (see
+    :func:`repro.core.regions.minimal_region_masks_containing`).
     """
-    pre = minimal_preregion_masks(isg, event, max_explored=max_explored)
-    post = minimal_postregion_masks(isg, event, max_explored=max_explored)
+    pre = minimal_preregion_masks(isg, event, max_explored, memo)
+    post = minimal_postregion_masks(isg, event, max_explored, memo)
     return _intersection_closure_masks(pre) + _intersection_closure_masks(post)
 
 
@@ -183,18 +187,3 @@ def brick_adjacency(
                     adjacency[j].add(i)
     return adjacency
 
-
-def blocks_are_adjacent(
-    ts: TransitionSystem, first: Iterable[State], second: Iterable[State]
-) -> bool:
-    """True iff two state sets overlap or are connected by a transition."""
-    first_set = set(first)
-    second_set = set(second)
-    if first_set & second_set:
-        return True
-    for source, _event, target in ts.transitions():
-        if (source in first_set and target in second_set) or (
-            source in second_set and target in first_set
-        ):
-            return True
-    return False

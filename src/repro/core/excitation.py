@@ -64,11 +64,6 @@ def switching_regions(ts: TransitionSystem, event: Event) -> List[FrozenSet[Stat
     return _connected_components(ts, switching_set(ts, event))
 
 
-def excitation_regions_by_event(ts: TransitionSystem) -> Dict[Event, List[FrozenSet[State]]]:
-    """Excitation regions of every event of the transition system."""
-    return {event: excitation_regions(ts, event) for event in ts.events}
-
-
 # ----------------------------------------------------------------------
 # indexed (bitmask) pipeline
 # ----------------------------------------------------------------------

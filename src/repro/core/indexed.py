@@ -23,9 +23,10 @@ runs on:
 An :class:`IndexedStateGraph` is built once per
 :class:`~repro.stg.state_graph.StateGraph` and cached by
 :mod:`repro.engine.caches`; graphs produced by signal insertion derive
-their index from the parent's by index arithmetic
-(:meth:`IndexedStateGraph.derive_child`) instead of re-deriving the
-packed codes from the encoding dictionary.
+their index from the insertion's replay and the parent's index
+(:meth:`IndexedStateGraph.derive_child`) instead of re-hashing their
+transition system and re-deriving the packed codes from the encoding
+dictionary.
 
 The object-space implementations in :mod:`repro.core.excitation`,
 :mod:`repro.core.csc`, :mod:`repro.core.bricks`,
@@ -38,6 +39,7 @@ indexed pipeline must reproduce them byte for byte
 from __future__ import annotations
 
 import weakref
+from operator import itemgetter
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost import Cost
@@ -64,32 +66,33 @@ REJECTION_KINDS = (
     "persistency",
 )
 
-_WORD = (1 << 60) - 1
+#: The set bit positions of every byte value, ascending.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if value >> b & 1) for value in range(256))
 
 
 def bits_of(mask: int) -> List[int]:
     """The set bit positions of ``mask`` in ascending order.
 
     Isolating the lowest bit of a wide int costs time linear in its
-    width, so a mask with many members is walked in 60-bit words, each
-    isolated once.
+    width, so only a sparse mask is walked bit by bit; a denser one is
+    read byte by byte through a table of each byte value's bit positions.
+    The two cost the same at about ``8 + width / 64`` members.
     """
-    indices = []
-    if mask.bit_count() <= 64:
+    if mask.bit_count() * 64 <= mask.bit_length() + 512:
+        indices = []
         while mask:
             low = mask & -mask
             indices.append(low.bit_length() - 1)
             mask ^= low
         return indices
+    indices = []
+    append = indices.append
     base = 0
-    while mask:
-        word = mask & _WORD
-        mask >>= 60
-        while word:
-            low = word & -word
-            indices.append(base + low.bit_length() - 1)
-            word ^= low
-        base += 60
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for offset in _BYTE_BITS[byte]:
+                append(base + offset)
+        base += 8
     return indices
 
 
@@ -97,7 +100,9 @@ class IndexedStateGraph:
     """Interned arrays and bitmask structure of one state graph.
 
     The constructor performs a single pass over the transition system;
-    everything derived (per-event excitation masks, packed codes, repr
+    :meth:`derive_child` indexes a graph an insertion produced from the
+    insertion's replay, with no pass over its transition system.
+    Everything derived (per-event excitation masks, packed codes, repr
     sort keys, enabled-signal signatures, the persistent-event set) is
     computed lazily and memoized on the instance, so a graph pays only
     for the artifacts the solver asks for.  Candidate insertions are
@@ -108,7 +113,7 @@ class IndexedStateGraph:
     __slots__ = (
         "__weakref__",
         "states",
-        "position",
+        "_position",
         "num_states",
         "full_mask",
         "initial",
@@ -145,74 +150,111 @@ class IndexedStateGraph:
         "_shared_code_indices",
     )
 
-    def __init__(self, sg, _derive_from: Optional["IndexedStateGraph"] = None) -> None:
+    def __init__(self, sg) -> None:
         # Everything the index needs from ``sg`` is snapshotted here: the
         # instance deliberately holds no reference to the graph, so that
         # caching the index *on* the graph (repro.engine.caches) does not
         # create a reference cycle keeping encoded graphs alive until a
         # generational gc pass.
+        caches.STATS.index_builds += 1
         ts = sg.ts
         states: List[State] = list(ts.states)
-        self.states = states
         position: Dict[State, int] = {state: i for i, state in enumerate(states)}
-        self.position = position
+        self._position = position
+        adjacency = [
+            [(event, position[target]) for event, target in ts.successors(state)]
+            for state in states
+        ]
+        self._index_arcs(sg, states, adjacency, position.get(ts.initial_state))
+        # The event order of the transition system, which also lists
+        # events declared without arcs and, when built arc by arc, keeps
+        # the order they were added in.
+        event_arcs = self.event_arcs
+        self.event_list = list(ts.events)
+        self.event_arcs = {event: event_arcs.get(event, []) for event in self.event_list}
+        # Packed binary codes: bit ``p`` of ``codes[i]`` is the value of
+        # ``sg.signals[p]`` in state ``i``, read out of the encoding.
+        encoding = sg.encoding
+        codes: List[int] = []
+        for state in states:
+            packed = 0
+            for p, value in enumerate(encoding[state]):
+                if value:
+                    packed |= 1 << p
+            codes.append(packed)
+        self.codes = codes
+        self.parent = None
+        self.parent_positions = None
+        self._init_lazy(None)
+
+    def _index_arcs(
+        self,
+        sg,
+        states: List[State],
+        adjacency: List[List[Tuple[Event, int]]],
+        initial: Optional[int],
+    ) -> None:
+        """The structural arrays of a graph given as per-state ``(event,
+        target index)`` successor lists in transition-system order."""
+        self.states = states
         n = len(states)
         self.num_states = n
         self.full_mask = (1 << n) - 1
-        self.initial: Optional[int] = position.get(ts.initial_state)
+        self.initial = initial
 
         succ_masks: List[int] = [0] * n
         und_masks: List[int] = [0] * n
-        succ_events: List[List[Tuple[Event, int]]] = []
         succ_maps: List[Dict[Event, int]] = []
         arcs: List[Tuple[int, int, int]] = []
         signal_ids: Dict[str, int] = {}
         signal_is_input: List[bool] = []
-        event_list: List[Event] = list(ts.events)
-        event_arcs: Dict[Event, List[Tuple[int, int]]] = {e: [] for e in event_list}
+        # Per event, in order of first appearance (the order of
+        # ``ts.events`` for a system built by ``from_adjacency``): its arc
+        # list and its signal id (None when the event is not a signal
+        # edge).
+        event_info: Dict[Event, Tuple[List[Tuple[int, int]], Optional[int]]] = {}
         deterministic = True
         is_input_signal = sg.is_input_signal
 
-        for i, state in enumerate(states):
-            outgoing: List[Tuple[Event, int]] = []
+        for i, outgoing in enumerate(adjacency):
             out_map: Dict[Event, int] = {}
             smask = 0
             bit_i = 1 << i
-            for event, target in ts.successors(state):
-                j = position[target]
-                outgoing.append((event, j))
+            for event, j in outgoing:
                 if event in out_map:
                     deterministic = False
                 else:
                     out_map[event] = j
                 smask |= 1 << j
                 und_masks[j] |= bit_i
-                event_arcs[event].append((i, j))
-                if isinstance(event, SignalEdge):
-                    signal = event.signal
-                    sig_id = signal_ids.get(signal)
-                    if sig_id is None:
-                        sig_id = len(signal_ids)
-                        signal_ids[signal] = sig_id
-                        signal_is_input.append(is_input_signal(signal))
-                    arcs.append((i, j, sig_id))
+                info = event_info.get(event)
+                if info is None:
+                    sig_id = None
+                    if isinstance(event, SignalEdge):
+                        signal = event.signal
+                        sig_id = signal_ids.get(signal)
+                        if sig_id is None:
+                            sig_id = len(signal_ids)
+                            signal_ids[signal] = sig_id
+                            signal_is_input.append(is_input_signal(signal))
+                    info = event_info[event] = ([], sig_id)
+                info[0].append((i, j))
+                if info[1] is not None:
+                    arcs.append((i, j, info[1]))
             succ_masks[i] = smask
             und_masks[i] |= smask
-            succ_events.append(outgoing)
             succ_maps.append(out_map)
 
         self.succ_masks = succ_masks
         self.und_masks = und_masks
-        self.succ_events = succ_events
+        self.succ_events = adjacency
         self.succ_maps = succ_maps
         self.deterministic = deterministic
         self.arcs = arcs
         self.signal_ids = signal_ids
         self.signal_is_input = signal_is_input
-        self.event_list = event_list
-        self.event_arcs = event_arcs
-        self._event_arc_bits: Dict[Event, List[Tuple[int, int]]] = {}
-        self._arc_bits_by_event: Optional[List[Tuple[int, int, List[Tuple[int, int]]]]] = None
+        self.event_list = list(event_info)
+        self.event_arcs = {event: info[0] for event, info in event_info.items()}
 
         # Signal-layout snapshot (the code-vector geometry of ``sg``).
         self.signal_positions: Dict[str, int] = {
@@ -222,26 +264,9 @@ class IndexedStateGraph:
             signal for signal in sg.signals if is_input_signal(signal)
         }
 
-        # Packed binary codes: bit ``p`` of ``codes[i]`` is the value of
-        # ``sg.signals[p]`` in state ``i`` — derived arithmetically from
-        # the parent's codes for insertion-produced graphs, read out of
-        # the encoding once for root graphs.
-        if _derive_from is not None:
-            self._derive_codes(_derive_from)
-        else:
-            encoding = sg.encoding
-            codes: List[int] = []
-            for state in states:
-                packed = 0
-                for p, value in enumerate(encoding[state]):
-                    if value:
-                        packed |= 1 << p
-                codes.append(packed)
-            self.codes = codes
-            self.parent = None
-            self.parent_positions = None
-
-        # Lazy artifacts.
+    def _init_lazy(self, parent: Optional["IndexedStateGraph"]) -> None:
+        self._event_arc_bits: Dict[Event, List[Tuple[int, int]]] = {}
+        self._arc_bits_by_event: Optional[List[tuple]] = None
         self._er_masks: Dict[Event, int] = {}
         self._sr_masks: Dict[Event, int] = {}
         self._state_reprs: Optional[List[str]] = None
@@ -253,9 +278,7 @@ class IndexedStateGraph:
         # (see decide_insertion), so a derived index inherits the flag.
         self._commutative: Optional[bool] = (
             True
-            if _derive_from is not None
-            and _derive_from.deterministic
-            and _derive_from._commutative
+            if parent is not None and parent.deterministic and parent._commutative
             else None
         )
         self._succ_targets: Optional[List[Tuple[int, ...]]] = None
@@ -270,38 +293,49 @@ class IndexedStateGraph:
     # ------------------------------------------------------------------
     @classmethod
     def derive_child(
-        cls, parent: "IndexedStateGraph", child_sg
+        cls,
+        parent: "IndexedStateGraph",
+        child_sg,
+        states: List[State],
+        order: Sequence[int],
+        adjacency: List[List[Tuple[Event, int]]],
+        initial: int,
     ) -> "IndexedStateGraph":
-        """Index of a graph produced by inserting one signal into
-        ``parent``'s graph.
+        """Index of the graph :func:`repro.core.insertion.insert_signal`
+        built by inserting one signal into ``parent``'s graph.
 
-        The structural arrays still come from one pass over the child's
-        transition system (its state *order* is defined by the replay in
-        :func:`repro.core.insertion.insert_signal`), but the packed codes
-        are derived arithmetically — ``code(s, v) = code(s) | v << p`` for
-        the new signal at position ``p`` — and every child state records
-        its parent index, which the incremental CSC re-analysis walks
-        without re-hashing parent states.
+        The insertion's replay already knows the child: ``states[c]`` is
+        replay node ``order[c] = 2 * i + x`` (parent state ``i``, value
+        ``x`` of the new signal), ``adjacency[c]`` its ``(event, child
+        index)`` arcs and ``initial`` the initial child index.  The arrays
+        are filled from those lists; no child state is hashed (the
+        state-to-index map is built only when read).  Packed codes are
+        ``code(i) | x << p`` for the new signal at position ``p``, and
+        every child state records its parent index, which the
+        incremental CSC re-analysis walks.
         """
-        return cls(child_sg, _derive_from=parent)
-
-    def _derive_codes(self, parent: "IndexedStateGraph") -> None:
+        self = cls.__new__(cls)
+        self._position = None
+        self._index_arcs(child_sg, states, adjacency, initial)
         # Provenance of an insertion-derived index.  The parent is held
         # weakly, mirroring the engine cache's provenance: long insertion
         # chains must stay collectable.
         new_position = len(parent.signal_positions)
         parent_codes = parent.codes
-        parent_pos = parent.position
-        codes: List[int] = []
-        parent_positions: List[int] = []
-        for state in self.states:
-            original, value = state
-            p = parent_pos[original]
-            parent_positions.append(p)
-            codes.append(parent_codes[p] | (value << new_position))
+        self.parent_positions = [node >> 1 for node in order]
+        self.codes = [parent_codes[node >> 1] | (node & 1) << new_position for node in order]
         self.parent = weakref.ref(parent)
-        self.parent_positions = parent_positions
-        self.codes = codes
+        self._init_lazy(parent)
+        return self
+
+    @property
+    def position(self) -> Dict[State, int]:
+        """The index of every state (built on first read)."""
+        position = self._position
+        if position is None:
+            position = {state: i for i, state in enumerate(self.states)}
+            self._position = position
+        return position
 
     # ------------------------------------------------------------------
     # mask <-> object conversions
@@ -446,17 +480,39 @@ class IndexedStateGraph:
         return bits
 
     @property
-    def arc_bits_by_event(self) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
-        """``(source mask, target mask, arc bits)`` of every event, in
-        ``event_list`` order (memoized) -- one legality pass of the region
-        expansion.  The masks are :meth:`er_mask` and :meth:`sr_mask`, the
-        arc bits :meth:`event_arc_bits`."""
+    def arc_bits_by_event(self) -> List[tuple]:
+        """``(endpoint mask, source mask, target mask, arc bits, source
+        digits, target digits)`` of every event, in ``event_list`` order
+        (memoized) -- one legality pass of the region expansion.  The
+        source and target masks are :meth:`er_mask` and :meth:`sr_mask`,
+        the endpoint mask their union, the arc bits
+        :meth:`event_arc_bits`.  The digit getters read, from the
+        ``num_states``-digit binary string of a state set, the digits of
+        the event's arc sources and of its arc targets, arc by arc (in
+        C): equal readings mean no arc crosses the set.  They are ``None``
+        for an event without arcs."""
         entries = self._arc_bits_by_event
         if entries is None:
-            entries = [
-                (self.er_mask(event), self.sr_mask(event), self.event_arc_bits(event))
-                for event in self.event_list
-            ]
+            top = self.num_states - 1
+            entries = []
+            for event in self.event_list:
+                arcs = self.event_arcs.get(event, ())
+                source_digits = target_digits = None
+                if arcs:
+                    source_digits = itemgetter(*[top - source for source, _target in arcs])
+                    target_digits = itemgetter(*[top - target for _source, target in arcs])
+                sources = self.er_mask(event)
+                targets = self.sr_mask(event)
+                entries.append(
+                    (
+                        sources | targets,
+                        sources,
+                        targets,
+                        self.event_arc_bits(event),
+                        source_digits,
+                        target_digits,
+                    )
+                )
             self._arc_bits_by_event = entries
         return entries
 
@@ -465,9 +521,19 @@ class IndexedStateGraph:
     # ------------------------------------------------------------------
     @property
     def state_reprs(self) -> List[str]:
+        """``repr`` of every state.  A derived index's state ``(s, x)``
+        extends the repr of ``s`` its parent already holds."""
         reprs = self._state_reprs
         if reprs is None:
-            reprs = [repr(state) for state in self.states]
+            parent = self.parent_index()
+            if parent is None:
+                reprs = [repr(state) for state in self.states]
+            else:
+                parent_reprs = parent.state_reprs
+                reprs = [
+                    "(" + parent_reprs[p] + (", 1)" if state[1] else ", 0)")
+                    for p, state in zip(self.parent_positions, self.states)
+                ]
             self._state_reprs = reprs
         return reprs
 
@@ -516,13 +582,19 @@ class IndexedStateGraph:
                 frontier |= grown
             components.append(component)
             remaining &= ~component
+        if len(components) < 2:
+            return components
         # Decorate-sort-undecorate on precomputed key tuples.  The repr
         # *string* (not the repr list) stays the secondary key: it is the
         # canonical order of the object-space oracle, and a string that is
         # a prefix of another compares differently from the repr-list form.
+        # Only components of equal size are ever compared on it, so a
+        # component whose size no other shares needs none.
+        sizes = [component.bit_count() for component in components]
+        shared = {size for size in sizes if sizes.count(size) > 1}
         keyed = [
-            (component.bit_count(), repr(self.repr_key(component)), component)
-            for component in components
+            (size, repr(self.repr_key(component)) if size in shared else "", component)
+            for size, component in zip(sizes, components)
         ]
         keyed.sort(key=lambda item: (item[0], item[1]))
         return [item[2] for item in keyed]
@@ -776,7 +848,7 @@ class IndexedStateGraph:
         remaining = None
         if count_conflicts:
             remaining = self._expanded_conflict_count(side, arcs_of, rise, fall)
-        return InsertionVerdict([], None, delayed, remaining)
+        return InsertionVerdict([], None, delayed, remaining, (arcs_of, order))
 
     def _replay_insertion(self, side: Sequence[int], rise: Event, fall: Event):
         """The expanded graph of a legal insertion, reachable from its
@@ -886,10 +958,12 @@ class InsertionVerdict:
     :data:`REJECTION_KINDS` (``None`` when valid), ``delayed`` the events
     the new signal delays, and ``remaining_conflicts`` the expanded
     graph's CSC conflict count when it was asked for and the insertion
-    is valid.
+    is valid.  A valid verdict keeps the ``(arcs_of, order)`` of its
+    replay in ``replay``, for :func:`repro.core.insertion.insert_signal`
+    to build the child from without replaying again.
     """
 
-    __slots__ = ("reasons", "kind", "delayed", "remaining_conflicts")
+    __slots__ = ("reasons", "kind", "delayed", "remaining_conflicts", "replay")
 
     def __init__(
         self,
@@ -897,11 +971,13 @@ class InsertionVerdict:
         kind: Optional[str],
         delayed: FrozenSet[Event],
         remaining_conflicts: Optional[int] = None,
+        replay: Optional[tuple] = None,
     ) -> None:
         self.reasons = reasons
         self.kind = kind
         self.delayed = delayed
         self.remaining_conflicts = remaining_conflicts
+        self.replay = replay
 
     @property
     def ok(self) -> bool:
@@ -915,24 +991,19 @@ def indexed_state_graph(sg) -> IndexedStateGraph:
     """The canonical :class:`IndexedStateGraph` of ``sg``.
 
     With the engine caches enabled the index is built once and attached
-    to the graph; insertion-produced graphs derive their packed codes and
-    parent-position table from the parent's index by index arithmetic.
-    With caches disabled a fresh index is built on every call (the legacy
-    oracle never touches cached state).
+    to the graph; a graph produced by
+    :func:`repro.core.insertion.insert_signal` gets its index attached
+    there, derived from the insertion's replay
+    (:meth:`IndexedStateGraph.derive_child`).  With caches disabled a
+    fresh index is built on every call (the legacy oracle never touches
+    cached state).
     """
     if not caches.caches_enabled():
         return IndexedStateGraph(sg)
     cache = caches.get_cache(sg)
     isg = cache.indexed
     if isg is None:
-        parent_info = caches.provenance_parent(cache)
-        if parent_info is not None:
-            parent_sg, _partition = parent_info
-            parent_cache = caches.peek_cache(parent_sg)
-            if parent_cache is not None and parent_cache.indexed is not None:
-                isg = IndexedStateGraph.derive_child(parent_cache.indexed, sg)
-        if isg is None:
-            isg = IndexedStateGraph(sg)
+        isg = IndexedStateGraph(sg)
         cache.indexed = isg
     return isg
 
@@ -962,12 +1033,25 @@ def indexed_brick_bundle(
 def deduplicate_brick_masks(isg: IndexedStateGraph, masks: Sequence[int]) -> List[int]:
     """Drop empty and duplicate brick masks and sort them in the canonical
     order of :func:`repro.core.bricks.compute_bricks` (stable on ``(size,
-    sorted member reprs)``), keyed on repr ranks instead of reprs."""
+    sorted member reprs)``), keyed on repr ranks instead of reprs.
+
+    When no two states share a repr, the sorted rank lists of two
+    equal-size masks compare as their *rank masks* compare reversed:
+    the mask holding the smallest rank the other lacks comes first, and
+    that rank is the highest bit the two rank masks (bit ``n - 1 - rank``
+    per member) differ in.
+    """
     unique = list(dict.fromkeys(mask for mask in masks if mask))
     ranks = isg.repr_ranks
-    unique.sort(
-        key=lambda mask: (mask.bit_count(), sorted([ranks[i] for i in bits_of(mask)]))
-    )
+    n = isg.num_states
+    if max(ranks, default=-1) == n - 1:
+        rank_masks = _or_over_members([1 << (n - 1 - rank) for rank in ranks], unique, n)
+        keys = {mask: (mask.bit_count(), -rank_masks[b]) for b, mask in enumerate(unique)}
+        unique.sort(key=keys.__getitem__)
+    else:
+        unique.sort(
+            key=lambda mask: (mask.bit_count(), sorted([ranks[i] for i in bits_of(mask)]))
+        )
     return unique
 
 
@@ -976,30 +1060,77 @@ def brick_adjacency_bitsets(isg: IndexedStateGraph, masks: Sequence[int]) -> Lis
     :func:`repro.core.bricks.brick_adjacency`).
 
     Two bricks are adjacent when they overlap or an arc connects them in
-    either direction.  Through a state → bricks inverted index, each
-    state's *touch* bitset holds the bricks containing the state or one
-    of its neighbours; a brick's row is the OR of its members' touch
-    bitsets, without itself.
+    either direction.  The state → bricks index is the transpose of the
+    brick masks; each state's *touch* bitset holds the bricks containing
+    the state or one of its neighbours; a brick's row is the OR of its
+    members' touch bitsets, without itself.
     """
-    bricks_at = [0] * isg.num_states
-    for b, mask in enumerate(masks):
-        bit = 1 << b
-        for i in bits_of(mask):
-            bricks_at[i] |= bit
-    touch = []
-    for i, neighbours in enumerate(isg.und_masks):
-        row = bricks_at[i]
-        for j in bits_of(neighbours):
-            row |= bricks_at[j]
-        touch.append(row)
-    rows: List[int] = []
-    for b, mask in enumerate(masks):
-        poll_deadline()
-        row = 0
-        for i in bits_of(mask):
-            row |= touch[i]
-        rows.append(row & ~(1 << b))
+    n = isg.num_states
+    bricks_at = _transpose_masks(masks, n)
+    touch = list(bricks_at)
+    for i, targets in enumerate(isg.succ_targets):
+        at_i = bricks_at[i]
+        for j in targets:
+            touch[i] |= bricks_at[j]
+            touch[j] |= at_i
+    rows = _or_over_members(touch, masks, n)
+    for b in range(len(rows)):
+        rows[b] &= ~(1 << b)
     return rows
+
+
+#: Per bit ``j``, the translation of every byte value to the ASCII digit
+#: of its bit ``j``.
+_BIT_DIGITS = tuple(bytes(48 + (value >> j & 1) for value in range(256)) for j in range(8))
+
+
+def _transpose_masks(masks: Sequence[int], num_states: int) -> List[int]:
+    """Bit ``b`` of entry ``i`` says state ``i`` is in ``masks[b]``.
+
+    Byte ``k`` of every mask, in mask order, is one slice of the masks'
+    concatenated bytes; each of its 8 bits becomes an entry through one
+    translation to binary digits.
+    """
+    if not masks:
+        return [0] * num_states
+    width = (num_states + 7) >> 3
+    data = b"".join([mask.to_bytes(width, "little") for mask in masks])
+    transposed: List[int] = []
+    for k in range(width):
+        column = data[k::width]
+        for digits in _BIT_DIGITS:
+            transposed.append(int(column.translate(digits)[::-1], 2))
+    del transposed[num_states:]
+    return transposed
+
+
+def _or_over_members(values: Sequence[int], masks: Sequence[int], num_states: int) -> List[int]:
+    """For every mask over ``num_states`` states, the OR of ``values[i]``
+    over its members ``i``.
+
+    A mask is read byte by byte; the OR of one byte value at one byte
+    position is computed once and looked up for every other mask holding
+    the same byte there.  Bricks overlap heavily, so most lookups hit.
+    """
+    width = (num_states + 7) >> 3
+    tables: List[Dict[int, int]] = [{} for _ in range(width)]
+    result: List[int] = []
+    for mask in masks:
+        poll_deadline()
+        total = 0
+        for k, byte in enumerate(mask.to_bytes(width, "little")):
+            if byte:
+                table = tables[k]
+                value = table.get(byte)
+                if value is None:
+                    value = 0
+                    base = k << 3
+                    for offset in _BYTE_BITS[byte]:
+                        value |= values[base + offset]
+                    table[byte] = value
+                total |= value
+        result.append(total)
+    return result
 
 
 # ----------------------------------------------------------------------

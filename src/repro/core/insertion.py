@@ -87,6 +87,7 @@ def insert_signal(
     signal: str,
     signal_type: SignalType = SignalType.INTERNAL,
     name: Optional[str] = None,
+    replay: Optional[tuple] = None,
 ) -> StateGraph:
     """Insert a new signal into a state graph according to an I-partition.
 
@@ -94,9 +95,14 @@ def insert_signal(
     encoding of the original signals is inherited and the new signal's
     value is appended as the last component of the code.  Only the states
     reachable from the initial state ``(initial, x0)`` are kept.
+
+    ``replay`` is the :attr:`~repro.core.indexed.InsertionVerdict.replay`
+    of an accepted :meth:`~repro.core.indexed.IndexedStateGraph.decide_insertion`
+    of this same partition on ``sg``'s index; without it the insertion is
+    replayed here.
     """
     # Deferred: repro.core.indexed imports this module at load time.
-    from repro.core.indexed import UNCOVERED, indexed_state_graph
+    from repro.core.indexed import UNCOVERED, IndexedStateGraph, indexed_state_graph
 
     if signal in sg.signals:
         raise ValueError(f"signal {signal!r} already exists in the state graph")
@@ -136,9 +142,12 @@ def insert_signal(
 
     # Replay the legal insertion from its initial node: exactly the
     # reachable nodes, each with its arcs in replay order.
-    rise = SignalEdge.rise(signal)
-    fall = SignalEdge.fall(signal)
-    arcs_of, reachable, _near_border = index._replay_insertion(side, rise, fall)
+    if replay is None:
+        rise = SignalEdge.rise(signal)
+        fall = SignalEdge.fall(signal)
+        arcs_of, reachable, _near_border = index._replay_insertion(side, rise, fall)
+    else:
+        arcs_of, reachable = replay
     start = reachable[0]
     sequence.append(start)
     order = [node for node in dict.fromkeys(sequence) if arcs_of[node] is not None]
@@ -146,11 +155,10 @@ def insert_signal(
     for c, node in enumerate(order):
         child_position[node] = c
     new_states = [(states[node >> 1], node & 1) for node in order]
+    adjacency = [[(event, child_position[t]) for event, t in arcs_of[node]] for node in order]
+    initial = child_position[start]
     new_ts = TransitionSystem.from_adjacency(
-        new_states,
-        [[(event, child_position[t]) for event, t in arcs_of[node]] for node in order],
-        initial=child_position[start],
-        name=name or f"{sg.name}+{signal}",
+        new_states, adjacency, initial=initial, name=name or f"{sg.name}+{signal}"
     )
 
     new_signals = list(sg.signals) + [signal]
@@ -168,12 +176,16 @@ def insert_signal(
         encoding=new_encoding,
         name=new_ts.name,
     )
-    # Record where the expanded graph came from.  The provenance lets the
-    # engine caches carry over untouched brick entries, and it is what
-    # repro.core.indexed.indexed_state_graph keys on to produce the
-    # child's IndexedStateGraph by index arithmetic (packed codes and the
-    # parent-position table derived from the parent's index instead of
-    # re-deriving them from the nested (state, bit) encoding), which in
-    # turn drives the index-space incremental CSC re-analysis.
-    engine_caches.note_insertion(sg, new_sg, partition, signal)
+    # Record where the expanded graph came from, and attach its index
+    # derived from the replay (the same lists the transition system was
+    # built from, packed codes and parent positions from the parent's
+    # index), instead of re-hashing the child's transition system.  The
+    # provenance lets the engine caches carry over untouched brick
+    # entries; the parent positions drive the index-space incremental CSC
+    # re-analysis.
+    if engine_caches.caches_enabled():
+        engine_caches.note_insertion(sg, new_sg, partition, signal)
+        engine_caches.get_cache(new_sg).indexed = IndexedStateGraph.derive_child(
+            index, new_sg, new_states, order, adjacency, initial
+        )
     return new_sg

@@ -297,17 +297,26 @@ def _expansion_choices_mask(
 
 
 def minimal_region_masks_containing(
-    isg, seed_mask: int, max_explored: int = 20000
+    isg, seed_mask: int, max_explored: int = 20000, memo: Optional[dict] = None
 ) -> List[int]:
     """All minimal regions containing ``seed_mask``, as bitmasks (twin of
     :func:`minimal_regions_containing`).
 
     An event whose sources and targets the candidate set each holds all
     or none of is legal without looking at its arcs: every arc is then
-    inside, outside, entering or exiting alike.  Only the other events go
-    through the per-arc test.  The candidate sets visited and the events
-    that needed the per-arc test are added to
-    :data:`repro.engine.caches.STATS`.
+    inside, outside, entering or exiting alike (one test on the union of
+    both settles the common case of all or none of its endpoints).  An
+    event whose arc sources and arc targets read the same digits, arc by
+    arc, in the candidate set's binary string is legal too: no arc
+    crosses the set.  Only the other events go through the per-arc test.
+    The candidate sets visited and the events that needed the per-arc
+    test are added to :data:`repro.engine.caches.STATS`.
+
+    ``memo`` (the graph's ``SGCache.regions``) keeps each result under
+    ``(seed_mask, max_explored)``: one seed is often both the switching
+    region of one event and the excitation region of the next, and is
+    then expanded once.  A seed over the budget is not kept, so it raises
+    again.  The returned list is shared; callers must not mutate it.
     """
     # Deferred: repro.engine.caches imports this module (through
     # repro.core.bricks) at load time.
@@ -315,8 +324,17 @@ def minimal_region_masks_containing(
 
     if not seed_mask:
         return []
+    if memo is not None:
+        found = memo.get((seed_mask, max_explored))
+        if found is not None:
+            STATS.region_memo_hits += 1
+            return found
+        found = minimal_region_masks_containing(isg, seed_mask, max_explored)
+        memo[(seed_mask, max_explored)] = found
+        return found
     full_mask = isg.full_mask
     event_table = isg.arc_bits_by_event
+    digits_format = f"0{isg.num_states}b"
 
     found: List[int] = []
     visited: Set[int] = set()
@@ -341,12 +359,20 @@ def minimal_region_masks_containing(
                 continue
 
             choices: Optional[List[int]] = None
-            for sources, targets, arc_bits in event_table:
+            digits = None
+            for endpoints, sources, targets, arc_bits, source_digits, target_digits in event_table:
+                held = current & endpoints
+                if not held or held == endpoints:
+                    continue
                 held = current & sources
                 if not held or held == sources:
                     held = current & targets
                     if not held or held == targets:
                         continue
+                if digits is None:
+                    digits = format(current, digits_format)
+                if source_digits(digits) == target_digits(digits):
+                    continue
                 arc_scans += 1
                 choices = _expansion_choices_mask(arc_bits, current)
                 if choices is not None:
@@ -397,23 +423,25 @@ def _event_crossing_flags(arc_bits: List[tuple], mask: int) -> tuple:
     return (has_enter and legal, has_exit and legal)
 
 
-def minimal_preregion_masks(isg, event: Event, max_explored: int = 20000) -> List[int]:
+def minimal_preregion_masks(
+    isg, event: Event, max_explored: int = 20000, memo: Optional[dict] = None
+) -> List[int]:
     """Minimal pre-regions of ``event`` as bitmasks (twin of
-    :func:`minimal_preregions`)."""
+    :func:`minimal_preregions`; ``memo`` as in
+    :func:`minimal_region_masks_containing`)."""
     arc_bits = isg.event_arc_bits(event)
-    candidates = minimal_region_masks_containing(
-        isg, isg.er_mask(event), max_explored=max_explored
-    )
+    candidates = minimal_region_masks_containing(isg, isg.er_mask(event), max_explored, memo)
     return [m for m in candidates if _event_crossing_flags(arc_bits, m)[1]]
 
 
-def minimal_postregion_masks(isg, event: Event, max_explored: int = 20000) -> List[int]:
+def minimal_postregion_masks(
+    isg, event: Event, max_explored: int = 20000, memo: Optional[dict] = None
+) -> List[int]:
     """Minimal post-regions of ``event`` as bitmasks (twin of
-    :func:`minimal_postregions`)."""
+    :func:`minimal_postregions`; ``memo`` as in
+    :func:`minimal_region_masks_containing`)."""
     arc_bits = isg.event_arc_bits(event)
-    candidates = minimal_region_masks_containing(
-        isg, isg.sr_mask(event), max_explored=max_explored
-    )
+    candidates = minimal_region_masks_containing(isg, isg.sr_mask(event), max_explored, memo)
     return [m for m in candidates if _event_crossing_flags(arc_bits, m)[0]]
 
 
@@ -442,12 +470,3 @@ def preregions_by_event(
         for event in stable_sorted(ts.events)
     }
 
-
-def postregions_by_event(
-    ts: TransitionSystem, max_explored: int = 20000
-) -> Dict[Event, List[Region]]:
-    """Minimal post-regions indexed by event (the ``e°`` sets of the paper)."""
-    return {
-        event: minimal_postregions(ts, event, max_explored=max_explored)
-        for event in stable_sorted(ts.events)
-    }

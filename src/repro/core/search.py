@@ -357,6 +357,7 @@ def _find_insertion_plan_indexed(
     stats = engine_caches.STATS
     carries, misses = stats.brick_carries, stats.brick_misses
     explored, arc_scans = stats.region_explored, stats.region_arc_scans
+    memo_hits = stats.region_memo_hits
     with span("search.bricks", mode=settings.brick_mode) as attrs:
         masks, adjacency = indexed.indexed_brick_bundle(
             sg, mode=settings.brick_mode, max_explored=settings.region_budget
@@ -366,6 +367,7 @@ def _find_insertion_plan_indexed(
         attrs["recomputed"] = stats.brick_misses - misses
         attrs["explored"] = stats.region_explored - explored
         attrs["arc_scans"] = stats.region_arc_scans - arc_scans
+        attrs["memo_hits"] = stats.region_memo_hits - memo_hits
     if not masks:
         return None
     index = indexed.indexed_state_graph(sg)
@@ -492,7 +494,9 @@ def _find_insertion_plan_indexed(
                 partition = index.partition_of(side)
                 check = InsertionCheck(
                     ok=True,
-                    new_sg=insert_signal(sg, partition, signal, SignalType.INTERNAL),
+                    new_sg=insert_signal(
+                        sg, partition, signal, SignalType.INTERNAL, replay=verdict.replay
+                    ),
                     delayed=verdict.delayed,
                 )
         if outcome != "ok":

@@ -173,7 +173,9 @@ def check_insertion(
             allow_input_delay=allow_input_delay,
             count_conflicts=False,
         )
-        new_sg = insert_signal(sg, partition, signal, signal_type) if verdict.ok else None
+        new_sg = None
+        if verdict.ok:
+            new_sg = insert_signal(sg, partition, signal, signal_type, replay=verdict.replay)
         return InsertionCheck(
             ok=verdict.ok,
             reasons=verdict.reasons,

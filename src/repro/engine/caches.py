@@ -8,17 +8,21 @@ most of its time.  This module attaches a cache to each
 :class:`~repro.stg.state_graph.StateGraph` that
 
 * holds the graph's canonical :class:`~repro.core.indexed.IndexedStateGraph`
-  (the integer/bitset representation the core pipeline computes on),
+  (the integer/bitset representation the core pipeline computes on).  A
+  graph produced by :func:`repro.core.insertion.insert_signal` gets it
+  there, derived from the insertion's replay
+  (:meth:`~repro.core.indexed.IndexedStateGraph.derive_child`: arc
+  lists, packed codes and parent positions by index arithmetic, no
+  re-hashing of the child's transition system); only a root graph is
+  indexed from scratch (``CacheStats.index_builds``),
 * memoizes the brick decomposition as bitmasks over that index — the
-  excitation regions per event, the canonical brick list per ``(mode,
-  budget)``, and one adjacency bitset per brick,
+  excitation regions per event, the minimal regions containing each
+  expansion seed, the canonical brick list per ``(mode, budget)``, and
+  one adjacency bitset per brick,
 * memoizes the CSC conflict list and the code groups backing it,
 * records the *provenance* of a graph produced by signal insertion
   (parent graph, I-partition, inserted signal), which enables
 
-  - derivation of the child's indexed representation by index
-    arithmetic (packed codes, parent-position table) instead of a
-    from-scratch re-derivation,
   - incremental CSC re-analysis (:func:`repro.core.csc.csc_conflicts`
     only re-examines states descending from previously code-sharing
     groups), and
@@ -31,11 +35,15 @@ most of its time.  This module attaches a cache to each
 Caches never change results.  Excitation-region carry-over is exact: the
 untouched part of the graph is replayed isomorphically at the stable
 value of the new signal, and an event enabled in no split state keeps
-its enabling set.  Minimal pre/post-regions are *not* carried: the
-expanded graph can have new minimal regions around the split states, so
-region bricks are recomputed on every graph.  The regression tests check
-the brick masks against a from-scratch
-:func:`repro.core.bricks.compute_bricks` after every insertion of the
+its enabling set.  Minimal pre/post-regions are still *not* carried: the
+expanded graph can have new minimal regions around the split states.
+They are recomputed on every graph, but each expansion seed is expanded
+once per graph (``SGCache.regions``): the switching region of one event
+is often the excitation region of the next (``SR(a+) = ER(b+)`` when
+``b+`` directly follows ``a+``).  The regression tests check the derived
+index against a from-scratch build, and the brick masks and adjacency
+against a from-scratch :func:`repro.core.bricks.compute_bricks` and
+:func:`repro.core.bricks.brick_adjacency`, after every insertion of the
 Table-2 solves.  Object frozensets are built only at the API edge
 (:func:`get_bricks`).  The global switch (:func:`disable_caches` /
 :func:`use_caches`) restores the original recompute-everything
@@ -75,7 +83,9 @@ class CacheStats:
         "brick_carries",
         "region_explored",
         "region_arc_scans",
+        "region_memo_hits",
         "side_tables",
+        "index_builds",
     )
 
     def __init__(self) -> None:
@@ -89,9 +99,14 @@ class CacheStats:
         # candidate sets visited, and events that needed the per-arc test.
         self.region_explored = 0
         self.region_arc_scans = 0
+        # Expansions answered from a graph's per-seed memo instead.
+        self.region_memo_hits = 0
         # Side tables the Figure-4 search derived on demand for its SIP
         # checks (repro.core.indexed.IndexedEvaluator.side_table).
         self.side_tables = 0
+        # IndexedStateGraph instances built from a whole transition system
+        # rather than derived from an insertion's replay.
+        self.index_builds = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -100,7 +115,9 @@ class CacheStats:
             "brick_carries": self.brick_carries,
             "region_explored": self.region_explored,
             "region_arc_scans": self.region_arc_scans,
+            "region_memo_hits": self.region_memo_hits,
             "side_tables": self.side_tables,
+            "index_builds": self.index_builds,
         }
 
     def hit_rate(self) -> float:
@@ -160,6 +177,7 @@ class SGCache:
         "er_bricks",
         "brick_lists",
         "adjacency",
+        "regions",
         "carry_bits",
     )
 
@@ -185,6 +203,9 @@ class SGCache:
         self.er_bricks: Dict[object, List[int]] = {}
         self.brick_lists: Dict[Tuple[str, int], List[int]] = {}
         self.adjacency: Dict[Tuple[str, int], List[int]] = {}
+        # Minimal regions containing a seed mask, per (seed, budget): the
+        # memo of repro.core.regions.minimal_region_masks_containing.
+        self.regions: Dict[Tuple[int, int], List[int]] = {}
         # Per parent state index, the child bit its stable copy maps to
         # (0 where the insertion split the state); empty when the child's
         # index is not derived from the parent's.  Built on first carry.
@@ -321,7 +342,8 @@ def get_brick_masks(sg, mode: str = "regions", max_explored: int = 20000) -> Lis
     The masks of exactly the bricks :func:`repro.core.bricks.compute_bricks`
     returns, in its canonical order.  Excitation-region entries are
     carried over from the parent graph where the insertion did not touch
-    them; region bricks are recomputed (see the module docstring).
+    them; region bricks are recomputed, each seed expanded once (see the
+    module docstring).
     """
     cache = get_cache(sg)
     key = (mode, max_explored)
@@ -333,13 +355,15 @@ def get_brick_masks(sg, mode: str = "regions", max_explored: int = 20000) -> Lis
     if mode == "states":
         collected = [1 << i for i in range(isg.num_states)]
     elif mode in ("excitation", "regions"):
-        events = stable_sorted(sg.ts.events)
+        events = stable_sorted(isg.event_list)
         collected = []
         for event in events:
             collected.extend(_er_entry(sg, cache, isg, event))
         if mode == "regions":
             for event in events:
-                collected.extend(event_region_brick_masks(isg, event, max_explored))
+                collected.extend(
+                    event_region_brick_masks(isg, event, max_explored, cache.regions)
+                )
             STATS.brick_misses += len(events)
     else:
         raise ValueError(f"unknown brick mode: {mode!r}")

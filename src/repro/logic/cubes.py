@@ -157,9 +157,6 @@ class Cover:
         packed = pack_minterm(minterm)
         return any((packed & cube.care) == cube.value for cube in self.cubes)
 
-    def intersects_minterms(self, minterms: Iterable[Minterm]) -> bool:
-        return any(self.contains_minterm(minterm) for minterm in minterms)
-
     def to_expression(self, names: Sequence[str]) -> str:
         if not self.cubes:
             return "0"

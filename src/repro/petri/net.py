@@ -81,6 +81,11 @@ class Marking:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # The cached hash depends on the string hash seed of the process
+        # that computed it; a marking loaded elsewhere recomputes it.
+        return (Marking.from_canonical, (self._items,))
+
     def __repr__(self) -> str:
         inside = ", ".join(
             f"{place}" if count == 1 else f"{place}:{count}"

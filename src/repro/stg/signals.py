@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
 
 RISE = 1
 FALL = -1
@@ -61,6 +60,30 @@ class SignalEdge:
             raise ValueError(f"direction must be RISE(+1) or FALL(-1), got {self.direction}")
         if self.index < 0:
             raise ValueError("occurrence index must be non-negative")
+        # Edges key every per-event table of the engine, so the hash the
+        # dataclass would compute on each call is computed once.  It is
+        # the same value, so set and dict orders stay as they were.
+        object.__setattr__(self, "_hash", hash((self.signal, self.direction, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # The fields compared as the dataclass would, after the cheap
+        # identity and cached-hash tests.
+        if other.__class__ is not SignalEdge:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.signal == other.signal
+            and self.direction == other.direction
+            and self.index == other.index
+        )
+
+    def __reduce__(self):
+        # Rebuilt from the fields, so the hash is recomputed under the
+        # loading process's string hash seed instead of unpickled.
+        return (SignalEdge, (self.signal, self.direction, self.index))
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -92,10 +115,6 @@ class SignalEdge:
     def is_rising(self) -> bool:
         return self.direction == RISE
 
-    @property
-    def is_falling(self) -> bool:
-        return self.direction == FALL
-
     def base(self) -> "SignalEdge":
         """The same signal change without its occurrence index."""
         if self.index == 0:
@@ -123,8 +142,3 @@ class SignalEdge:
     def __repr__(self) -> str:
         return f"SignalEdge({self.__str__()!r})"
 
-
-def split_edge_name(text: str) -> Tuple[str, int, int]:
-    """Return ``(signal, direction, index)`` for an edge label string."""
-    edge = SignalEdge.parse(text)
-    return edge.signal, edge.direction, edge.index

@@ -85,9 +85,6 @@ class StateGraph:
     def non_input_signals(self) -> List[str]:
         return [s for s in self.signals if self.signal_types[s].is_noninput]
 
-    def signal_index(self, signal: str) -> int:
-        return self._index[signal]
-
     def is_input_signal(self, signal: str) -> bool:
         return self.signal_types[signal] is SignalType.INPUT
 

@@ -23,17 +23,48 @@ class TransitionSystem:
     Built arc by arc with :meth:`add_transition` or in one pass with
     :meth:`from_adjacency`.  The set of transition triples behind
     :meth:`add_transition`'s duplicate check is built lazily, on that
-    method's first call; every query reads the adjacency maps.
+    method's first call; a system built by :meth:`from_adjacency` builds
+    its predecessor and per-event maps lazily too, on their first read.
+    Every query reads the adjacency maps.
     """
 
     def __init__(self, name: str = "ts") -> None:
         self.name = name
         self.initial_state: Optional[State] = None
         self._succ: Dict[State, List[Tuple[Event, State]]] = {}
-        self._pred: Dict[State, List[Tuple[Event, State]]] = {}
-        self._by_event: Dict[Event, List[Tuple[State, State]]] = {}
+        # None until first read when built by from_adjacency (see _preds
+        # and _events).
+        self._pred: Optional[Dict[State, List[Tuple[Event, State]]]] = {}
+        self._by_event: Optional[Dict[Event, List[Tuple[State, State]]]] = {}
         # The duplicate check of add_transition, built on its first call.
         self._transition_set: Optional[Set[Transition]] = None
+
+    def _preds(self) -> Dict[State, List[Tuple[Event, State]]]:
+        """The predecessor map (built in :meth:`transitions` order when
+        absent)."""
+        pred = self._pred
+        if pred is None:
+            pred = {state: [] for state in self._succ}
+            for source, outgoing in self._succ.items():
+                for event, target in outgoing:
+                    pred[target].append((event, source))
+            self._pred = pred
+        return pred
+
+    def _events(self) -> Dict[Event, List[Tuple[State, State]]]:
+        """The per-event arc map (built in :meth:`transitions` order when
+        absent)."""
+        by_event = self._by_event
+        if by_event is None:
+            by_event = {}
+            for source, outgoing in self._succ.items():
+                for event, target in outgoing:
+                    arcs = by_event.get(event)
+                    if arcs is None:
+                        arcs = by_event[event] = []
+                    arcs.append((source, target))
+            self._by_event = by_event
+        return by_event
 
     # ------------------------------------------------------------------
     # construction
@@ -41,14 +72,16 @@ class TransitionSystem:
     def add_state(self, state: State) -> State:
         """Add an isolated state (idempotent) and return it."""
         if state not in self._succ:
+            pred = self._preds()
             self._succ[state] = []
-            self._pred[state] = []
+            pred[state] = []
         return state
 
     def add_event(self, event: Event) -> Event:
         """Declare an event label (idempotent) and return it."""
-        if event not in self._by_event:
-            self._by_event[event] = []
+        by_event = self._events()
+        if event not in by_event:
+            by_event[event] = []
         return event
 
     def add_transition(self, source: State, event: Event, target: State) -> None:
@@ -64,12 +97,15 @@ class TransitionSystem:
         triple = (source, event, target)
         if triple in transition_set:
             return
+        # Both lazy maps are built before the successor lists change.
+        pred = self._preds()
+        by_event = self._events()
         self.add_state(source)
         self.add_state(target)
         self.add_event(event)
         self._succ[source].append((event, target))
-        self._pred[target].append((event, source))
-        self._by_event[event].append((source, target))
+        pred[target].append((event, source))
+        by_event[event].append((source, target))
         transition_set.add(triple)
 
     def set_initial(self, state: State) -> None:
@@ -85,7 +121,7 @@ class TransitionSystem:
 
     @property
     def events(self) -> List[Event]:
-        return list(self._by_event)
+        return list(self._events())
 
     @property
     def num_states(self) -> int:
@@ -93,7 +129,7 @@ class TransitionSystem:
 
     @property
     def num_events(self) -> int:
-        return len(self._by_event)
+        return len(self._events())
 
     @property
     def num_transitions(self) -> int:
@@ -103,7 +139,7 @@ class TransitionSystem:
         return state in self._succ
 
     def has_event(self, event: Event) -> bool:
-        return event in self._by_event
+        return event in self._events()
 
     def has_transition(self, source: State, event: Event, target: State) -> bool:
         outgoing = self._succ.get(source)
@@ -115,7 +151,7 @@ class TransitionSystem:
 
     def predecessors(self, state: State) -> List[Tuple[Event, State]]:
         """Incoming ``(event, source)`` pairs of ``state``."""
-        return list(self._pred[state])
+        return list(self._preds()[state])
 
     def enabled_events(self, state: State) -> List[Event]:
         """Events labelling at least one outgoing transition of ``state``."""
@@ -142,7 +178,7 @@ class TransitionSystem:
 
     def transitions_of(self, event: Event) -> List[Tuple[State, State]]:
         """All ``(source, target)`` pairs of transitions labelled ``event``."""
-        return list(self._by_event.get(event, []))
+        return list(self._events().get(event, []))
 
     # ------------------------------------------------------------------
     # reachability and restriction
@@ -187,7 +223,7 @@ class TransitionSystem:
         result = TransitionSystem(name or self.name)
         for state in self._succ:
             result.add_state(state)
-        for event in self._by_event:
+        for event in self._events():
             result.add_event(event)
         for source, event, target in self.transitions():
             result.add_transition(source, event, target)
@@ -237,26 +273,15 @@ class TransitionSystem:
         is the index of the initial state.  States keep the order of
         ``states`` and successor lists their own order; predecessor and
         per-event lists come out in :meth:`transitions` order, exactly as
-        :meth:`add_transition` in that order would leave them.
+        :meth:`add_transition` in that order would leave them.  Those two
+        maps are built on their first read.
         """
         ts = cls(name)
-        preds: List[List[Tuple[Event, State]]] = [[] for _ in states]
-        by_event = ts._by_event
-        succs: List[List[Tuple[Event, State]]] = []
-        for i, outgoing in enumerate(adjacency):
-            source = states[i]
-            succ: List[Tuple[Event, State]] = []
-            for event, j in outgoing:
-                target = states[j]
-                succ.append((event, target))
-                preds[j].append((event, source))
-                arcs = by_event.get(event)
-                if arcs is None:
-                    arcs = by_event[event] = []
-                arcs.append((source, target))
-            succs.append(succ)
-        ts._succ = dict(zip(states, succs))
-        ts._pred = dict(zip(states, preds))
+        ts._succ = dict(
+            zip(states, [[(event, states[j]) for event, j in outgoing] for outgoing in adjacency])
+        )
+        ts._pred = None
+        ts._by_event = None
         if initial is not None:
             ts.initial_state = states[initial]
         return ts

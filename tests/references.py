@@ -125,8 +125,8 @@ def state_graph_layout(sg) -> tuple:
         ts.name,
         ts.initial_state,
         list(ts._succ.items()),
-        list(ts._pred.items()),
-        list(ts._by_event.items()),
+        [(state, ts.predecessors(state)) for state in ts.states],
+        [(event, ts.transitions_of(event)) for event in ts.events],
     )
 
 

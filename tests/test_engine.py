@@ -28,6 +28,7 @@ from repro.engine import caches, use_caches
 from repro.engine.batch import run_benchmark_suite, select_smallest_cases, suite_cases
 from repro.core.indexed import (
     IndexedEvaluator,
+    IndexedStateGraph,
     bits_of,
     indexed_brick_bundle,
     indexed_state_graph,
@@ -139,12 +140,66 @@ def test_brick_cache_survives_insertion(name, mode):
     )
 
 
+#: The fields of an index that must not depend on how it was built; dicts
+#: are compared with their order.
+_INDEX_FIELDS = (
+    "states",
+    "position",
+    "num_states",
+    "full_mask",
+    "initial",
+    "succ_masks",
+    "und_masks",
+    "succ_events",
+    "succ_maps",
+    "deterministic",
+    "arcs",
+    "signal_ids",
+    "signal_is_input",
+    "signal_positions",
+    "input_signals",
+    "codes",
+    "event_list",
+    "event_arcs",
+    "state_reprs",
+    "repr_ranks",
+    "succ_targets",
+    "in_sig_arcs",
+    "out_sig_arcs",
+)
+
+
+def _ordered(value):
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, list):
+        return [_ordered(item) for item in value]
+    return value
+
+
+def _assert_derived_index_matches_scratch(child, parent, sg) -> None:
+    """The replay-derived index of ``sg`` equals a from-scratch build field
+    by field, and records its parent."""
+    scratch = IndexedStateGraph(sg)
+    for field in _INDEX_FIELDS:
+        assert _ordered(getattr(child, field)) == _ordered(getattr(scratch, field)), field
+    assert [entry[:4] for entry in child.arc_bits_by_event] == [
+        entry[:4] for entry in scratch.arc_bits_by_event
+    ]
+    assert child.parent_index() is parent and scratch.parent_index() is None
+    assert child.parent_positions == [parent.position[state[0]] for state in scratch.states]
+    assert child.is_commutative() == scratch.is_commutative()
+    assert child.persistent_events() == scratch.persistent_events()
+
+
 @pytest.mark.parametrize("case", TABLE2, ids=lambda case: case.name)
 def test_brick_mask_carry_over_matches_scratch_after_every_insertion(case):
     """Replays the solver's insertion loop: after every insertion the
-    expanded graph's brick masks (carried over from its parent where the
-    insertion left an event untouched) equal a from-scratch
-    compute_bricks, in the same order."""
+    expanded graph's index (derived from the insertion's replay) equals a
+    from-scratch build field by field, its brick masks (carried over from
+    its parent where the insertion left an event untouched) equal a
+    from-scratch compute_bricks, in the same order, and its adjacency rows
+    equal the object-space brick_adjacency of those bricks."""
     settings = case.solver_settings()
     search = settings.search
     mode, budget = search.brick_mode, search.region_budget
@@ -159,14 +214,61 @@ def test_brick_mask_carry_over_matches_scratch_after_every_insertion(case):
         if plan is None:
             break
         new_sg = plan.new_sg
-        masks = caches.get_brick_masks(new_sg, mode, budget)
         index = indexed_state_graph(new_sg)
+        _assert_derived_index_matches_scratch(index, indexed_state_graph(current), new_sg)
+        masks, adjacency = indexed_brick_bundle(new_sg, mode, budget)
         fresh = compute_bricks(new_sg.ts, mode=mode, max_explored=budget)
         assert masks == [index.mask_of(brick) for brick in fresh]
+        expected = brick_adjacency(new_sg.ts, fresh)
+        assert [set(bits_of(row)) for row in adjacency] == [
+            expected[b] for b in range(len(fresh))
+        ]
         assert caches.get_cache(new_sg).carry_bits, "the child index must derive from the parent's"
         if len(csc_conflicts(new_sg)) >= len(conflicts):
             break
         current = new_sg
+
+
+def test_table2_solve_builds_only_the_root_index_from_scratch():
+    """Every graph an insertion produces gets its index from the replay; a
+    fallback to re-hashing a child's transition system would show in
+    ``index_builds``."""
+    from repro.core import solve_csc
+
+    case = get_case("master-read")
+    sg = build_state_graph(case.build())
+    before = caches.STATS.snapshot()
+    result = solve_csc(sg, case.solver_settings())
+    after = caches.STATS.snapshot()
+    assert result.num_inserted >= 2
+    assert after["index_builds"] - before["index_builds"] == 1
+    assert after["region_memo_hits"] > before["region_memo_hits"]
+
+
+def test_region_memo_keeps_no_seed_over_budget(vme_sg):
+    """Each seed is expanded once per graph; a seed over ``max_explored``
+    is not memoized, so its second call raises again."""
+    from references import reference_region_masks_containing
+
+    from repro.core.regions import RegionSearchBudgetExceeded, minimal_region_masks_containing
+
+    isg = indexed_state_graph(vme_sg)
+    seeds = [isg.er_mask(event) for event in isg.event_list]
+    seed, expected, explored = max(
+        ((seed,) + reference_region_masks_containing(isg, seed)[:2] for seed in seeds),
+        key=lambda entry: entry[2],
+    )
+    assert explored > 1
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(RegionSearchBudgetExceeded):
+            minimal_region_masks_containing(isg, seed, explored - 1, memo)
+        assert memo == {}
+    hits = caches.STATS.region_memo_hits
+    found = minimal_region_masks_containing(isg, seed, explored, memo)
+    assert found == expected and memo == {(seed, explored): expected}
+    assert minimal_region_masks_containing(isg, seed, explored, memo) is found
+    assert caches.STATS.region_memo_hits == hits + 1
 
 
 def test_brick_carry_over_is_selective(vme_sg):

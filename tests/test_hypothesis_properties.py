@@ -133,6 +133,40 @@ def test_ordered_set_behaves_like_set(items):
     assert len(ordered) == len(set(items))
 
 
+def _reference_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@st.composite
+def bit_masks(draw):
+    """Masks up to 4,096 bits wide, from a few members to nearly full."""
+    width = draw(st.integers(min_value=1, max_value=4096))
+    density = draw(st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99]))
+    rng = draw(st.randoms(use_true_random=False))
+    mask = 0
+    for i in range(width):
+        if rng.random() < density:
+            mask |= 1 << i
+    return mask
+
+
+@pytest.mark.parametrize(
+    "mask", [0, 1 << 0, 1 << 59, 1 << 60, 1 << 63, 1 << 64, 1 << 127, (1 << 4096) - 1]
+)
+def test_bits_of_edge_masks_match_per_bit_walk(mask):
+    from repro.core.indexed import bits_of
+
+    assert bits_of(mask) == _reference_bits(mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_masks())
+def test_bits_of_matches_per_bit_walk(mask):
+    from repro.core.indexed import bits_of
+
+    assert bits_of(mask) == _reference_bits(mask)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6),
        st.sampled_from([RISE, FALL]),

@@ -357,6 +357,14 @@ class TestIndexSpaceDecision:
             check = check_insertion(sg, partition)
             assert not check.ok and check.kind == kind and check.new_sg is None
 
+    def test_index_of_a_nondeterministic_graph_keeps_the_first_successor(self):
+        from repro.core.indexed import IndexedStateGraph
+
+        index = IndexedStateGraph(_nondeterministic_sg())
+        first = index.states.index("s1")
+        assert not index.deterministic
+        assert index.succ_maps[index.states.index("s0")] == {SignalEdge.rise("a"): first}
+
     def test_check_insertion_materialises_only_valid_insertions(self, vme_sg):
         from repro.core import SearchSettings, find_insertion_plan
 
@@ -463,11 +471,13 @@ class TestInsertionMatchesObjectSpaceReference:
 
         compared = []
 
-        def checked_insert(sg, partition, signal, *args, **kwargs):
+        def checked_insert(sg, partition, signal, *args, replay=None, **kwargs):
+            # The search hands over the replay of its accepted verdict; the
+            # reference replays in object space on its own.
             expected = state_graph_layout(
                 reference_insert_signal(sg, partition, signal, *args, **kwargs)
             )
-            new_sg = insert_signal(sg, partition, signal, *args, **kwargs)
+            new_sg = insert_signal(sg, partition, signal, *args, replay=replay, **kwargs)
             compared.append((sg.name, signal, state_graph_layout(new_sg) == expected))
             return new_sg
 

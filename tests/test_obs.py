@@ -366,10 +366,13 @@ class TestTrace:
         self, tmp_path, active_trace, monkeypatch
     ):
         """``explored`` counts the candidate sets region expansion visited,
-        ``arc_scans`` the events it still ran the per-arc test on.  On
+        ``arc_scans`` the events it still ran the per-arc test on, and
+        ``memo_hits`` the expansions a graph's per-seed memo answered.  On
         master-read, ``explored`` equals the per-arc-only expansion's
-        count on every searched graph, and ``arc_scans`` is well below
-        that expansion's per-arc calls."""
+        count summed over the *distinct* seeds of every searched graph
+        (each seed is expanded once per graph), ``memo_hits`` is the
+        number of repeated seeds, and ``arc_scans`` is well below the
+        per-arc expansion's calls."""
         from references import reference_region_masks_containing
 
         from repro.core import search, solve_csc
@@ -398,15 +401,21 @@ class TestTrace:
         per_arc_calls = 0
         for args, sg in zip(spans, searched):
             isg = indexed_state_graph(sg)
+            seeds = [
+                seed
+                for event in stable_sorted(sg.ts.events)
+                for seed in (isg.er_mask(event), isg.sr_mask(event))
+                if seed
+            ]
             explored = 0
-            for event in stable_sorted(sg.ts.events):
-                for seed in (isg.er_mask(event), isg.sr_mask(event)):
-                    _regions, visited, calls = reference_region_masks_containing(
-                        isg, seed, settings.search.region_budget
-                    )
-                    explored += visited
-                    per_arc_calls += calls
+            for seed in set(seeds):
+                _regions, visited, calls = reference_region_masks_containing(
+                    isg, seed, settings.search.region_budget
+                )
+                explored += visited
+                per_arc_calls += calls
             assert args["explored"] == explored
+            assert args["memo_hits"] == len(seeds) - len(set(seeds)) > 0
         scans = sum(args["arc_scans"] for args in spans)
         assert 0 < scans < per_arc_calls
 

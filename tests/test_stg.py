@@ -46,6 +46,56 @@ class TestSignalEdge:
         with pytest.raises(ValueError):
             SignalEdge("x", 2)
 
+    def test_hash_is_the_field_tuple_hash(self):
+        # Set and dict orders of edges must not move with the cached hash.
+        edge = SignalEdge.parse("ack-/2")
+        assert hash(edge) == hash(("ack", FALL, 2))
+        assert edge == SignalEdge("ack", FALL, 2) and {edge: 1}[SignalEdge("ack", FALL, 2)]
+
+    def test_pickles_rehash_under_another_hash_seed(self):
+        """A marking, an edge and an STG pickled by a process under one
+        string hash seed and loaded by a process under another: the
+        loaded marking and edge are found in sets of fresh ones, and the
+        loaded STG solves to the fingerprint this process computes."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        from repro.bench_stg.library import get_case
+        from repro.core import solve_csc
+        from repro.stg.state_graph import build_state_graph
+
+        case = get_case("vme2int")
+        expected = solve_csc(build_state_graph(case.build()), case.solver_settings())
+        prelude = (
+            "import json, pickle, sys\n"
+            "from repro.bench_stg.library import get_case\n"
+            "from repro.petri.net import Marking\n"
+            "from repro.stg.signals import SignalEdge\n"
+            "case = get_case('vme2int')\n"
+            "fresh = (Marking({'p1': 1, 'q': 2}), SignalEdge.rise('dsr', 1))\n"
+        )
+        dump = prelude + "pickle.dump(fresh + (case.build(),), sys.stdout.buffer)\n"
+        load = prelude + (
+            "from repro.core import solve_csc\n"
+            "from repro.stg.state_graph import build_state_graph\n"
+            "marking, edge, stg = pickle.load(sys.stdin.buffer)\n"
+            "print(marking in {fresh[0]}, edge in {fresh[1]})\n"
+            "result = solve_csc(build_state_graph(stg), case.solver_settings())\n"
+            "print(json.dumps(result.fingerprint(), sort_keys=True))\n"
+        )
+
+        def run(code, seed, data=None):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", code], input=data, capture_output=True, env=env, check=True
+            ).stdout
+
+        lines = run(load, "2", run(dump, "1")).decode().splitlines()
+        assert lines[0] == "True True"
+        assert json.loads(lines[1]) == json.loads(json.dumps(expected.fingerprint()))
+
     def test_signal_type_helpers(self):
         assert SignalType.INPUT.is_input
         assert not SignalType.INPUT.is_noninput

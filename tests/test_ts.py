@@ -63,8 +63,8 @@ def _layout(ts: TransitionSystem) -> tuple:
         ts.name,
         ts.initial_state,
         list(ts._succ.items()),
-        list(ts._pred.items()),
-        list(ts._by_event.items()),
+        [(state, ts.predecessors(state)) for state in ts.states],
+        [(event, ts.transitions_of(event)) for event in ts.events],
     )
 
 
