@@ -1,10 +1,9 @@
 """Repository-level pytest configuration.
 
-Defines the ``--repro-seed`` option shared by the test suite and the
-benchmark harnesses (each seeds its RNGs from it in its own
-``conftest.py``), so a run is reproducible across the CI matrix: the
-same seed on every runner and Python version yields the same examples
-and therefore the same outcomes.
+Defines the ``--repro-seed`` option the test suite seeds its RNGs from
+(``tests/conftest.py``), so a run is reproducible across the CI matrix:
+the same seed on every runner and Python version yields the same
+examples and therefore the same outcomes.
 """
 
 from __future__ import annotations

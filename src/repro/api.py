@@ -14,7 +14,7 @@ Single-STG encoding is itself accelerated by the engine caches
 memoized on each state graph and selectively carried over across signal
 insertions, block cost evaluations are memoized per search, and CSC
 conflicts are re-analysed incrementally after every insertion.  The
-caches never change results; ``repro.engine.disable_caches()`` restores
+caches never change results; ``repro.engine.use_caches(False)`` restores
 the recompute-everything behaviour.
 
 For long-running deployments, :class:`EncodingService`

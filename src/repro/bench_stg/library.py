@@ -1,4 +1,4 @@
-"""The named benchmark suites used by the Table 1 and Table 2 harnesses.
+"""The named benchmark suites of the paper's Table 1 and Table 2.
 
 The original 1996 suite is not redistributable, so each name is mapped to
 a structurally analogous specification built by the generators in
@@ -15,7 +15,7 @@ Each case records how it is meant to be run:
   transitions (the regime of the paper); ``"relaxed"`` benchmarks are
   toggle/counter behaviours that have no input-preserving solution and are
   run with ``allow_input_delay=True``.
-* ``solve`` — whether the table harness attempts CSC solving (very large
+* ``solve`` — whether the library sweeps attempt CSC solving (very large
   Table 1 entries are only counted, explicitly or symbolically).
 """
 
@@ -39,7 +39,7 @@ class BenchmarkCase:
     description: str
     table: str  # "table1" or "table2"
     mode: str = "strict"  # "strict" (input-preserving) or "relaxed"
-    solve: bool = True  # attempt CSC solving in the harness
+    solve: bool = True  # attempt CSC solving in library sweeps
     explicit_ok: bool = True  # False: count states symbolically only
 
     def build(self) -> STG:
@@ -109,8 +109,8 @@ TABLE1_CASES: List[BenchmarkCase] = [
     _case("pipeline3", lambda: gen.pipeline(3), "three coupled pipeline toggle stages", "table1", mode="relaxed"),
     # pipeline4 (750 states) is solvable: at library settings the indexed
     # solver takes 5 s, but the ``use_caches(False)`` legacy oracle takes
-    # 317 s (2-vCPU VM), too slow for tests/test_conformance.py and the
-    # legacy-yardstick sweeps, so the harnesses only count it.
+    # 317 s (2-vCPU VM), too slow for tests/test_conformance.py, so the
+    # library only counts it.
     _case("pipeline4", lambda: gen.pipeline(4), "four coupled pipeline toggle stages", "table1", mode="relaxed", solve=False),
     _case("pipeline8", lambda: gen.pipeline(8), "eight coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipeline12", lambda: gen.pipeline(12), "twelve coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, explicit_ok=False),

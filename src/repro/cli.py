@@ -14,7 +14,7 @@ service and symbolic tiers grown on top of it:
   and witness cubes via the code-equality relation, again without
   enumeration;
 * ``bench NAME``   — run a named benchmark from the built-in library
-  (relaxed rows with ``allow_input_delay``, like the table harnesses);
+  (relaxed rows with ``allow_input_delay``, like the library tests);
 * ``serve``        — run the encoding service front: a durable job
   queue, a content-addressed result store and the versioned ``/v1``
   JSON HTTP API over the batch engine
@@ -28,11 +28,10 @@ service and symbolic tiers grown on top of it:
 ``bench --all`` runs the whole library as a batch through the encoding
 engine: ``--jobs N`` encodes N benchmarks concurrently in worker
 processes (results are byte-identical to a serial run), ``--smallest K``
-keeps only the K smallest STGs (the CI smoke job uses 3), and
-``--json FILE`` writes the machine-readable batch record that CI uploads
-as its benchmark artifact.  In ``--all`` mode each case runs with its
+keeps only the K smallest STGs, and ``--json FILE`` writes the
+machine-readable batch record.  In ``--all`` mode each case runs with its
 own library settings (frontier width 16, relaxed cases with
-``allow_input_delay``), matching the Table-1/Table-2 harnesses.
+``allow_input_delay``), matching the library tests and ``perfbench``.
 ``--engine symbolic`` (or ``auto``) routes the run through the symbolic
 tier, which also admits the very large Table-1 rows the explicit engine
 must skip.

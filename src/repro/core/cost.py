@@ -46,7 +46,7 @@ class Cost(NamedTuple):
     border_size: int
 
     def as_dict(self) -> dict:
-        """A JSON-serialisable view (used by CI artifacts and summaries)."""
+        """A JSON-serialisable view (used by result summaries)."""
         return {
             "unsolved_conflicts": self.unsolved_conflicts,
             "input_delays": self.input_delays,

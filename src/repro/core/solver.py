@@ -112,8 +112,8 @@ class EncodingResult:
 
     def summary(self) -> Dict[str, object]:
         """Flat, JSON-serialisable summary used by the CLI, the batch
-        engine and the benchmark tables (CI artifacts round-trip it
-        through ``json.dumps``/``loads``)."""
+        engine and the service (``bench --all --json`` records and stored
+        results round-trip it through ``json.dumps``/``loads``)."""
         return {
             "name": self.initial_sg.name,
             "states_before": self.initial_sg.num_states,

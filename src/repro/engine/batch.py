@@ -21,7 +21,7 @@ fits within ``max_states``.
 ``run_benchmark_suite`` applies it to the built-in benchmark library
 (``pyetrify bench --all --jobs N [--engine symbolic]``), using each
 case's own solver settings so relaxed benchmarks get
-``allow_input_delay`` just as the table harnesses do.  With a symbolic
+``allow_input_delay`` just as the library tests do.  With a symbolic
 engine the sweep also admits the Table-1 rows that are infeasible
 explicitly (``explicit_ok=False``) — the workload this tier opens up.
 """
@@ -37,14 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.bench_stg.library import BenchmarkCase, TABLE1_CASES, TABLE2_CASES
 from repro.core.planes import KERNELS
 from repro.core.solver import ENGINES, SolverSettings
-from repro.engine.caches import use_caches
-from repro.obs import (
-    adopt_trace_context,
-    collect_phases,
-    span,
-    trace_context,
-    use_progress_hook,
-)
+from repro.obs import adopt_trace_context, span, trace_context, use_progress_hook
 from repro.stg.stg import STG
 from repro.utils.deadline import DeadlineExceeded, deadline
 from repro.utils.timing import Stopwatch
@@ -69,7 +62,6 @@ class BatchItem:
     status: str = "ok"
     engine: str = "explicit"
     census: Optional[Dict[str, object]] = None  # symbolic/auto engines only
-    phases: Optional[Dict[str, float]] = None  # span-derived timing, opt-in
     synth: Optional[Dict[str, object]] = None  # synthesis tier output, opt-in
     error_type: Optional[str] = None  # exception class name of an "error" item
 
@@ -78,11 +70,10 @@ class BatchItem:
 
         ``census`` stays out: its BDD statistics are deterministic but
         its seconds are not, and the census is bookkeeping about *how*
-        the result was obtained, not part of the result.  ``phases`` is
-        pure timing and stays out for the same reason.  ``synth`` stays
+        the result was obtained, not part of the result.  ``synth`` stays
         out too: the encoding fingerprint must be byte-identical with
         synthesis on or off (the netlist is a downstream product of the
-        encoding, pinned by its own bench suite).
+        encoding, pinned per library row in ``tests/library_pins.json``).
         """
         flat = {key: value for key, value in self.summary.items() if key != "cpu_seconds"}
         row = {key: value for key, value in self.table_row.items() if key != "cpu"}
@@ -105,7 +96,6 @@ class BatchItem:
             "status": self.status,
             "engine": self.engine,
             "census": self.census,
-            "phases": self.phases,
             "synth": self.synth,
         }
 
@@ -117,7 +107,6 @@ class BatchResult:
     items: List[BatchItem]
     jobs: int
     wall_seconds: float
-    use_caches: bool = True
 
     @property
     def solved_count(self) -> int:
@@ -130,7 +119,6 @@ class BatchResult:
         return {
             "jobs": self.jobs,
             "wall_seconds": round(self.wall_seconds, 3),
-            "use_caches": self.use_caches,
             "solved": self.solved_count,
             "total": len(self.items),
             "items": [item.as_dict() for item in self.items],
@@ -152,20 +140,17 @@ def _encode_one(payload) -> BatchItem:
     """Worker body: encode one STG and reduce the report to a BatchItem.
 
     Module-level so it pickles for the process pool; ``payload`` carries
-    everything the worker needs (the cache switch included, so a
-    cache-disabled baseline run stays cache-free inside the workers).
-    The optional eighth element is the observability envelope built by
-    :func:`_obs_envelope` — trace context to adopt, a phase-collection
-    flag, and a progress spec the service worker uses to stream live
-    solver progress into the durable ``job_events`` feed.  All of it is
-    presentation-only: the encoded result is byte-identical with or
-    without the envelope.
+    everything the worker needs.  The optional seventh element is the
+    observability envelope built by :func:`_obs_envelope` — trace
+    context to adopt and a progress spec the service worker uses to
+    stream live solver progress into the durable ``job_events`` feed.
+    Both are presentation-only: the encoded result is byte-identical
+    with or without the envelope.
     """
-    stg, settings, estimate_logic, max_states, caches_on, timeout, engine = payload[:7]
-    obs = payload[7] if len(payload) > 7 else None
-    synth = bool(payload[8]) if len(payload) > 8 else False
+    stg, settings, estimate_logic, max_states, timeout, engine = payload[:6]
+    obs = payload[6] if len(payload) > 6 else None
+    synth = bool(payload[7]) if len(payload) > 7 else False
 
-    phases_acc = None
     with contextlib.ExitStack() as stack:
         if obs:
             adopt_trace_context(obs.get("trace"))
@@ -178,26 +163,19 @@ def _encode_one(payload) -> BatchItem:
                 emitter = JobProgressEmitter(*spec)
                 stack.callback(emitter.close)
                 stack.enter_context(use_progress_hook(emitter))
-            if obs.get("phases"):
-                phases_acc = stack.enter_context(collect_phases())
         stack.enter_context(span("encode", name=stg.name, engine=engine))
-        item = _encode_item(
-            stg, settings, estimate_logic, max_states, caches_on, timeout, engine, synth
-        )
-    if phases_acc:
-        item.phases = {name: round(seconds, 6) for name, seconds in sorted(phases_acc.items())}
-    return item
+        return _encode_item(stg, settings, estimate_logic, max_states, timeout, engine, synth)
 
 
 def _encode_item(
-    stg, settings, estimate_logic, max_states, caches_on, timeout, engine, synth=False
+    stg, settings, estimate_logic, max_states, timeout, engine, synth=False
 ) -> BatchItem:
     """The encode proper (no observability scaffolding)."""
     from repro.api import encode_stg  # deferred: repro.api imports this package
 
     watch = Stopwatch().start()
     try:
-        with use_caches(caches_on), deadline(timeout):
+        with deadline(timeout):
             if engine == "explicit":
                 report = encode_stg(
                     stg,
@@ -245,7 +223,7 @@ def _synth_dict(report, synth: bool) -> Optional[Dict[str, object]]:
     return {"status": "skipped", "reason": "CSC not solved"}
 
 
-def _obs_envelope(phases: bool = False, progress=None) -> Optional[Dict[str, object]]:
+def _obs_envelope(progress=None) -> Optional[Dict[str, object]]:
     """The observability element of an ``_encode_one`` payload.
 
     ``None`` when there is nothing to carry, so the common untraced path
@@ -254,13 +232,11 @@ def _obs_envelope(phases: bool = False, progress=None) -> Optional[Dict[str, obj
     :class:`repro.service.progress.JobProgressEmitter`.
     """
     ctx = trace_context()
-    if ctx is None and not phases and progress is None:
+    if ctx is None and progress is None:
         return None
     envelope: Dict[str, object] = {}
     if ctx is not None:
         envelope["trace"] = ctx
-    if phases:
-        envelope["phases"] = True
     if progress is not None:
         envelope["progress"] = progress
     return envelope
@@ -334,11 +310,9 @@ def encode_many(
     jobs: int = 1,
     estimate_logic: bool = True,
     max_states: Optional[int] = None,
-    caches_on: bool = True,
     timeout: Optional[float] = None,
     engine: Optional[str] = None,
     kernel: Optional[str] = None,
-    phases: bool = False,
     synth: bool = False,
 ) -> BatchResult:
     """Encode many STGs, optionally in parallel worker processes.
@@ -357,10 +331,6 @@ def encode_many(
         deterministic.
     estimate_logic / max_states:
         Forwarded to :func:`repro.api.encode_stg`.
-    caches_on:
-        Engine-cache switch forwarded into the workers; disabling it
-        yields the legacy recompute-everything behaviour (used as the
-        baseline by ``benchmarks/bench_batch_engine.py``).
     timeout:
         Per-job wall-clock bound in seconds (``None`` = unbounded).  The
         solver's hot loops poll a cooperative deadline
@@ -380,10 +350,6 @@ def encode_many(
         :mod:`repro.core.planes`); ``None`` (default) respects each
         request's ``SolverSettings.kernel``.  Performance-only: both
         kernels produce byte-identical results.
-    phases:
-        Collect per-phase span timings in each item's ``phases`` field
-        (``BENCH_*.json`` breakdowns).  Presentation-only: excluded from
-        fingerprints like every other timing.
     synth:
         Run the synthesis tier on every solved explicit encoding (see
         :func:`repro.synth.synthesize`): each item's ``synth`` field
@@ -403,7 +369,7 @@ def encode_many(
             )
     if kernel is not None and kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    obs = _obs_envelope(phases=phases)
+    obs = _obs_envelope()
     payloads = []
     for stg, case_settings in zip(stgs, per_stg):
         if kernel is not None and (
@@ -418,7 +384,6 @@ def encode_many(
                 case_settings,
                 estimate_logic,
                 max_states,
-                caches_on,
                 timeout,
                 resolve_engine(case_settings, engine),
                 obs,
@@ -433,12 +398,7 @@ def encode_many(
         workers = min(jobs, len(payloads))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             items = list(pool.map(_encode_one, payloads))
-    return BatchResult(
-        items=items,
-        jobs=max(1, jobs),
-        wall_seconds=watch.stop(),
-        use_caches=caches_on,
-    )
+    return BatchResult(items=items, jobs=max(1, jobs), wall_seconds=watch.stop())
 
 
 # ----------------------------------------------------------------------
@@ -490,11 +450,9 @@ def run_benchmark_suite(
     enlarge_concurrency: bool = False,
     verbose: bool = False,
     max_states: Optional[int] = 200000,
-    caches_on: bool = True,
     timeout: Optional[float] = None,
     engine: str = "explicit",
     kernel: Optional[str] = None,
-    phases: bool = False,
     synth: bool = False,
 ) -> BatchResult:
     """Encode the built-in benchmark library (``pyetrify bench --all``).
@@ -502,11 +460,11 @@ def run_benchmark_suite(
     Each case runs with its own library settings
     (:meth:`BenchmarkCase.solver_settings`), so strict cases stay
     input-preserving and relaxed ones get ``allow_input_delay`` — the
-    same regime as the Table-1/Table-2 harnesses.  ``smallest`` keeps
-    only the N smallest STGs (the CI smoke job uses 3).  The remaining
-    knobs overlay the per-case settings when supplied, so the CLI's
-    tuning flags apply in ``--all`` mode too; ``max_states`` bounds
-    explicit state-graph construction exactly as in single-STG mode.
+    same regime as the library tests and ``perfbench``.  ``smallest``
+    keeps only the N smallest STGs.  The remaining knobs overlay the
+    per-case settings when supplied, so the CLI's tuning flags apply in
+    ``--all`` mode too; ``max_states`` bounds explicit state-graph
+    construction exactly as in single-STG mode.
 
     With ``engine="symbolic"`` / ``"auto"`` the sweep also includes the
     cases the explicit engine must skip: ``explicit_ok=False`` rows get
@@ -538,10 +496,8 @@ def run_benchmark_suite(
         settings=settings,
         jobs=jobs,
         max_states=max_states,
-        caches_on=caches_on,
         timeout=timeout,
         engine=engine,
         kernel=kernel,
-        phases=phases,
         synth=synth,
     )

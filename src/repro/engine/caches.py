@@ -45,9 +45,9 @@ index against a from-scratch build, and the brick masks and adjacency
 against a from-scratch :func:`repro.core.bricks.compute_bricks` and
 :func:`repro.core.bricks.brick_adjacency`, after every insertion of the
 Table-2 solves.  Object frozensets are built only at the API edge
-(:func:`get_bricks`).  The global switch (:func:`disable_caches` /
-:func:`use_caches`) restores the original recompute-everything
-object-space behaviour, the differential oracle.
+(:func:`get_bricks`).  The per-thread switch :func:`use_caches` restores
+the original recompute-everything object-space behaviour, the
+differential oracle of the tests.
 """
 
 from __future__ import annotations
@@ -138,21 +138,9 @@ def caches_enabled() -> bool:
     The switch is *per thread* (and therefore per worker process),
     defaulting to enabled: concurrent solvers can flip it independently
     without racing each other.  Code running on other threads is not
-    affected by :func:`disable_caches` — spawn threads/workers with the
-    setting you want (``encode_many`` forwards its ``caches_on`` flag
-    into the pool workers for exactly this reason).
+    affected by :func:`use_caches`.
     """
     return getattr(_state, "enabled", True)
-
-
-def enable_caches() -> None:
-    _state.enabled = True
-
-
-def disable_caches() -> None:
-    """Fall back to the original recompute-everything code paths
-    (current thread only — see :func:`caches_enabled`)."""
-    _state.enabled = False
 
 
 @contextmanager

@@ -24,8 +24,8 @@ registry as Prometheus text on ``GET /v1/metrics``.  Four small modules:
     hook (the service worker, a test, a bench) decides where they go.
 
 None of this is allowed to change results: every knob here is
-presentation-only, and ``benchmarks/bench_obs.py`` pins the engine
-fingerprints byte-identical with observability fully on vs fully off.
+presentation-only, and ``tests/test_obs.py`` pins the encoding
+fingerprint byte-identical with observability fully on vs fully off.
 """
 
 from repro.obs.log import configure_logging, get_logger, logging_level

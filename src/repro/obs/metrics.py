@@ -9,9 +9,7 @@ through a single default child.
 Disabled mode is allocation-free: the handles still exist, but every
 mutator (``inc``/``set``/``observe``) returns after one attribute read,
 allocating nothing and taking no lock.  That is what lets the solver
-keep its instrumentation permanently compiled in while the bench guard
-(``benchmarks/bench_obs.py``) holds the Table-2 sweep to noise-level
-overhead.
+keep its instrumentation permanently compiled in at noise-level cost.
 
 Rendering follows the Prometheus text exposition format 0.0.4:
 ``# HELP``/``# TYPE`` headers, ``name{label="v"} value`` samples, and

@@ -14,11 +14,10 @@ file into one ``{"traceEvents": [...]}`` document that Perfetto and
 microsecond wall-clock timestamps, nested per ``(pid, tid)`` by time
 containment, so no parent ids need to cross process boundaries.
 
-Spans double as the phase-timing source for the benchmark records:
-:func:`collect_phases` installs a thread-local accumulator that sums
-span durations by name even when no trace is active, which is how
-``BENCH_*.json`` gains per-phase breakdowns without a second timing
-system.
+Spans double as the phase-timing source of ``perfbench``'s per-layer
+metrics: :func:`collect_phases` installs a thread-local accumulator that
+sums span durations by name even when no trace is active, so no second
+timing system is needed.
 
 When neither a trace nor an accumulator is active, :func:`span` costs
 two attribute reads — instrumentation stays compiled in everywhere.
@@ -175,7 +174,7 @@ def collect_phases() -> Iterator[Dict[str, float]]:
     """Sum span durations by name into the yielded dict (per thread).
 
     Nests: every active accumulator on this thread receives every span,
-    so an outer bench harness and an inner solve can both collect.
+    so an outer benchmark and an inner solve can both collect.
     """
     acc: Dict[str, float] = {}
     stack = _accumulators()

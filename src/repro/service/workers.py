@@ -264,7 +264,7 @@ class WorkerPool:
                 progress=(self.queue.path, job.id, job.request_id)
             )
             synth = bool(job.request.get("synth"))
-            return (stg, settings, True, max_states, True, self.timeout, engine, obs, synth)
+            return (stg, settings, True, max_states, self.timeout, engine, obs, synth)
         except Exception as error:
             self._finish(job, "failed", f"invalid persisted request: {error}", retry=False)
             return None

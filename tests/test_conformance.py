@@ -58,6 +58,7 @@ from hypothesis import HealthCheck, given, settings as hsettings, strategies as 
 
 from repro.api import EncodingService, encode_many, encode_stg
 from repro.bench_stg import generators as gen
+from library_pins import PINS, fingerprint_sha256, pin
 from references import insertion_outcome, reference_insert_signal, state_graph_layout
 
 from repro.bench_stg.library import BenchmarkCase, TABLE1_CASES, TABLE2_CASES
@@ -66,6 +67,7 @@ from repro.core.csc import has_csc
 from repro.core.insertion import insert_signal
 from repro.core.solver import solve_csc
 from repro.engine import use_caches
+from repro.service.fingerprint import FINGERPRINT_VERSION
 from repro.stg import build_state_graph
 from repro.symbolic import symbolic_encode
 
@@ -243,6 +245,24 @@ def test_engine_conforms_to_legacy_oracle(case_index, engine, request):
     if report.solved:
         with use_caches(False):
             assert has_csc(report.result.final_sg)
+    if engine == "indexed":
+        pinned = pin(case)
+        if "solved" in pinned:
+            assert report.solved == pinned["solved"]
+        if "fingerprint_sha256" in pinned:
+            assert fingerprint_sha256(report) == pinned["fingerprint_sha256"]
+            assert report.result.num_inserted == pinned["inserted"]
+
+
+def test_library_pins_cover_the_library_at_the_current_fingerprint_version():
+    """Every Table-2 row and every Table-1 row but pipeline12 (pinned in
+    tests/test_symbolic.py) has pins, recorded under the current
+    ``FINGERPRINT_VERSION``: changing a pin means bumping it."""
+    assert PINS["fingerprint_version"] == FINGERPRINT_VERSION
+    assert list(PINS["table2"]) == [case.name for case in TABLE2_CASES]
+    assert list(PINS["table1"]) == [
+        case.name for case in TABLE1_CASES if case.name != "pipeline12"
+    ]
 
 
 @pytest.mark.parametrize("case_index", range(len(CASES)), ids=_IDS)

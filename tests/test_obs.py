@@ -478,6 +478,37 @@ class TestTrace:
         assert evaluate, "pool workers produced no search.evaluate spans"
         assert any(event["pid"] != os.getpid() for event in evaluate)
 
+    def test_solve_trace_file_follows_the_chrome_trace_event_schema(self, tmp_path, capsys):
+        """``pyetrify solve --trace`` writes a document Perfetto and
+        ``chrome://tracing`` load: complete slices with a positive
+        duration, async markers with an id, integer timestamps and ids,
+        and the solver's phase spans among them."""
+        from repro.cli import main
+        from repro.stg.writer import write_g
+
+        spec = tmp_path / "vme2int.g"
+        out = tmp_path / "trace.json"
+        write_g(get_case("vme2int").build(), str(spec))
+        assert main(["solve", str(spec), "--trace", str(out)]) == 0
+        capsys.readouterr()
+        assert not tracing_active()
+
+        document = json.loads(out.read_text())
+        assert isinstance(document, dict)
+        events = document["traceEvents"]
+        assert isinstance(events, list) and events
+        for event in events:
+            assert isinstance(event["name"], str) and event["name"], event
+            assert event["ph"] in ("X", "b", "e"), event
+            for key in ("ts", "pid", "tid"):
+                assert isinstance(event[key], int), event
+            if event["ph"] == "X":
+                assert isinstance(event["dur"], int) and event["dur"] >= 1, event
+            else:
+                assert "id" in event, event
+        names = {event["name"] for event in events}
+        assert {"reachability", "solve", "solver.search", "search.sip"} <= names
+
 
 # ----------------------------------------------------------------------
 # progress hooks

@@ -10,6 +10,7 @@ submissions, store-hit accounting, byte-for-byte identity with
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -480,6 +481,55 @@ class TestEncodingServiceEndToEnd:
                 time.sleep(0.01)
             assert svc.pool.jobs_done == 2
             assert svc.queue.counts()["done"] == 2
+
+    def test_concurrent_submissions_solve_each_fingerprint_once(self, tmp_path):
+        """16 threads submit at once: two cold specs coalesce onto one job
+        each, and every submission of a pre-seeded spec is a store hit.
+        The pool starts after the burst, so no job can finish between a
+        submission's store miss and its enqueue, and nothing forks while
+        the client threads run."""
+        path = str(tmp_path / "svc.db")
+        with EncodingService(path, jobs=1) as seeder:
+            seeded = seeder.submit_benchmark("vme2int")
+            seeder.wait(seeded["fingerprint"], timeout=120.0)
+            _settle(seeder)
+
+        names = ("nak-pa", "combuf2", "vme2int")
+        clients = 16
+        outcomes = [None] * clients
+        with EncodingService(path, jobs=2, autostart=False) as svc:
+            barrier = threading.Barrier(clients, timeout=60.0)
+
+            def client(index):
+                barrier.wait()
+                outcomes[index] = svc.submit_benchmark(names[index % len(names)])
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+
+            by_name = {name: [] for name in names}
+            for index, outcome in enumerate(outcomes):
+                by_name[names[index % len(names)]].append(outcome)
+            assert all(o["cached"] and o["status"] == "done" for o in by_name["vme2int"])
+            for name in ("nak-pa", "combuf2"):
+                assert not any(o["cached"] for o in by_name[name])
+                assert len({o["job_id"] for o in by_name[name]}) == 1
+            assert svc.queue.counts()["pending"] == 2
+
+            # Wait on the pool's in-memory counter, not on the store: a
+            # thread inside sqlite while the pool forks its workers leaves
+            # them a held sqlite mutex, and their progress writes hang.
+            svc.pool.start()
+            deadline = time.monotonic() + 300.0
+            while svc.pool.jobs_done < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert svc.pool.jobs_done == 2
+            _settle(svc)
+            assert svc.queue.counts()["done"] == 3  # the seed and one solve per spec
 
     def test_stats_shape(self, tmp_path):
         with EncodingService(str(tmp_path / "svc.db"), jobs=1) as svc:

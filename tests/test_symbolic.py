@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from library_pins import pin
 from repro.bench_stg import generators as gen
 from repro.bench_stg.library import get_case
 from repro.core.solver import solve_csc
@@ -295,7 +296,21 @@ class TestDetection:
         report = symbolic_check_csc(get_case("pipeline12", table="table1").build())
         assert report.states == 292_968_750
         assert report.csc_pairs == 5_878_595_666
+        assert report.usc_pairs == 5_878_595_666
         assert not report.csc_holds
+
+    def test_pipeline8_check_matches_the_pin(self):
+        # the one Table-1 row too slow for the reference computations of
+        # tests/test_symbolic_differential.py, which check the others' pins
+        case = get_case("pipeline8", table="table1")
+        report = symbolic_check_csc(case.build())
+        pinned = pin(case)
+        assert (report.states, report.usc_pairs, report.csc_pairs) == (
+            pinned["states"],
+            pinned["usc_pairs"],
+            pinned["csc_pairs"],
+        )
+        assert pinned["solved"] == report.csc_holds  # detection-only row
 
     def test_witness_limit_respected(self):
         report = symbolic_check_csc(gen.parallel_toggles(4), witness_limit=3)

@@ -60,6 +60,7 @@ from repro.stg.stg import STG
 from repro.symbolic import SymbolicStateGraph, detect_csc_conflicts, ensure_core
 from repro.symbolic.csc import _code_equality
 
+from library_pins import pin
 from references import (
     reference_chained_reached,
     reference_explore,
@@ -229,6 +230,7 @@ def _assert_matches_references(ssg, reached, breadth_first=True):
     else:
         assert core == reached == _reference_core(ssg, report.conflict_states)
         assert report.core_states == report.states
+    return report
 
 
 LIBRARY = TABLE2_CASES + TABLE1_CASES
@@ -238,17 +240,34 @@ _LIBRARY_IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(LIBRARY)]
 _BREADTH_FIRST_TOO_SLOW = {"pipe16", "pipe24"}
 
 
+def _assert_matches_table1_pin(case, report):
+    """States and conflict pairs of a Table-1 row against its pin; a
+    detection-only row (``solve=False``) is solved exactly when CSC
+    already holds."""
+    pinned = pin(case)
+    if "states" not in pinned:
+        return
+    assert (report.states, report.usc_pairs, report.csc_pairs) == (
+        pinned["states"],
+        pinned["usc_pairs"],
+        pinned["csc_pairs"],
+    )
+    if not case.solve:
+        assert pinned["solved"] == report.csc_holds
+
+
 @pytest.mark.parametrize("reorder", [False, True], ids=["static", "reorder"])
 @pytest.mark.parametrize("case", LIBRARY, ids=_LIBRARY_IDS)
 def test_library_shortcuts_match_reference_implementations(case, reorder):
     if case.name in ("pipeline8", "pipeline12"):
         pytest.skip("the reference computations take 4 s and more on this row")
     ssg = SymbolicStateGraph(case.build(), reorder=reorder)
-    _assert_matches_references(
+    report = _assert_matches_references(
         ssg,
         _explored(ssg, sift=reorder),
         breadth_first=case.name not in _BREADTH_FIRST_TOO_SLOW,
     )
+    _assert_matches_table1_pin(case, report)
 
 
 @pytest.mark.parametrize("reorder", [False, True], ids=["static", "reorder"])

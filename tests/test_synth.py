@@ -9,6 +9,7 @@ equal synthesized literal counts — rides on the same sweep.
 
 import pytest
 
+from library_pins import pin
 from repro.api import encode_stg
 from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
 from repro.core import solve_csc
@@ -263,7 +264,9 @@ class TestEndToEnd:
             estimate_logic=False,
             max_states=200000,
         )
+        pinned = pin(case)
         if not report.solved:
+            assert not pinned.get("verified", False)
             pytest.skip(f"{case.name} not solved by the bounded search (library-known)")
         result = synthesize(report.result.final_sg, name=case.name)
         assert result.verified, f"{case.name}: {result.verification.as_dict()}"
@@ -271,6 +274,11 @@ class TestEndToEnd:
         # satellite: estimation and synthesis agree on the area proxy
         estimate = estimate_circuit(report.result.final_sg)
         assert result.network.literal_count() == estimate.total_literals
+        if "literals" in pinned:
+            summary = result.summary()
+            assert {key: summary[key] for key in ("literals", "cubes", "gates", "verified")} == {
+                key: pinned[key] for key in ("literals", "cubes", "gates", "verified")
+            }
 
 
 # ----------------------------------------------------------------------
