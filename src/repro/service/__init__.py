@@ -262,15 +262,9 @@ class EncodingService:
         )
         if expected_fingerprint is not None and expected_fingerprint != fingerprint:
             raise FingerprintMismatch(expected_fingerprint, fingerprint)
-        payload = self.store.get(fingerprint)
-        if payload is not None:
-            return {
-                "fingerprint": fingerprint,
-                "status": "done",
-                "cached": True,
-                "job_id": None,
-                "result": payload,
-            }
+        outcome = self.cached(fingerprint)
+        if outcome is not None:
+            return outcome
         request = {
             "g": stg_to_g_text(stg),
             "settings": canonical_settings(settings),
@@ -364,6 +358,27 @@ class EncodingService:
             quota_active_jobs=quota_active_jobs,
             request_id=request_id,
         )
+
+    def cached(
+        self, fingerprint: str, count_miss: bool = True
+    ) -> Optional[Dict[str, object]]:
+        """The store-hit outcome of :meth:`submit` for ``fingerprint``, or
+        ``None`` when no result is stored.
+
+        A hit is counted and refreshes the result's LRU position;
+        ``count_miss=False`` leaves a miss uncounted (see
+        :meth:`ResultStore.get`).
+        """
+        payload = self.store.get(fingerprint, count_miss=count_miss)
+        if payload is None:
+            return None
+        return {
+            "fingerprint": fingerprint,
+            "status": "done",
+            "cached": True,
+            "job_id": None,
+            "result": payload,
+        }
 
     # -- retrieval ------------------------------------------------------
     def result(self, fingerprint: str) -> Optional[Dict[str, object]]:

@@ -12,10 +12,13 @@ pieces, both stdlib-only:
   keep-alive for framed responses and close-delimited streaming for
   Server-Sent Events.
 
-The event loop never runs encoding work and never blocks on the
-database: store/queue/tenant calls are dispatched to a thread pool via
-``run_in_executor`` (they are short sqlite transactions), while the
-actual solves happen in worker processes — in-process
+The event loop never runs encoding work.  It makes two kinds of short
+sqlite call itself: authentication (one read of the tenants table), and
+for a ``POST /v1/jobs`` body it has accepted before, the store read that
+answers it plus the hit's two accounting UPSERTs.  Every other store,
+queue and tenant call — parsing and enqueueing a new body included —
+runs on a thread pool via ``run_in_executor``, while the actual solves
+happen in worker processes — in-process
 (:class:`~repro.service.workers.WorkerPool`) or external
 (``pyetrify worker``) — so hundreds of concurrent clients stream events
 and hit the warm cache with bounded latency even while cold solves are
@@ -45,7 +48,9 @@ rate_limited + ``Retry-After``, 503 unavailable).  A path outside
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
+import hashlib
 import json
 import threading
 import time
@@ -106,6 +111,9 @@ def _route_label(route: str) -> str:
     return route if route in _KNOWN_ROUTES else "other"
 
 _MAX_BODY_BYTES = 4 * 1024 * 1024
+#: Bound of the front's map from a digest of an accepted ``POST /v1/jobs``
+#: body to that body's fingerprint (least recently used out).
+_ACCEPTED_BODIES = 4096
 #: Long-poll waits are capped so a stuck client cannot pin a slot forever.
 _MAX_LONGPOLL_WAIT = 60.0
 _SSE_HEARTBEAT = 15.0
@@ -290,6 +298,9 @@ class _ServiceApp:
         self.verbose = verbose
         self.cors_origins = [str(origin) for origin in (cors_origins or [])]
         self._cors_any = "*" in self.cors_origins
+        # digest of a raw POST /v1/jobs body -> the fingerprint it was
+        # accepted under; touched only on the event loop
+        self._accepted: "collections.OrderedDict[bytes, str]" = collections.OrderedDict()
 
     def _cors_headers(self, request: "_Request") -> List[Tuple[str, str]]:
         """Per-request CORS response headers ([] = none apply)."""
@@ -422,8 +433,9 @@ class _ServiceApp:
         await self._send_json(send, error.status, error.envelope(), error.headers)
 
     # -- auth -----------------------------------------------------------
-    async def _authenticate(self, request: _Request) -> Tenant:
-        tenant = await self._call(self.service.tenants.authenticate, request.api_key())
+    def _authenticate(self, request: _Request) -> Tenant:
+        """The caller's tenant (401 otherwise); runs on the event loop."""
+        tenant = self.service.tenants.authenticate(request.api_key())
         if tenant is None:
             raise ApiError.unauthorized()
         _TENANT_REQUESTS.labels(
@@ -431,8 +443,8 @@ class _ServiceApp:
         ).inc()
         return tenant
 
-    async def _require_admin(self, request: _Request) -> Tenant:
-        tenant = await self._authenticate(request)
+    def _require_admin(self, request: _Request) -> Tenant:
+        tenant = self._authenticate(request)
         if tenant.anonymous:
             # open mode has no admin identity: provision the first key
             # via the CLI, which has filesystem access to the backend
@@ -455,12 +467,12 @@ class _ServiceApp:
             )
             return
         if route == "/stats" and method == "GET":
-            await self._authenticate(request)
+            self._authenticate(request)
             stats = await self._call(self.service.stats)
             await self._send_json(send, 200, stats)
             return
         if route == "/metrics" and method == "GET":
-            await self._authenticate(request)
+            self._authenticate(request)
             text = await self._call(render_service_metrics, self.service)
             await self._send_text(send, 200, text)
             return
@@ -478,7 +490,7 @@ class _ServiceApp:
             await self._get_result(request, route[len("/results/"):], send)
             return
         if route == "/tenants/me" and method == "GET":
-            tenant = await self._authenticate(request)
+            tenant = self._authenticate(request)
             counters = await self._call(self.service.tenants.counters_for, tenant)
             active = await self._call(self.service.queue.active_count, tenant.id and tenant.name)
             await self._send_json(
@@ -487,7 +499,7 @@ class _ServiceApp:
             )
             return
         if route == "/admin/stats" and method == "GET":
-            await self._require_admin(request)
+            self._require_admin(request)
             stats = await self._call(self.service.admin_stats)
             await self._send_json(send, 200, stats)
             return
@@ -519,15 +531,38 @@ class _ServiceApp:
 
     # -- handlers -------------------------------------------------------
     async def _post_job(self, request: _Request, send) -> None:
-        tenant = await self._authenticate(request)
-        body = request.json_body()
+        """Submit one body.
+
+        A body accepted before is answered on the event loop when its
+        result is stored: one store read, with the same hit accounting as
+        :meth:`EncodingService.submit`.  Any other body, or a repeat whose
+        result is not stored (still pending, or evicted), takes
+        :meth:`_submit_body` on the executor, which counts the miss and
+        enqueues or coalesces.
+        """
+        tenant = self._authenticate(request)
+        key = hashlib.blake2b(request.body, digest_size=16).digest()
+        fingerprint = self._accepted.get(key)
+        body = request.json_body() if fingerprint is None else None
         decision = self.service.tenants.spend_token(tenant)
         if not decision.allowed:
             await self._call(self.service.tenants.record, tenant, "rejected_rate")
             raise ApiError.rate_limited(
                 f"rate limit exceeded for tenant {tenant.name!r}", decision.retry_after
             )
+        if fingerprint is not None:
+            outcome = self.service.cached(fingerprint, count_miss=False)
+            if outcome is not None:
+                self._accepted.move_to_end(key)
+                self.service.tenants.record(tenant, "cache_hits")
+                await self._send_json(send, 200, outcome)
+                return
+            body = request.json_body()
         outcome = await self._call(self._submit_body, body, tenant, request.id)
+        self._accepted[key] = outcome["fingerprint"]
+        self._accepted.move_to_end(key)
+        while len(self._accepted) > _ACCEPTED_BODIES:
+            self._accepted.popitem(last=False)
         status = 200 if outcome["cached"] else 202
         await self._send_json(send, status, outcome)
 
@@ -647,7 +682,7 @@ class _ServiceApp:
         return job
 
     async def _get_job(self, request: _Request, job_id: str, send) -> None:
-        tenant = await self._authenticate(request)
+        tenant = self._authenticate(request)
         job = await self._call(self._visible_job, job_id, tenant)
         payload: Dict[str, object] = job.as_dict()
         if job.status == "done":
@@ -660,7 +695,7 @@ class _ServiceApp:
         await self._send_json(send, 200, payload)
 
     async def _get_result(self, request: _Request, fingerprint: str, send) -> None:
-        await self._authenticate(request)
+        self._authenticate(request)
         result = await self._call(self.service.result, fingerprint)
         if result is None:
             raise ApiError.not_found(f"no result for fingerprint {fingerprint!r}")
@@ -668,7 +703,7 @@ class _ServiceApp:
 
     # -- event streaming ------------------------------------------------
     async def _job_events(self, request: _Request, job_id: str, receive, send) -> None:
-        tenant = await self._authenticate(request)
+        tenant = self._authenticate(request)
         await self._call(self._visible_job, job_id, tenant)  # 404 before streaming
         after = request.query_int("after") or 0
         last_event_id = request.headers.get("last-event-id")
@@ -751,7 +786,7 @@ class _ServiceApp:
 
     # -- admin ----------------------------------------------------------
     async def _admin_tenants(self, request: _Request, method: str, send) -> None:
-        await self._require_admin(request)
+        self._require_admin(request)
         if method == "GET":
             tenants = await self._call(self.service.tenants.list_tenants)
             await self._send_json(send, 200, {"tenants": tenants})

@@ -116,18 +116,21 @@ class ResultStore:
         )
 
     # -- reads ----------------------------------------------------------
-    def get(self, fingerprint: str) -> Optional[Dict[str, object]]:
+    def get(self, fingerprint: str, count_miss: bool = True) -> Optional[Dict[str, object]]:
         """The payload stored under ``fingerprint``, counting hit/miss.
 
         A hit also refreshes the row's LRU position and access count.
+        ``count_miss=False`` leaves a miss uncounted, for a caller whose
+        miss falls through to a path that looks the fingerprint up again.
         """
         with self._tx():
             row = self._conn.execute(
                 "SELECT payload FROM results WHERE fingerprint = ?", (fingerprint,)
             ).fetchone()
             if row is None:
-                self.misses += 1
-                self._count("misses")
+                if count_miss:
+                    self.misses += 1
+                    self._count("misses")
                 return None
             self.hits += 1
             self._count("hits")

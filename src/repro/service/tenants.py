@@ -207,27 +207,26 @@ class TenantRegistry:
 
         In open mode any request (keyed or not) maps to the anonymous
         tenant, preserving the pre-tenancy behaviour of fresh deploys.
+        A valid key costs one indexed read (a known key implies auth
+        mode); a request without one costs one count of the tenants.
         """
-        if self.open_mode:
-            return Tenant(id=None, name=ANONYMOUS)
-        if not key:
-            return None
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT id, name, admin, quota_active_jobs, rate_per_second, burst "
-                "FROM tenants WHERE key_hash = ?",
-                (_hash_key(key),),
-            ).fetchone()
-        if row is None:
-            return None
-        return Tenant(
-            id=row[0],
-            name=row[1],
-            admin=bool(row[2]),
-            quota_active_jobs=row[3],
-            rate_per_second=row[4],
-            burst=row[5],
-        )
+        if key:
+            with self._lock:
+                row = self._conn.execute(
+                    "SELECT id, name, admin, quota_active_jobs, rate_per_second, burst "
+                    "FROM tenants WHERE key_hash = ?",
+                    (_hash_key(key),),
+                ).fetchone()
+            if row is not None:
+                return Tenant(
+                    id=row[0],
+                    name=row[1],
+                    admin=bool(row[2]),
+                    quota_active_jobs=row[3],
+                    rate_per_second=row[4],
+                    burst=row[5],
+                )
+        return Tenant(id=None, name=ANONYMOUS) if self.open_mode else None
 
     def list_tenants(self) -> List[Dict[str, object]]:
         with self._lock:

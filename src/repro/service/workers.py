@@ -11,7 +11,10 @@ use.  With ``jobs>1`` the dispatcher owns one *persistent*
 per worker slot: process startup is paid once for the pool's lifetime,
 jobs complete independently (a slow job never blocks the others' results
 from landing), and a broken pool (a worker killed by the OS) fails only
-the in-flight jobs and is rebuilt.
+the in-flight jobs and is rebuilt.  Pool workers start from a
+``forkserver`` context: the service process runs threads that hold
+sqlite's mutexes (the HTTP front's executor, the dispatcher itself), and
+a plain ``fork`` could hand a worker one of them locked forever.
 
 The dispatcher is crash-proof by construction: every interaction with
 the queue, the store and the engine is guarded, an unexpected error
@@ -31,6 +34,7 @@ later LRU-evicted by ``max_entries``).
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import threading
 import time
@@ -65,6 +69,13 @@ _log = get_logger("service.workers")
 #: Per 100 requests about 30 cold solves of the ten specs (~27-38 ms each)
 #: hold the server's one GIL for 0.8-1.1 s of its 1.2-1.4 s: the solve is
 #: the lever, not the poll.
+#:
+#: Re-measured once the front answered repeated bodies on its event loop
+#: (seeds 43-44): with push wake-ups of the dispatcher and the long-poll on
+#: top of that, ``latency_p50_ms`` read 3.81 / 3.66 ms against 3.12 / 3.24
+#: ms for the commit with neither (about 1.5 ms with the loop answers
+#: alone), while ``encode_s`` fell 15% / 22% and ``latency_p95_ms`` 12% /
+#: 19%.  The wake-up still costs the median.
 POLL_INTERVAL = 0.05
 
 #: Exception classes that are a property of the request itself (an
@@ -79,6 +90,10 @@ SPEC_FAULTS = frozenset(
 _CLAIM_LATENCY = REGISTRY.histogram(
     "pyetrify_claim_latency_seconds",
     "Queue wait between job submission and worker claim",
+)
+_SOLVE_SECONDS = REGISTRY.histogram(
+    "pyetrify_solve_seconds",
+    "Wall-clock time of one job's encoding in a worker slot",
 )
 _JOBS_PROCESSED = REGISTRY.counter(
     "pyetrify_jobs_processed_total",
@@ -172,12 +187,20 @@ class WorkerPool:
                 if payload is not None:
                     # _encode_one never raises: engine errors come back
                     # as status="error"/"timeout" items.
-                    self._complete(job, _encode_one(payload))
+                    solve_started = time.monotonic()
+                    item = _encode_one(payload)
+                    _SOLVE_SECONDS.observe(time.monotonic() - solve_started)
+                    self._complete(job, item)
             finally:
                 self.busy_seconds += time.monotonic() - started
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.jobs, mp_context=multiprocessing.get_context("forkserver")
+        )
+
     def _run_pooled(self) -> None:
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        pool = self._new_pool()
         in_flight: Dict[object, tuple] = {}  # future -> (job, started_at)
         try:
             while not self._stop.is_set():
@@ -205,7 +228,8 @@ class WorkerPool:
                 broken = False
                 for future in done:
                     job, started = in_flight.pop(future)
-                    self.busy_seconds += time.monotonic() - started
+                    elapsed = time.monotonic() - started
+                    self.busy_seconds += elapsed
                     try:
                         item = future.result()
                     except BrokenProcessPool as error:
@@ -219,6 +243,7 @@ class WorkerPool:
                         self._note_error(error)
                         self._finish(job, "failed", f"{type(error).__name__}: {error}")
                         continue
+                    _SOLVE_SECONDS.observe(elapsed)
                     self._complete(job, item)
                 if broken:
                     for future, (job, started) in in_flight.items():
@@ -226,7 +251,7 @@ class WorkerPool:
                         self._finish(job, "failed", "worker process died while encoding")
                     in_flight.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    pool = self._new_pool()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 

@@ -669,3 +669,22 @@ def test_v1_metrics_endpoint(service_server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(base + "/metrics", timeout=30)
     assert excinfo.value.code == 404
+
+
+def _solve_count(base):
+    """``pyetrify_solve_seconds_count`` (0 while the family is untouched)."""
+    with urllib.request.urlopen(base + "/v1/metrics", timeout=30) as response:
+        text = response.read().decode("utf-8")
+    for line in text.splitlines():
+        if line.startswith("pyetrify_solve_seconds_count "):
+            assert "# TYPE pyetrify_solve_seconds histogram" in text
+            return float(line.split()[1])
+    return 0.0
+
+
+def test_v1_metrics_observe_every_solve(service_server):
+    service, base = service_server
+    before = _solve_count(base)
+    outcome = service.submit_benchmark("nak-pa")
+    service.wait(outcome["fingerprint"], timeout=120)
+    assert _solve_count(base) == before + 1

@@ -470,6 +470,11 @@ class TestEncodingServiceEndToEnd:
     def test_pooled_dispatcher_completes_jobs_with_process_workers(self, tmp_path):
         # jobs>1 exercises the persistent-ProcessPoolExecutor path.
         with EncodingService(str(tmp_path / "svc.db"), jobs=2) as svc:
+            pool = svc.pool._new_pool()
+            try:  # never fork the threaded service process
+                assert pool._mp_context.get_start_method() == "forkserver"
+            finally:
+                pool.shutdown()
             outcomes = [svc.submit_benchmark(name) for name in ("nak-pa", "combuf2")]
             payloads = [svc.wait(o["fingerprint"], timeout=300.0) for o in outcomes]
             assert [p["solved"] for p in payloads] == [True, True]
@@ -486,8 +491,9 @@ class TestEncodingServiceEndToEnd:
         """16 threads submit at once: two cold specs coalesce onto one job
         each, and every submission of a pre-seeded spec is a store hit.
         The pool starts after the burst, so no job can finish between a
-        submission's store miss and its enqueue, and nothing forks while
-        the client threads run."""
+        submission's store miss and its enqueue.  The main thread then
+        polls the store while the pool starts its workers, which hung
+        when the workers were forked from this threaded process."""
         path = str(tmp_path / "svc.db")
         with EncodingService(path, jobs=1) as seeder:
             seeded = seeder.submit_benchmark("vme2int")
@@ -520,15 +526,11 @@ class TestEncodingServiceEndToEnd:
                 assert len({o["job_id"] for o in by_name[name]}) == 1
             assert svc.queue.counts()["pending"] == 2
 
-            # Wait on the pool's in-memory counter, not on the store: a
-            # thread inside sqlite while the pool forks its workers leaves
-            # them a held sqlite mutex, and their progress writes hang.
             svc.pool.start()
-            deadline = time.monotonic() + 300.0
-            while svc.pool.jobs_done < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert svc.pool.jobs_done == 2
+            for name in ("nak-pa", "combuf2"):
+                svc.wait(by_name[name][0]["fingerprint"], timeout=300.0)
             _settle(svc)
+            assert svc.pool.jobs_done == 2
             assert svc.queue.counts()["done"] == 3  # the seed and one solve per spec
 
     def test_stats_shape(self, tmp_path):

@@ -9,16 +9,18 @@ SSE and long-poll event feeds.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import connect, serve
 from repro.bench_stg.library import load_benchmark
-from repro.service import EncodingService, FingerprintMismatch
+from repro.service import EncodingService, FingerprintMismatch, asgi
 from repro.service.client import ServiceError
 from repro.stg.writer import stg_to_g_text
 
@@ -509,3 +511,157 @@ def test_client_submits_synth_jobs(service_server):
     outcome = client.submit_benchmark("vme2int", synth=True)
     payload = client.wait(outcome, timeout=120)
     assert payload["synth"]["verified"] is True
+
+
+# ----------------------------------------------------------------------
+# repeated bodies: answered on the event loop when the result is stored
+# ----------------------------------------------------------------------
+class _CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts the calls the front hands it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.calls = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class _Front:
+    """The ASGI app on a private event loop with a counting executor."""
+
+    def __init__(self, service) -> None:
+        self.app = asgi.create_app(service)
+        self.executor = _CountingExecutor()
+        self.loop = asyncio.new_event_loop()
+        self.loop.set_default_executor(self.executor)
+
+    def post(self, body: bytes, key=None):
+        messages = []
+        headers = [(b"authorization", f"Bearer {key}".encode())] if key else []
+
+        async def receive():
+            return {"type": "http.request", "body": body, "more_body": False}
+
+        async def send(message):
+            messages.append(message)
+
+        scope = {"type": "http", "method": "POST", "path": "/v1/jobs", "headers": headers}
+        self.loop.run_until_complete(self.app(scope, receive, send))
+        return messages[0]["status"], json.loads(messages[1]["body"])
+
+    def close(self) -> None:
+        self.loop.close()
+        self.executor.shutdown()
+
+
+@pytest.fixture
+def make_front(tmp_path):
+    opened = []
+
+    def make(**options):
+        service = EncodingService(str(tmp_path / "svc.db"), **options)
+        front = _Front(service)
+        opened.append((service, front))
+        return service, front
+
+    try:
+        yield make
+    finally:
+        for service, front in opened:
+            front.close()
+            service.close()
+
+
+def _body(**request) -> bytes:
+    return json.dumps(request).encode("utf-8")
+
+
+def test_repeated_body_is_answered_without_an_executor_call(make_front):
+    service, front = make_front(jobs=1)
+    request = {"benchmark": "vme2int"}
+    status, cold = front.post(_body(**request))
+    assert status == 202
+    service.wait(cold["fingerprint"], timeout=120)
+    # the same request in other bytes is a new body: the executor answers the hit
+    status, first_hit = front.post(json.dumps(request, indent=1).encode("utf-8"))
+    assert status == 200 and first_hit["cached"] is True
+    calls = front.executor.calls
+    status, repeat = front.post(_body(**request))
+    assert status == 200
+    assert front.executor.calls == calls
+    assert repeat == first_hit
+
+
+def test_rejected_body_is_rejected_again(make_front):
+    service, front = make_front(jobs=1)
+    # a stored result under the fingerprint the mismatched pin computes
+    stored = service.submit_benchmark("vme2int")
+    service.wait(stored["fingerprint"], timeout=120)
+    for body, status in (
+        (b"{not json", 400),
+        (_body(g="not a .g file"), 400),
+        (_body(benchmark="vme2int", engine="bogus"), 400),
+        (_body(benchmark="vme2int", fingerprint="deadbeef"), 409),
+    ):
+        assert front.post(body)[0] == status, body
+        assert front.post(body)[0] == status, body
+    assert not front.app._accepted
+    assert service.queue.counts()["pending"] == 0
+
+
+def test_repeats_of_a_pending_job_coalesce_and_miss_once_each(make_front):
+    service, front = make_front(autostart=False)
+    body = _body(benchmark="nak-pa")
+    job_ids = set()
+    for requests in range(1, 4):
+        status, outcome = front.post(body)
+        assert status == 202 and outcome["cached"] is False
+        job_ids.add(outcome["job_id"])
+        assert service.store.misses == requests
+        assert service.store.shared_counters()["misses"] == requests
+    assert len(job_ids) == 1
+    assert service.store.hits == 0
+
+
+def test_repeat_of_an_evicted_result_is_enqueued_again(make_front):
+    service, front = make_front(jobs=1, max_entries=1)
+    body = _body(benchmark="nak-pa")
+    status, first = front.post(body)
+    service.wait(first["fingerprint"], timeout=120)
+    status, other = front.post(_body(benchmark="vme2int"))
+    service.wait(other["fingerprint"], timeout=120)
+    assert first["fingerprint"] not in service.store
+    status, again = front.post(body)
+    assert status == 202 and again["cached"] is False
+    assert again["job_id"] != first["job_id"]
+    assert service.wait(again["fingerprint"], timeout=120)["summary"]["solved"] is True
+
+
+def test_repeat_hits_are_accounted_like_the_executor_path(make_front):
+    service, front = make_front(jobs=1)
+    key = service.tenants.provision("alice")["api_key"]
+    requests = asgi._TENANT_REQUESTS.labels(tenant="alice")
+    before = requests.value
+    body = _body(benchmark="vme2int")
+    status, cold = front.post(body, key=key)
+    service.wait(cold["fingerprint"], timeout=120)
+    for _ in range(3):
+        status, outcome = front.post(body, key=key)
+        assert status == 200 and outcome["cached"] is True
+    assert service.store.hits == 3
+    assert service.store.misses == 1
+    assert service.tenants.counters()["alice"] == {"submitted": 1, "cache_hits": 3}
+    assert requests.value - before == 4
+
+
+def test_accepted_body_map_stays_within_its_bound(make_front, monkeypatch):
+    monkeypatch.setattr(asgi, "_ACCEPTED_BODIES", 3)
+    service, front = make_front(autostart=False)
+    for max_states in range(1000, 1005):
+        status, _ = front.post(_body(benchmark="nak-pa", max_states=max_states))
+        assert status == 202
+        assert len(front.app._accepted) <= 3
+    assert len(front.app._accepted) == 3
+

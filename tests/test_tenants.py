@@ -23,6 +23,7 @@ import pytest
 
 from repro.api import serve
 from repro.service import EncodingService
+from repro.service.client import ServiceClient
 from repro.service.store import ResultStore
 from repro.service.tenants import ANONYMOUS, Tenant, TenantRegistry
 
@@ -220,6 +221,19 @@ def test_admin_surface_requires_admin_key(auth_server):
         base, "POST", "/v1/admin/tenants", {"name": ""}, key=keys["admin"]
     )
     assert status == 400 and payload["error"]["code"] == "bad_request"
+
+
+def test_client_creates_a_tenant_whose_key_submits(auth_server):
+    _, base, keys = auth_server
+    admin = ServiceClient(base, api_key=keys["admin"])
+    created = admin.create_tenant("carol", quota_active_jobs=2)
+    assert created["tenant"]["name"] == "carol"
+    assert created["tenant"]["quota_active_jobs"] == 2
+    carol = ServiceClient(base, api_key=created["api_key"])
+    outcome = carol.submit_benchmark("nak-pa")
+    assert outcome["cached"] is False
+    assert carol.job(outcome["job_id"])["tenant"] == "carol"
+    assert "carol" in [tenant["name"] for tenant in admin.list_tenants()]
 
 
 def test_per_tenant_isolation_of_jobs_and_stats(auth_server):
