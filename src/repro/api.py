@@ -14,8 +14,8 @@ Single-STG encoding is itself accelerated by the engine caches
 memoized on each state graph and selectively carried over across signal
 insertions, block cost evaluations are memoized per search, and CSC
 conflicts are re-analysed incrementally after every insertion.  The
-caches never change results; ``repro.engine.use_caches(False)`` restores
-the recompute-everything behaviour.
+caches never change results: the golden records of
+``tests/library_pins.json`` pin them.
 
 For long-running deployments, :class:`EncodingService`
 (:mod:`repro.service`) layers a durable job queue, a content-addressed

@@ -3,17 +3,17 @@
 * :mod:`repro.baselines.assassin` — an encoder restricted to excitation
   regions as insertion material, the coarser granularity the paper
   attributes to the ASSASSIN line of work ([5], [9]).
-* :mod:`repro.baselines.exhaustive` — a state-level ("sand, not bricks")
-  bipartition search in the spirit of the generalised state-assignment
-  framework of [8].
 
-Both reuse the same I-partition construction, SIP validity check, cost
+It reuses the same I-partition construction, SIP validity check, cost
 model and iteration loop as the region-based method, so differences in
 results isolate exactly the granularity of the explored design space —
-which is the comparison the paper's experimental section makes.
+which is the comparison the paper's experimental section makes.  The
+state-level granularity of the generalised state-assignment framework
+of [8] ("sand, not bricks") is the search setting
+``SearchSettings(brick_mode="states")`` (``--bricks states`` on the
+command line), not a separate encoder.
 """
 
 from repro.baselines.assassin import solve_csc_assassin
-from repro.baselines.exhaustive import solve_csc_exhaustive
 
-__all__ = ["solve_csc_assassin", "solve_csc_exhaustive"]
+__all__ = ["solve_csc_assassin"]

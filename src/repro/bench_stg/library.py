@@ -107,11 +107,7 @@ TABLE1_CASES: List[BenchmarkCase] = [
     _case("pipe16", lambda: gen.independent_toggles(16), "sixteen independent toggle stages (pipeline analogue)", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipe24", lambda: gen.independent_toggles(24), "twenty-four independent toggle stages (pipeline analogue)", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipeline3", lambda: gen.pipeline(3), "three coupled pipeline toggle stages", "table1", mode="relaxed"),
-    # pipeline4 (750 states) is solvable: at library settings the indexed
-    # solver takes 5 s, but the ``use_caches(False)`` legacy oracle takes
-    # 317 s (2-vCPU VM), too slow for tests/test_conformance.py, so the
-    # library only counts it.
-    _case("pipeline4", lambda: gen.pipeline(4), "four coupled pipeline toggle stages", "table1", mode="relaxed", solve=False),
+    _case("pipeline4", lambda: gen.pipeline(4), "four coupled pipeline toggle stages", "table1", mode="relaxed"),
     _case("pipeline8", lambda: gen.pipeline(8), "eight coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, explicit_ok=False),
     _case("pipeline12", lambda: gen.pipeline(12), "twelve coupled pipeline toggle stages", "table1", mode="relaxed", solve=False, explicit_ok=False),
 ]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import List, Optional
 
@@ -347,6 +348,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store to drain the queue (front first — it recovers interrupted
     jobs at boot).
     """
+    # SIGTERM (service managers, ``kill``) takes the SIGINT path, so the
+    # pool and its forkserver are closed rather than left running.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     # Imports the whole encode stack (the API, the solver and numpy)
     # before the front prints "listening on", so no request pays for it.
     from repro.api import serve as bind_server
@@ -372,15 +376,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
         service.close()
         return 2
-    host, port = server.server_address[:2]
-    print(f"pyetrify service listening on http://{host}:{port} (store: {args.store})")
-    print(
-        "endpoints: POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events, "
-        "GET /v1/results/{fp}, GET /v1/healthz, GET /v1/stats"
-    )
-    if args.no_workers:
-        print("workers: none in-process; attach `pyetrify worker --store ...` processes")
     try:
+        host, port = server.server_address[:2]
+        print(f"pyetrify service listening on http://{host}:{port} (store: {args.store})")
+        print(
+            "endpoints: POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events, "
+            "GET /v1/results/{fp}, GET /v1/healthz, GET /v1/stats"
+        )
+        if args.no_workers:
+            print("workers: none in-process; attach `pyetrify worker --store ...` processes")
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
@@ -402,6 +406,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     """
     import time as _time
 
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # as in ``serve``
     # The whole encode stack loads before the worker reports ready, as
     # in ``serve``, so no job pays for the imports.
     import repro.api  # noqa: F401
@@ -413,11 +418,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         recover=False,
     )
-    print(
-        f"pyetrify worker {service.pool.name} draining {args.store} "
-        f"(jobs={args.jobs})"
-    )
     try:
+        print(
+            f"pyetrify worker {service.pool.name} draining {args.store} "
+            f"(jobs={args.jobs})"
+        )
         while True:
             _time.sleep(1.0)
     except KeyboardInterrupt:

@@ -4,17 +4,17 @@ The pipeline is:
 
 0. :mod:`repro.core.indexed` interns the state graph into the canonical
    integer/bitset representation every stage below computes on (states
-   as indices, state sets as int bitmasks, binary codes as packed ints);
-   the object-space implementations remain available behind
-   ``repro.engine.use_caches(False)`` as the differential oracle.
+   as indices, state sets as int bitmasks, binary codes as packed ints).
 1. :mod:`repro.core.csc` finds CSC conflicts in a binary-encoded state
    graph.
 2. :mod:`repro.core.regions` / :mod:`repro.core.excitation` /
    :mod:`repro.core.bricks` compute regions, excitation regions and the
    "bricks" (minimal regions and intersections of pre/post-regions) from
    which insertion blocks are assembled.
-3. :mod:`repro.core.ipartition` turns a block of states into an
-   I-partition ``S0 / S+ / S1 / S-`` via minimal well-formed exit borders.
+3. :mod:`repro.core.ipartition` defines the I-partition
+   ``S0 / S+ / S1 / S-`` a block of states induces via minimal
+   well-formed exit borders (derived on bitmasks by the cost kernel of
+   :mod:`repro.core.indexed`).
 4. :mod:`repro.core.insertion` inserts a new signal according to the
    splitting scheme of Figure 2; :mod:`repro.core.sip` checks that the
    insertion preserves speed independence.
@@ -34,7 +34,6 @@ from repro.core.regions import (
     all_minimal_regions,
 )
 from repro.core.excitation import excitation_regions, switching_regions, excitation_set
-from repro.core.bricks import compute_bricks, brick_adjacency
 from repro.core.csc import (
     CSCConflict,
     csc_conflicts,
@@ -43,13 +42,7 @@ from repro.core.csc import (
     has_usc,
     conflicting_signals,
 )
-from repro.core.ipartition import (
-    IPartition,
-    exit_border,
-    min_wellformed_exit_border,
-    ipartition_from_block,
-    ipartition_violations,
-)
+from repro.core.ipartition import IPartition
 from repro.core.indexed import (
     IndexedEvaluator,
     IndexedStateGraph,
@@ -57,15 +50,8 @@ from repro.core.indexed import (
     indexed_state_graph,
 )
 from repro.core.insertion import insert_signal
-from repro.core.sip import (
-    InsertionCheck,
-    check_insertion,
-    delayed_events,
-    is_sip_region,
-    is_sip_excitation_region,
-    is_sip_preregion_intersection,
-)
-from repro.core.cost import Cost, BlockEvaluation, evaluate_block
+from repro.core.sip import InsertionCheck, check_insertion
+from repro.core.cost import Cost
 from repro.core.search import SearchSettings, InsertionPlan, find_insertion_plan
 from repro.core.solver import SolverSettings, EncodingResult, InsertionRecord, solve_csc
 
@@ -81,8 +67,6 @@ __all__ = [
     "excitation_regions",
     "switching_regions",
     "excitation_set",
-    "compute_bricks",
-    "brick_adjacency",
     "CSCConflict",
     "csc_conflicts",
     "usc_conflicts",
@@ -90,10 +74,6 @@ __all__ = [
     "has_usc",
     "conflicting_signals",
     "IPartition",
-    "exit_border",
-    "min_wellformed_exit_border",
-    "ipartition_from_block",
-    "ipartition_violations",
     "IndexedEvaluator",
     "IndexedStateGraph",
     "indexed_brick_bundle",
@@ -101,13 +81,7 @@ __all__ = [
     "insert_signal",
     "InsertionCheck",
     "check_insertion",
-    "delayed_events",
-    "is_sip_region",
-    "is_sip_excitation_region",
-    "is_sip_preregion_intersection",
     "Cost",
-    "BlockEvaluation",
-    "evaluate_block",
     "SearchSettings",
     "InsertionPlan",
     "find_insertion_plan",

@@ -15,11 +15,10 @@ borders mean a less intrusive state signal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, NamedTuple, Optional, Sequence, Set
+from typing import Hashable, Iterable, NamedTuple, Sequence, Set
 
 from repro.core.csc import CSCConflict
-from repro.core.ipartition import IPartition, ipartition_from_block
+from repro.core.ipartition import IPartition
 from repro.stg.signals import SignalEdge
 from repro.stg.state_graph import StateGraph
 
@@ -59,15 +58,6 @@ class Cost(NamedTuple):
             f"(unsolved={self.unsolved_conflicts}, input_delays={self.input_delays}, "
             f"triggers={self.trigger_estimate}, border={self.border_size})"
         )
-
-
-@dataclass
-class BlockEvaluation:
-    """A candidate block together with its derived partition and cost."""
-
-    block: FrozenSet[State]
-    partition: IPartition
-    cost: Cost
 
 
 def entering_signals(sg: StateGraph, subset: Iterable[State]) -> Set[str]:
@@ -144,33 +134,4 @@ def evaluate_partition(
         input_delays=input_delays,
         trigger_estimate=trigger_estimate(sg, partition),
         border_size=len(partition.splus) + len(partition.sminus),
-    )
-
-
-def evaluate_block(
-    sg: StateGraph,
-    block: Iterable[State],
-    conflicts: Sequence[CSCConflict],
-    allow_input_delay: bool = True,
-) -> Optional[BlockEvaluation]:
-    """Evaluate a candidate bipartition block.
-
-    Returns ``None`` for degenerate blocks (empty, full, or blocks whose
-    induced signal never switches), which the search silently skips.  With
-    ``allow_input_delay=False`` candidates that would delay an input
-    transition are also rejected here, so the search never wastes frontier
-    slots on insertions the SIP check is bound to refuse.
-    """
-    block_set = frozenset(block)
-    if not block_set or len(block_set) >= sg.num_states:
-        return None
-    partition = ipartition_from_block(sg.ts, block_set)
-    if not partition.splus or not partition.sminus:
-        return None
-    return BlockEvaluation(
-        block=block_set,
-        partition=partition,
-        cost=evaluate_partition(
-            sg, partition, conflicts, count_input_delays=not allow_input_delay
-        ),
     )

@@ -69,11 +69,8 @@ def _states_by_code_indexed(sg: StateGraph, isg) -> Dict[Code, List[State]]:
 def code_groups(sg: StateGraph) -> Dict[Code, List[State]]:
     """States grouped by binary code (cached per state graph).
 
-    With the engine caches enabled the grouping runs on the packed
-    integer codes of the graph's
+    The grouping runs on the packed integer codes of the graph's
     :class:`~repro.core.indexed.IndexedStateGraph`."""
-    if not engine_caches.caches_enabled():
-        return _states_by_code(sg)
     cache = engine_caches.get_cache(sg)
     if cache.code_groups is None:
         indexed = _indexed_module()
@@ -98,34 +95,10 @@ def _noninput_signature(sg: StateGraph, state: State) -> FrozenSet[SignalEdge]:
     return frozenset(sg.enabled_noninput_edges(state))
 
 
-def _conflicts_of_groups(
-    sg: StateGraph, groups: Dict[Code, List[State]]
+def _csc_conflicts_incremental_indexed(
+    sg: StateGraph, isg, parent_isg
 ) -> List[CSCConflict]:
-    conflicts: List[CSCConflict] = []
-    for code, states in groups.items():
-        if len(states) < 2:
-            continue
-        ordered = stable_sorted(states)
-        signatures = {state: _noninput_signature(sg, state) for state in ordered}
-        for i, first in enumerate(ordered):
-            for second in ordered[i + 1 :]:
-                if signatures[first] != signatures[second]:
-                    conflicts.append(CSCConflict(first, second, code))
-    return conflicts
-
-
-def csc_conflicts_from_scratch(sg: StateGraph) -> List[CSCConflict]:
-    """All CSC conflict pairs, recomputed over the full state graph.
-
-    This is the reference implementation; :func:`csc_conflicts` (the
-    entry point everything else uses) adds per-graph memoization and an
-    incremental path for graphs produced by signal insertion.
-    """
-    return _conflicts_of_groups(sg, _states_by_code(sg))
-
-
-def _csc_conflicts_incremental(sg: StateGraph, parent: StateGraph) -> List[CSCConflict]:
-    """CSC conflicts of a graph obtained from ``parent`` by one insertion.
+    """CSC conflicts of a graph obtained from its parent by one insertion.
 
     Every state of ``sg`` is a pair ``(parent_state, v)`` whose code is
     the parent code extended with ``v``, so two states of ``sg`` can only
@@ -133,33 +106,14 @@ def _csc_conflicts_incremental(sg: StateGraph, parent: StateGraph) -> List[CSCCo
     enough to re-examine the descendants of the parent's code-sharing
     groups — enabled-signal signatures do change near the insertion
     borders, so those are recomputed on ``sg``, but states descending
-    from uniquely-coded parents are skipped entirely.  Produces the exact
-    list (including order) of :func:`csc_conflicts_from_scratch`.
-    """
-    candidates: set = set()
-    for states in code_groups(parent).values():
-        if len(states) > 1:
-            candidates.update(states)
-    groups: Dict[Code, List[State]] = {}
-    if candidates:
-        code_of = sg.code
-        for state in sg.states:
-            if state[0] in candidates:
-                groups.setdefault(code_of(state), []).append(state)
-    return _conflicts_of_groups(sg, groups)
-
-
-def _csc_conflicts_incremental_indexed(
-    sg: StateGraph, isg, parent_isg
-) -> List[CSCConflict]:
-    """Index-space twin of :func:`_csc_conflicts_incremental`.
+    from uniquely-coded parents are skipped entirely.
 
     A derived :class:`~repro.core.indexed.IndexedStateGraph` records each
     state's parent index, so the candidate filter is an integer set
     lookup (no re-hashing of nested state tuples) and the grouping
     buckets by the child's packed codes.  Group order and member order
-    follow the child's state order exactly as in the object-space twin,
-    so the produced list is identical.
+    follow the child's state order, so the list equals the one computed
+    over the whole graph.
     """
     candidates = parent_isg.shared_code_indices()
     groups: Dict[int, List[int]] = {}
@@ -174,7 +128,7 @@ def _csc_conflicts_incremental_indexed(
 def _conflicts_of_index_groups(
     sg: StateGraph, isg, groups: Dict[int, List[int]]
 ) -> List[CSCConflict]:
-    """Twin of :func:`_conflicts_of_groups` over index-space groups, with
+    """The conflict pairs within each code-sharing group, with
     enabled-signal signatures memoized on the indexed graph."""
     conflicts: List[CSCConflict] = []
     states = isg.states
@@ -203,14 +157,12 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     sets of non-input signal transitions (the pair ``(1*1, 1*1*)`` of
     Figure 3, for instance, where ``b`` is enabled in one state only).
 
-    With the engine caches enabled the result is memoized per graph, and
-    graphs produced by :func:`repro.core.insertion.insert_signal` are
-    re-analysed incrementally from their parent's code groups instead of
-    recomputing the full conflict relation.  Callers must treat the
-    returned list as read-only.
+    The result is memoized per graph, and graphs produced by
+    :func:`repro.core.insertion.insert_signal` are re-analysed
+    incrementally from their parent's code groups instead of recomputing
+    the full conflict relation.  Callers must treat the returned list as
+    read-only.
     """
-    if not engine_caches.caches_enabled():
-        return csc_conflicts_from_scratch(sg)
     cache = engine_caches.get_cache(sg)
     if cache.conflicts is not None:
         return cache.conflicts
@@ -220,12 +172,7 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     if parent_isg is not None and isg.parent_positions is not None:
         conflicts = _csc_conflicts_incremental_indexed(sg, isg, parent_isg)
     else:
-        parent_info = engine_caches.provenance_parent(cache)
-        if parent_info is not None:
-            parent, _partition = parent_info
-            conflicts = _csc_conflicts_incremental(sg, parent)
-        else:
-            conflicts = _conflicts_of_index_groups(sg, isg, isg.code_groups_idx())
+        conflicts = _conflicts_of_index_groups(sg, isg, isg.code_groups_idx())
     cache.conflicts = conflicts
     return conflicts
 

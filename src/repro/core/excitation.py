@@ -73,8 +73,7 @@ def switching_regions(ts: TransitionSystem, event: Event) -> List[FrozenSet[Stat
 # set is the bitmask union of the event's arc endpoints, and its regions
 # are connected components extracted by bitmask BFS.  They produce
 # exactly the lists of the object-space functions above (same members,
-# same canonical ordering); the object-space path remains the
-# cache-disabled oracle.
+# same canonical ordering).
 
 def excitation_set_mask(isg, event: Event) -> int:
     """Bitmask union of the excitation regions of ``event``."""

@@ -28,12 +28,9 @@ their index from the insertion's replay and the parent's index
 transition system and re-deriving the packed codes from the encoding
 dictionary.
 
-The object-space implementations in :mod:`repro.core.excitation`,
-:mod:`repro.core.csc`, :mod:`repro.core.bricks`,
-:mod:`repro.core.ipartition` and :mod:`repro.core.cost` are kept intact
-behind ``use_caches(False)`` as the differential-testing oracle: the
-indexed pipeline must reproduce them byte for byte
-(``tests/test_indexed_differential.py``).
+The object-space implementations the tests compare this representation
+against live in ``tests/references.py``; the golden records of
+``tests/library_pins.json`` pin what the whole pipeline computes.
 """
 
 from __future__ import annotations
@@ -586,7 +583,7 @@ class IndexedStateGraph:
             return components
         # Decorate-sort-undecorate on precomputed key tuples.  The repr
         # *string* (not the repr list) stays the secondary key: it is the
-        # canonical order of the object-space oracle, and a string that is
+        # canonical region order, and a string that is
         # a prefix of another compares differently from the repr-list form.
         # Only components of equal size are ever compared on it, so a
         # component whose size no other shares needs none.
@@ -738,7 +735,7 @@ class IndexedStateGraph:
             )
 
         # events leaving ER(x+) towards the x=1 side or ER(x-) towards the
-        # x=0 side fire only after the new signal (delayed_events)
+        # x=0 side fire only after the new signal
         succ_events = self.succ_events
         delayed_set: Set[Event] = set()
         for i, code in enumerate(side):
@@ -990,16 +987,11 @@ class InsertionVerdict:
 def indexed_state_graph(sg) -> IndexedStateGraph:
     """The canonical :class:`IndexedStateGraph` of ``sg``.
 
-    With the engine caches enabled the index is built once and attached
-    to the graph; a graph produced by
-    :func:`repro.core.insertion.insert_signal` gets its index attached
+    The index is built once and attached to the graph; a graph produced
+    by :func:`repro.core.insertion.insert_signal` gets its index attached
     there, derived from the insertion's replay
-    (:meth:`IndexedStateGraph.derive_child`).  With caches disabled a
-    fresh index is built on every call (the legacy oracle never touches
-    cached state).
+    (:meth:`IndexedStateGraph.derive_child`).
     """
-    if not caches.caches_enabled():
-        return IndexedStateGraph(sg)
     cache = caches.get_cache(sg)
     isg = cache.indexed
     if isg is None:
@@ -1016,9 +1008,8 @@ def indexed_brick_bundle(
     Returns ``(masks, adjacency)``: ``masks`` are the bricks of
     :func:`repro.engine.caches.get_brick_masks` (canonical order, carried
     over across insertions), and bit ``j`` of ``adjacency[i]`` says brick
-    ``j`` is adjacent to brick ``i`` in the sense of
-    :func:`repro.core.bricks.brick_adjacency`.  Both are cached on the
-    graph.
+    ``j`` is adjacent to brick ``i`` (:func:`brick_adjacency_bitsets`).
+    Both are cached on the graph.
     """
     masks = caches.get_brick_masks(sg, mode, max_explored)
     cache = caches.get_cache(sg)
@@ -1032,8 +1023,8 @@ def indexed_brick_bundle(
 
 def deduplicate_brick_masks(isg: IndexedStateGraph, masks: Sequence[int]) -> List[int]:
     """Drop empty and duplicate brick masks and sort them in the canonical
-    order of :func:`repro.core.bricks.compute_bricks` (stable on ``(size,
-    sorted member reprs)``), keyed on repr ranks instead of reprs.
+    brick order (stable on ``(size, sorted member reprs)``), keyed on
+    repr ranks instead of reprs.
 
     When no two states share a repr, the sorted rank lists of two
     equal-size masks compare as their *rank masks* compare reversed:
@@ -1056,8 +1047,7 @@ def deduplicate_brick_masks(isg: IndexedStateGraph, masks: Sequence[int]) -> Lis
 
 
 def brick_adjacency_bitsets(isg: IndexedStateGraph, masks: Sequence[int]) -> List[int]:
-    """Brick adjacency as one bitset per brick (twin of
-    :func:`repro.core.bricks.brick_adjacency`).
+    """Brick adjacency as one bitset per brick.
 
     Two bricks are adjacent when they overlap or an arc connects them in
     either direction.  The state → bricks index is the transpose of the
@@ -1397,9 +1387,7 @@ class IndexedEvaluator:
 
     Costs are keyed by block bitmask (equivalently: by the block's state
     frozenset), so repeated unions explored by the frontier growth and
-    the greedy merge are costed once.  The numbers produced are exactly
-    those of :func:`repro.core.cost.evaluate_block` — the object-space
-    oracle.
+    the greedy merge are costed once.
 
     The arithmetic lives in the evaluator's :class:`EvalKernel`, a pure
     snapshot of the graph and the conflict pairs.  ``passes`` counts the

@@ -183,9 +183,8 @@ def insert_signal(
     # provenance lets the engine caches carry over untouched brick
     # entries; the parent positions drive the index-space incremental CSC
     # re-analysis.
-    if engine_caches.caches_enabled():
-        engine_caches.note_insertion(sg, new_sg, partition, signal)
-        engine_caches.get_cache(new_sg).indexed = IndexedStateGraph.derive_child(
-            index, new_sg, new_states, order, adjacency, initial
-        )
+    engine_caches.note_insertion(sg, new_sg, partition, signal)
+    engine_caches.get_cache(new_sg).indexed = IndexedStateGraph.derive_child(
+        index, new_sg, new_states, order, adjacency, initial
+    )
     return new_sg

@@ -17,8 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.bricks import brick_adjacency, compute_bricks
-from repro.core.cost import BlockEvaluation, Cost, evaluate_block, evaluate_partition
+from repro.core.cost import Cost, evaluate_partition
 from repro.core.csc import CSCConflict, csc_conflicts
 from repro.core.insertion import insert_signal
 from repro.core.ipartition import IPartition
@@ -28,7 +27,6 @@ from repro.engine import caches as engine_caches
 from repro.obs import emit_progress, span
 from repro.stg.signals import SignalType
 from repro.stg.state_graph import StateGraph
-from repro.ts.properties import is_event_persistent
 from repro.utils.deadline import check_deadline
 
 State = Hashable
@@ -75,55 +73,6 @@ class InsertionPlan:
         return self.check.new_sg
 
 
-class _BlockCandidate:
-    """A block under construction: its states and the bricks composing it.
-
-    ``seq`` is the candidate's discovery index within its search (seed
-    candidates in canonical brick order first, then grown candidates in
-    generation order) — the explicit tie-break key of the ranking.
-    """
-
-    __slots__ = ("states", "brick_indices", "evaluation", "seq")
-
-    def __init__(
-        self,
-        states: FrozenSet[State],
-        brick_indices: FrozenSet[int],
-        evaluation: BlockEvaluation,
-        seq: int = 0,
-    ) -> None:
-        self.states = states
-        self.brick_indices = brick_indices
-        self.evaluation = evaluation
-        self.seq = seq
-
-    @property
-    def cost(self) -> Cost:
-        return self.evaluation.cost
-
-
-def _canonical_rank(candidates, size_of):
-    """Total-order ranking shared by the legacy and indexed paths.
-
-    The key is ``(cost, size, seq)`` where ``seq`` is the candidate's
-    *discovery index*, stamped at creation.  Previously the tie-break
-    beyond ``(cost, size)`` was implicit: whatever order the list handed
-    to ``sorted`` happened to be in (CPython's stable sort preserved it),
-    so the ``max_merge_candidates`` / ``max_validity_checks`` truncations
-    silently depended on how each call site assembled its candidate
-    list.  Stamping the discovery order on the candidate makes the
-    ranking a pure function of the candidates themselves — any
-    permutation of the input ranks identically (regression-tested) —
-    while choosing exactly the blocks the insertion-order tie-break
-    chose, so no library verdict moves.
-    """
-    return sorted(candidates, key=lambda c: (c.cost, size_of(c), c.seq))
-
-
-def _rank(candidates: Sequence[_BlockCandidate]) -> List[_BlockCandidate]:
-    return _canonical_rank(candidates, lambda c: len(c.states))
-
-
 def find_insertion_plan(
     sg: StateGraph,
     signal: str,
@@ -136,14 +85,10 @@ def find_insertion_plan(
     Returns ``None`` when the state graph has no CSC conflicts or when no
     valid candidate could be found within the search budget.
 
-    When the engine caches are enabled (the default) the search runs on
-    the integer-indexed fast path of :mod:`repro.core.indexed`, with
-    block evaluations memoized by block frozenset; the object-space
-    implementation below is the cache-disabled baseline and produces
-    identical plans.
-
-    ``kernel`` selects the block-evaluation implementation of the
-    indexed path (see :mod:`repro.core.planes`); it never changes the
+    The search runs on the integer-indexed representation of
+    :mod:`repro.core.indexed`: blocks are bitmasks, and their costs are
+    memoized per search.  ``kernel`` selects the block-evaluation
+    implementation (see :mod:`repro.core.planes`); it never changes the
     chosen plan, only how fast it is found.
     """
     settings = settings or SearchSettings()
@@ -158,151 +103,20 @@ def find_insertion_plan(
         # steer the search (the solver always re-checks the full set).
         conflicts = conflicts[: settings.max_conflict_pairs]
 
-    if engine_caches.caches_enabled():
-        return _find_insertion_plan_indexed(
-            sg, signal, settings, conflicts, full_conflict_count, kernel
-        )
-    return _find_insertion_plan_legacy(
-        sg, signal, settings, conflicts, full_conflict_count
+    return _find_insertion_plan_indexed(
+        sg, signal, settings, conflicts, full_conflict_count, kernel
     )
 
 
-def _find_insertion_plan_legacy(
-    sg: StateGraph,
-    signal: str,
-    settings: SearchSettings,
-    conflicts: Sequence[CSCConflict],
-    full_conflict_count: int,
-) -> Optional[InsertionPlan]:
-    """Object-space reference implementation of the Figure-4 search.
-
-    Deliberately kept as an independent copy of the driver logic rather
-    than sharing it with the indexed path: it is the frozen differential
-    oracle the engine is tested against, so a bug introduced into shared
-    code could not silently affect both.  Any intentional behavioural
-    change must be applied to BOTH this function and
-    :func:`_find_insertion_plan_indexed` in lockstep —
-    ``tests/test_engine.py`` asserts they produce identical plans.
-    """
-    bricks = compute_bricks(sg.ts, mode=settings.brick_mode, max_explored=settings.region_budget)
-    if not bricks:
-        return None
-    adjacency = brick_adjacency(sg.ts, bricks)
-
-    # --- seed: every brick is a candidate block -------------------------
-    seen_blocks: Set[FrozenSet[State]] = set()
-    good: List[_BlockCandidate] = []
-    next_seq = itertools.count()
-    for index, brick in enumerate(bricks):
-        evaluation = evaluate_block(
-            sg, brick, conflicts, allow_input_delay=settings.allow_input_delay
-        )
-        if evaluation is None or evaluation.block in seen_blocks:
-            continue
-        seen_blocks.add(evaluation.block)
-        good.append(
-            _BlockCandidate(
-                evaluation.block, frozenset([index]), evaluation, next(next_seq)
-            )
-        )
-    if not good:
-        return None
-
-    frontier = _rank(good)[: settings.frontier_width]
-
-    # --- Figure 4: grow blocks with adjacent bricks ---------------------
-    for _iteration in range(settings.max_search_iterations):
-        new_frontier: List[_BlockCandidate] = []
-        for candidate in frontier:
-            check_deadline()
-            neighbour_indices: Set[int] = set()
-            for brick_index in candidate.brick_indices:
-                neighbour_indices.update(adjacency[brick_index])
-            neighbour_indices -= set(candidate.brick_indices)
-            for brick_index in sorted(neighbour_indices):
-                grown_states = candidate.states | bricks[brick_index]
-                if grown_states in seen_blocks or len(grown_states) >= sg.num_states:
-                    continue
-                evaluation = evaluate_block(
-                    sg, grown_states, conflicts,
-                    allow_input_delay=settings.allow_input_delay,
-                )
-                seen_blocks.add(grown_states)
-                if evaluation is None:
-                    continue
-                if evaluation.cost < candidate.cost:
-                    grown = _BlockCandidate(
-                        grown_states,
-                        candidate.brick_indices | {brick_index},
-                        evaluation,
-                        next(next_seq),
-                    )
-                    good.append(grown)
-                    new_frontier.append(grown)
-        if not new_frontier:
-            break
-        frontier = _rank(new_frontier)[: settings.frontier_width]
-
-    ranked = _rank(good)
-
-    # --- merge the best disconnected blocks ------------------------------
-    merged = _greedy_merge(sg, ranked, conflicts, settings)
-    if merged is not None:
-        ranked = [merged] + ranked
-
-    # --- validate candidates in cost order --------------------------------
-    persistent_before = {
-        event for event in sg.ts.events if is_event_persistent(sg.ts, event)
-    }
-    examined = 0
-    for candidate in ranked:
-        check_deadline()
-        if examined >= settings.max_validity_checks:
-            break
-        if not settings.allow_input_delay and candidate.cost.input_delays > 0:
-            # The SIP check would reject it anyway; keep scanning so that
-            # deeper input-preserving candidates get their chance.
-            continue
-        examined += 1
-        check = check_insertion(
-            sg,
-            candidate.evaluation.partition,
-            signal=signal,
-            signal_type=SignalType.INTERNAL,
-            persistent_before=persistent_before,
-            check_commutativity=settings.check_commutativity,
-            allow_input_delay=settings.allow_input_delay,
-        )
-        if not check.ok:
-            continue
-        if settings.require_actual_progress and check.new_sg is not None:
-            remaining_after = len(csc_conflicts(check.new_sg))
-            if remaining_after >= full_conflict_count:
-                # Valid but useless: it would not reduce the number of
-                # conflicts, so keep looking for a candidate that does.
-                continue
-        partition = candidate.evaluation.partition
-        cost = candidate.cost
-        if settings.enlarge_concurrency:
-            partition, cost, check = _enlarge_concurrency(
-                sg, candidate, bricks, conflicts, settings, persistent_before, signal, check
-            )
-        return InsertionPlan(
-            signal=signal,
-            block=candidate.states,
-            partition=partition,
-            cost=cost,
-            check=check,
-            conflicts_before=len(conflicts),
-            candidates_examined=examined,
-        )
-    return None
-
-
 class _IndexedCandidate:
-    """Index-space twin of :class:`_BlockCandidate`: the block is a
-    bitmask, and ``bricks`` / ``neighbours`` are brick-index bitsets (its
-    bricks, and the union of their adjacency rows)."""
+    """A block under construction: the block is a bitmask, and
+    ``bricks`` / ``neighbours`` are brick-index bitsets (its bricks, and
+    the union of their adjacency rows).
+
+    ``seq`` is the candidate's discovery index within its search (seed
+    candidates in canonical brick order first, then grown candidates in
+    generation order) — the explicit tie-break key of the ranking.
+    """
 
     __slots__ = ("mask", "size", "bricks", "neighbours", "cost", "seq")
 
@@ -318,7 +132,16 @@ class _IndexedCandidate:
 
 
 def _rank_indexed(candidates: Sequence[_IndexedCandidate]) -> List[_IndexedCandidate]:
-    return _canonical_rank(candidates, lambda c: c.size)
+    """Total-order ranking of the search's candidates.
+
+    The key is ``(cost, size, seq)`` where ``seq`` is the candidate's
+    *discovery index*, stamped at creation, so the ranking is a pure
+    function of the candidates themselves: any permutation of the input
+    ranks identically (regression-tested), and the
+    ``max_merge_candidates`` / ``max_validity_checks`` truncations do
+    not depend on how a call site assembled its candidate list.
+    """
+    return sorted(candidates, key=lambda c: (c.cost, c.size, c.seq))
 
 
 def _evaluate_masks(
@@ -341,12 +164,10 @@ def _find_insertion_plan_indexed(
     full_conflict_count: int,
     kernel: str = "auto",
 ) -> Optional[InsertionPlan]:
-    """The Figure-4 search on the integer-indexed fast path.
+    """The Figure-4 search on the integer-indexed representation.
 
-    Same algorithm, same tie-breaking and therefore the same plans as
-    :func:`_find_insertion_plan_legacy`; blocks are bitmasks, evaluations
-    are memoized per block, and brick decomposition/adjacency come from
-    the per-graph cache.
+    Blocks are bitmasks, evaluations are memoized per block, and brick
+    decomposition/adjacency come from the per-graph cache.
 
     Each iteration first *generates* the enlargements of the frontier
     (the seen-set and frontier bookkeeping), then costs them as one batch
@@ -501,17 +322,12 @@ def _find_insertion_plan_indexed(
                 )
         if outcome != "ok":
             continue
-        block_states = index.frozenset_of_mask(candidate.mask)
         cost = candidate.cost
         if settings.enlarge_concurrency:
-            object_candidate = _BlockCandidate(
-                block_states,
-                frozenset(indexed.bits_of(candidate.bricks)),
-                BlockEvaluation(block=block_states, partition=partition, cost=cost),
-            )
             partition, cost, check = _enlarge_concurrency(
                 sg,
-                object_candidate,
+                partition,
+                cost,
                 [index.frozenset_of_mask(mask) for mask in masks],
                 conflicts,
                 settings,
@@ -521,7 +337,7 @@ def _find_insertion_plan_indexed(
             )
         return InsertionPlan(
             signal=signal,
-            block=block_states,
+            block=index.frozenset_of_mask(candidate.mask),
             partition=partition,
             cost=cost,
             check=check,
@@ -537,7 +353,11 @@ def _greedy_merge_indexed(
     num_states: int,
     settings: SearchSettings,
 ) -> Optional[_IndexedCandidate]:
-    """Index-space twin of :func:`_greedy_merge` (same greedy order).
+    """Union of the best disconnected blocks (last step of Section 5).
+
+    Starting from the best block, greedily add other good blocks whenever
+    the union improves the cost.  Returns the merged candidate or ``None``
+    when no merge improved on the best single block.
 
     The unions of the current block with every remaining candidate are
     costed as one batch; after an accepted union only the candidates
@@ -576,44 +396,6 @@ def _greedy_merge_indexed(
     return _IndexedCandidate(current_mask, current_bricks, current_neighbours, current_cost)
 
 
-def _greedy_merge(
-    sg: StateGraph,
-    ranked: Sequence[_BlockCandidate],
-    conflicts: Sequence[CSCConflict],
-    settings: SearchSettings,
-) -> Optional[_BlockCandidate]:
-    """Union of the best disconnected blocks (last step of Section 5).
-
-    Starting from the best block, greedily add other good blocks whenever
-    the union improves the cost.  Returns the merged candidate or ``None``
-    when no merge improved on the best single block.
-    """
-    if not ranked:
-        return None
-    best = ranked[0]
-    current_states = best.states
-    current_bricks = best.brick_indices
-    current_eval = best.evaluation
-    improved = False
-    for other in ranked[1 : settings.max_merge_candidates]:
-        union_states = current_states | other.states
-        if len(union_states) >= sg.num_states or union_states == current_states:
-            continue
-        evaluation = evaluate_block(
-            sg, union_states, conflicts, allow_input_delay=settings.allow_input_delay
-        )
-        if evaluation is None:
-            continue
-        if evaluation.cost < current_eval.cost:
-            current_states = union_states
-            current_bricks = current_bricks | other.brick_indices
-            current_eval = evaluation
-            improved = True
-    if not improved:
-        return None
-    return _BlockCandidate(current_states, current_bricks, current_eval)
-
-
 def _close_border(
     sg: StateGraph, border: Set[State], side: FrozenSet[State]
 ) -> Set[State]:
@@ -631,7 +413,8 @@ def _close_border(
 
 def _enlarge_concurrency(
     sg: StateGraph,
-    candidate: _BlockCandidate,
+    partition: IPartition,
+    cost: Cost,
     bricks: Sequence[Brick],
     conflicts: Sequence[CSCConflict],
     settings: SearchSettings,
@@ -647,8 +430,6 @@ def _enlarge_concurrency(
     is kept only if it improves the cost, and it must of course remain a
     valid SIP insertion.
     """
-    partition = candidate.evaluation.partition
-    cost = candidate.cost
     check = base_check
     zero_side = partition.s0 | partition.splus
     one_side = partition.s1 | partition.sminus

@@ -19,7 +19,7 @@ lazily to keep the import graph acyclic.
 
 from __future__ import annotations
 
-from repro.engine.caches import caches_enabled, invalidate_caches, use_caches
+from repro.engine.caches import invalidate_caches
 
 _LAZY_BATCH_EXPORTS = (
     "BatchItem",
@@ -30,9 +30,7 @@ _LAZY_BATCH_EXPORTS = (
 )
 
 __all__ = [
-    "caches_enabled",
     "invalidate_caches",
-    "use_caches",
     *_LAZY_BATCH_EXPORTS,
 ]
 

@@ -19,18 +19,16 @@ most of its time.  This module attaches a cache to each
   excitation regions per event, the minimal regions containing each
   expansion seed, the canonical brick list per ``(mode, budget)``, and
   one adjacency bitset per brick,
-* memoizes the CSC conflict list and the code groups backing it,
+* memoizes the CSC conflict list and the code groups backing it (a
+  derived index lets :func:`repro.core.csc.csc_conflicts` re-examine
+  only the states descending from previously code-sharing groups),
 * records the *provenance* of a graph produced by signal insertion
-  (parent graph, I-partition, inserted signal), which enables
-
-  - incremental CSC re-analysis (:func:`repro.core.csc.csc_conflicts`
-    only re-examines states descending from previously code-sharing
-    groups), and
-  - selective carry-over of per-event excitation regions: an event's
-    cached region masks survive the insertion when none of their states
-    was split by it (i.e. none lies in ``ER(x+)`` or ``ER(x-)``); they are
-    mapped into the child's index by index arithmetic, and only the
-    touched entries are recomputed on the expanded graph.
+  (parent graph, I-partition, inserted signal), which enables selective
+  carry-over of per-event excitation regions: an event's cached region
+  masks survive the insertion when none of their states was split by it
+  (i.e. none lies in ``ER(x+)`` or ``ER(x-)``); they are mapped into the
+  child's index by index arithmetic, and only the touched entries are
+  recomputed on the expanded graph.
 
 Caches never change results.  Excitation-region carry-over is exact: the
 untouched part of the graph is replayed isomorphically at the stable
@@ -42,31 +40,20 @@ once per graph (``SGCache.regions``): the switching region of one event
 is often the excitation region of the next (``SR(a+) = ER(b+)`` when
 ``b+`` directly follows ``a+``).  The regression tests check the derived
 index against a from-scratch build, and the brick masks and adjacency
-against a from-scratch :func:`repro.core.bricks.compute_bricks` and
-:func:`repro.core.bricks.brick_adjacency`, after every insertion of the
-Table-2 solves.  Object frozensets are built only at the API edge
-(:func:`get_bricks`).  The per-thread switch :func:`use_caches` restores
-the original recompute-everything object-space behaviour, the
-differential oracle of the tests.
+against the object-space brick decomposition and adjacency of
+``tests/references.py``, after every insertion of the Table-2 solves.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.bricks import compute_bricks, event_region_brick_masks
+from repro.core.bricks import event_region_brick_masks
 from repro.core.excitation import excitation_region_masks
 from repro.utils.ordered import stable_sorted
 
-State = Hashable
-Brick = FrozenSet[State]
-
 _CACHE_ATTR = "_repro_cache"
-
-_state = threading.local()
 
 
 class CacheStats:
@@ -132,28 +119,6 @@ class CacheStats:
 STATS = CacheStats()
 
 
-def caches_enabled() -> bool:
-    """True when the engine caches are active in this thread.
-
-    The switch is *per thread* (and therefore per worker process),
-    defaulting to enabled: concurrent solvers can flip it independently
-    without racing each other.  Code running on other threads is not
-    affected by :func:`use_caches`.
-    """
-    return getattr(_state, "enabled", True)
-
-
-@contextmanager
-def use_caches(enabled: bool = True):
-    """Temporarily enable or disable the engine caches (current thread)."""
-    previous = caches_enabled()
-    _state.enabled = enabled
-    try:
-        yield
-    finally:
-        _state.enabled = previous
-
-
 class SGCache:
     """All memoized analysis results of one state graph."""
 
@@ -175,9 +140,8 @@ class SGCache:
         # parent is held weakly so long insertion chains are collectable:
         # while the solver works on the child the parent is still
         # strongly referenced (it is the solver's current graph), which
-        # is exactly the window in which incremental re-analysis and
-        # brick carry-over read it; afterwards a dead reference simply
-        # falls back to recomputation.
+        # is exactly the window in which brick carry-over reads it;
+        # afterwards a dead reference simply falls back to recomputation.
         self.provenance: Optional[Tuple["weakref.ref", object, str]] = None
         # The canonical IndexedStateGraph of the graph (built lazily by
         # repro.core.indexed.indexed_state_graph; typed as object to keep
@@ -227,8 +191,6 @@ def note_insertion(parent_sg, new_sg, partition, signal: str) -> None:
     recorded cheaply here and only exploited when (and if) the expanded
     graph is analysed.
     """
-    if not caches_enabled():
-        return
     get_cache(new_sg).provenance = (weakref.ref(parent_sg), partition, signal)
 
 
@@ -325,13 +287,21 @@ def _er_entry(sg, cache: SGCache, isg, event) -> List[int]:
 
 def get_brick_masks(sg, mode: str = "regions", max_explored: int = 20000) -> List[int]:
     """Brick decomposition of ``sg`` as bitmasks over its indexed state
-    graph (cached per ``(mode, budget)``).
+    graph (cached per ``(mode, budget)``), in canonical order
+    (:func:`repro.core.indexed.deduplicate_brick_masks`).
 
-    The masks of exactly the bricks :func:`repro.core.bricks.compute_bricks`
-    returns, in its canonical order.  Excitation-region entries are
-    carried over from the parent graph where the insertion did not touch
-    them; region bricks are recomputed, each seed expanded once (see the
-    module docstring).
+    ``mode`` selects the granularity of the search space:
+
+    * ``"regions"`` — the paper's method: the excitation regions, the
+      minimal pre/post-regions and their per-event intersections;
+    * ``"excitation"`` — excitation regions only (the granularity of the
+      ASSASSIN-style baseline, Property P2 only);
+    * ``"states"`` — every single state is a brick (the "sand" of
+      state-level methods, ``--bricks states`` on the command line).
+
+    Excitation-region entries are carried over from the parent graph
+    where the insertion did not touch them; region bricks are
+    recomputed, each seed expanded once (see the module docstring).
     """
     cache = get_cache(sg)
     key = (mode, max_explored)
@@ -358,13 +328,3 @@ def get_brick_masks(sg, mode: str = "regions", max_explored: int = 20000) -> Lis
     masks = indexed.deduplicate_brick_masks(isg, collected)
     cache.brick_lists[key] = masks
     return masks
-
-
-def get_bricks(sg, mode: str = "regions", max_explored: int = 20000) -> List[Brick]:
-    """Brick decomposition of ``sg`` as object frozensets: exactly what
-    :func:`repro.core.bricks.compute_bricks` returns, built on demand from
-    :func:`get_brick_masks`."""
-    if not caches_enabled():
-        return compute_bricks(sg.ts, mode=mode, max_explored=max_explored)
-    isg = _indexed_module().indexed_state_graph(sg)
-    return [isg.frozenset_of_mask(mask) for mask in get_brick_masks(sg, mode, max_explored)]

@@ -12,6 +12,19 @@ its pinned values in place, so the pins cost no extra solve:
   detection-only rows: ``tests/test_symbolic_differential.py`` and
   ``tests/test_symbolic.py``.
 
+The golden records were computed by the object-space engine the
+indexed one replaced, before it was deleted, and stand in for it:
+
+* ``conformance``: per solvable+enumerable library case and
+  ``pipeline(n)`` family member (keyed ``table/name``), the SHA-256 of
+  the result fingerprint as sorted-key JSON, the inserted signal names,
+  the per-insertion cost tuples and the table row minus ``cpu``; every
+  engine of ``tests/test_conformance.py`` must give it;
+* ``generators``: the same record for every STG of the generator grid
+  (keyed by its generator call), solved at default settings;
+* ``enlarge_concurrency``: the plan ``--enlarge-concurrency`` commits to
+  on three Table-2 rows (``tests/test_engine.py``).
+
 A pinned value moves only together with a ``FINGERPRINT_VERSION`` bump
 (``repro.service.fingerprint``); ``tests/test_conformance.py`` checks
 that the file records the current version.

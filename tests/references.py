@@ -23,6 +23,20 @@ reproduce exactly.
   ``next_value`` calls, connected excitation regions with
   :func:`repro.core.excitation.trigger_events`, and the tuple-code
   excitation check.  The tier now reads all three off the graph's index.
+* The object-space analysis of the insertion search, each function the
+  twin of an index-space one:
+  :func:`ipartition_from_block` (with :func:`exit_border` and
+  :func:`min_wellformed_exit_border`) derives the I-partition of a block
+  that :class:`repro.core.indexed.EvalKernel` reads off a bitmask;
+  :func:`compute_bricks` and :func:`brick_adjacency` are the brick
+  decomposition and adjacency of :func:`repro.core.indexed.indexed_brick_bundle`;
+  :func:`evaluate_block` costs a block as the kernel does;
+  :func:`csc_conflicts_from_scratch` recomputes the conflict list
+  :func:`repro.core.csc.csc_conflicts` derives incrementally; and
+  :func:`reference_check_insertion` (with :func:`delayed_events`)
+  materialises an insertion and then checks it, the decision
+  :meth:`repro.core.indexed.IndexedStateGraph.decide_insertion` makes on
+  the parent's index.
 * :func:`reference_greedy_merge_indexed` is the one-by-one greedy merge
   of the Figure-4 search; the search batches its unions.
 * :func:`reference_block_evaluation` is the eager candidate evaluation
@@ -46,23 +60,39 @@ reproduce exactly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cost import Cost
+from repro.core.cost import Cost, evaluate_partition
+from repro.core.csc import CSCConflict, _noninput_signature, _states_by_code
 from repro.core.excitation import excitation_regions, trigger_events
-from repro.core.insertion import ARC_VALUES, IllegalInsertionError, illegal_crossing
-from repro.core.ipartition import S0, S1, SMINUS, SPLUS
+from repro.core.insertion import (
+    ARC_VALUES,
+    IllegalInsertionError,
+    illegal_crossing,
+    insert_signal,
+)
+from repro.core.ipartition import S0, S1, SMINUS, SPLUS, IPartition
 from repro.core.regions import (
     RegionSearchBudgetExceeded,
     _expansion_choices_mask,
     _keep_minimal_masks,
+    minimal_postregions,
+    minimal_preregions,
 )
+from repro.core.sip import InsertionCheck
 from repro.stg.signals import SignalEdge, SignalType
 from repro.logic.nextstate import CSCViolationError
 from repro.petri.reachability import build_reachability_graph
 from repro.stg.state_graph import InconsistentSTGError, StateGraph
 from repro.synth.simulate import _MAX_RECORDED_MISMATCHES, VerificationReport
+from repro.ts.properties import is_commutative, is_deterministic, is_event_persistent
 from repro.ts.transition_system import TransitionSystem
+from repro.utils.ordered import stable_sorted
+
+State = Hashable
+Event = Hashable
+Brick = FrozenSet[State]
 
 
 def reference_insert_signal(
@@ -671,3 +701,340 @@ def reference_safety_failure(ssg, reached):
             return "not safe"
         return transition.name
     return None
+
+
+# ----------------------------------------------------------------------
+# the object-space analysis of the insertion search
+# ----------------------------------------------------------------------
+def exit_border(ts: TransitionSystem, block: Iterable[State]) -> Set[State]:
+    """``EB(block)``: states of ``block`` with a transition leaving it."""
+    block_set = set(block)
+    border: Set[State] = set()
+    for state in block_set:
+        for _event, target in ts.successors(state):
+            if target not in block_set:
+                border.add(state)
+                break
+    return border
+
+
+def min_wellformed_exit_border(ts: TransitionSystem, block: Iterable[State]) -> Set[State]:
+    """``MWFEB(block)``: the smallest well-formed exit border of ``block``.
+
+    Computed with the recursion of Section 4: seed with the states of
+    ``block`` that have a transition leaving ``block`` (condition 1), then
+    close under successors *inside* ``block`` (condition 2) until no
+    transition escapes from the border back into the interior.
+    """
+    block_set = set(block)
+    border = exit_border(ts, block_set)
+    frontier = list(border)
+    while frontier:
+        state = frontier.pop()
+        for _event, target in ts.successors(state):
+            if target in block_set and target not in border:
+                border.add(target)
+                frontier.append(target)
+    return border
+
+
+def ipartition_from_block(ts: TransitionSystem, block: Iterable[State]) -> IPartition:
+    """Derive the I-partition induced by a bipartition block ``b``.
+
+    ``S+ = MWFEB(b)``, ``S- = MWFEB(S \\ b)``, ``S0 = b - S+`` and
+    ``S1 = (S \\ b) - S-`` — the minimum-concurrency configuration of the
+    inserted signal (Section 5); concurrency can then be increased by
+    enlarging ``S+``/``S-``.
+    """
+    block_set = set(block)
+    complement = set(ts.states) - block_set
+    splus = min_wellformed_exit_border(ts, block_set)
+    sminus = min_wellformed_exit_border(ts, complement)
+    return IPartition(
+        s0=frozenset(block_set - splus),
+        splus=frozenset(splus),
+        s1=frozenset(complement - sminus),
+        sminus=frozenset(sminus),
+    )
+
+
+def _intersection_closure(regions: Sequence[Brick], max_per_event: int = 64) -> List[Brick]:
+    """Close a family of sets under pairwise intersection.
+
+    The number of pre/post-regions of an event "is usually small" (paper,
+    Section 5), so the closure is tiny in practice; ``max_per_event``
+    guards against pathological blow-up.
+    """
+    closure: List[Brick] = list(dict.fromkeys(regions))
+    queue = list(closure)
+    while queue and len(closure) < max_per_event:
+        current = queue.pop()
+        for other in list(closure):
+            candidate = current & other
+            if candidate and candidate not in closure:
+                closure.append(candidate)
+                queue.append(candidate)
+                if len(closure) >= max_per_event:
+                    break
+    return closure
+
+
+def event_region_bricks(
+    ts: TransitionSystem, event, max_explored: int = 20000
+) -> List[Brick]:
+    """The region-derived bricks contributed by one event.
+
+    Minimal pre- and post-regions of ``event`` together with their
+    per-event intersection closures — the per-event unit of work of
+    ``compute_bricks(mode="regions")``.
+    """
+    pre = minimal_preregions(ts, event, max_explored=max_explored)
+    post = minimal_postregions(ts, event, max_explored=max_explored)
+    return _intersection_closure(pre) + _intersection_closure(post)
+
+
+def compute_bricks(
+    ts: TransitionSystem,
+    mode: str = "regions",
+    max_explored: int = 20000,
+) -> List[Brick]:
+    """Compute the brick set of a transition system.
+
+    ``mode`` selects the granularity of the search space:
+
+    * ``"regions"`` — the paper's method: minimal pre/post-regions, their
+      per-event intersections and the excitation regions.
+    * ``"excitation"`` — excitation regions only (the granularity of the
+      ASSASSIN-style baseline, Property P2 only).
+    * ``"states"`` — every single state is a brick (the "sand" of
+      state-level methods).
+    """
+    if mode == "states":
+        bricks = [frozenset([state]) for state in ts.states]
+        return _deduplicate(bricks)
+
+    bricks: List[Brick] = []
+    for event in stable_sorted(ts.events):
+        for er in excitation_regions(ts, event):
+            bricks.append(er)
+
+    if mode == "excitation":
+        return _deduplicate(bricks)
+    if mode != "regions":
+        raise ValueError(f"unknown brick mode: {mode!r}")
+
+    for event in stable_sorted(ts.events):
+        bricks.extend(event_region_bricks(ts, event, max_explored=max_explored))
+    return _deduplicate(bricks)
+
+
+def _deduplicate(bricks: Iterable[Brick]) -> List[Brick]:
+    unique = list(dict.fromkeys(b for b in bricks if b))
+    unique.sort(key=lambda b: (len(b), sorted(map(repr, b))))
+    return unique
+
+
+def brick_adjacency(
+    ts: TransitionSystem, bricks: Sequence[Brick]
+) -> Dict[int, Set[int]]:
+    """Adjacency between bricks, by index into ``bricks``.
+
+    Two bricks are adjacent when they overlap or when a transition of the
+    TS connects a state of one to a state of the other; unions of adjacent
+    bricks therefore stay weakly connected, which is what the Figure-4
+    search wants while growing a block.
+    """
+    state_to_bricks: Dict[State, List[int]] = {}
+    for index, brick in enumerate(bricks):
+        for state in brick:
+            state_to_bricks.setdefault(state, []).append(index)
+
+    adjacency: Dict[int, Set[int]] = {index: set() for index in range(len(bricks))}
+
+    # Overlap adjacency.
+    for indices in state_to_bricks.values():
+        for i in indices:
+            for j in indices:
+                if i != j:
+                    adjacency[i].add(j)
+
+    # Arc adjacency.
+    for source, _event, target in ts.transitions():
+        for i in state_to_bricks.get(source, ()):
+            for j in state_to_bricks.get(target, ()):
+                if i != j:
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+    return adjacency
+
+
+@dataclass
+class BlockEvaluation:
+    """A candidate block together with its derived partition and cost."""
+
+    block: FrozenSet[State]
+    partition: IPartition
+    cost: Cost
+
+
+def evaluate_block(
+    sg: StateGraph,
+    block: Iterable[State],
+    conflicts: Sequence[CSCConflict],
+    allow_input_delay: bool = True,
+) -> Optional[BlockEvaluation]:
+    """Evaluate a candidate bipartition block.
+
+    Returns ``None`` for degenerate blocks (empty, full, or blocks whose
+    induced signal never switches), which the search silently skips.  With
+    ``allow_input_delay=False`` candidates that would delay an input
+    transition are also rejected here, so the search never wastes frontier
+    slots on insertions the SIP check is bound to refuse.
+    """
+    block_set = frozenset(block)
+    if not block_set or len(block_set) >= sg.num_states:
+        return None
+    partition = ipartition_from_block(sg.ts, block_set)
+    if not partition.splus or not partition.sminus:
+        return None
+    return BlockEvaluation(
+        block=block_set,
+        partition=partition,
+        cost=evaluate_partition(
+            sg, partition, conflicts, count_input_delays=not allow_input_delay
+        ),
+    )
+
+
+def _conflicts_of_groups(
+    sg: StateGraph, groups: Dict[Code, List[State]]
+) -> List[CSCConflict]:
+    conflicts: List[CSCConflict] = []
+    for code, states in groups.items():
+        if len(states) < 2:
+            continue
+        ordered = stable_sorted(states)
+        signatures = {state: _noninput_signature(sg, state) for state in ordered}
+        for i, first in enumerate(ordered):
+            for second in ordered[i + 1 :]:
+                if signatures[first] != signatures[second]:
+                    conflicts.append(CSCConflict(first, second, code))
+    return conflicts
+
+
+def csc_conflicts_from_scratch(sg: StateGraph) -> List[CSCConflict]:
+    """All CSC conflict pairs, recomputed over the full state graph.
+
+    This is the reference implementation; :func:`csc_conflicts` (the
+    entry point everything else uses) adds per-graph memoization and an
+    incremental path for graphs produced by signal insertion.
+    """
+    return _conflicts_of_groups(sg, _states_by_code(sg))
+
+
+def delayed_events(ts: TransitionSystem, partition: IPartition) -> Set[Event]:
+    """Events whose firing is postponed until after the new signal fires.
+
+    These are the events labelling transitions that leave ``ER(x+)``
+    towards the ``x = 1`` side or leave ``ER(x-)`` towards the ``x = 0``
+    side; after insertion they acquire the new signal as a trigger, and
+    they must not be input events ("x cannot be inserted before input
+    events", Section 5).
+    """
+    delayed: Set[Event] = set()
+    one_side = partition.s1 | partition.sminus
+    zero_side = partition.s0 | partition.splus
+    for source, event, target in ts.transitions():
+        if source in partition.splus and target in one_side:
+            delayed.add(event)
+        elif source in partition.sminus and target in zero_side:
+            delayed.add(event)
+    return delayed
+
+
+def reference_check_insertion(
+    sg: StateGraph,
+    partition: IPartition,
+    signal: str = "__csc_probe__",
+    signal_type: SignalType = SignalType.INTERNAL,
+    persistent_before: Optional[Set[Event]] = None,
+    check_commutativity: bool = True,
+    allow_input_delay: bool = False,
+) -> InsertionCheck:
+    """Verify that the insertion preserves speed independence on the
+    materialised expanded graph, and carry it out (``new_sg``) when the
+    partition is legal.
+
+    Checks, in order:
+
+    1. both excitation regions of the new signal are non-empty (the signal
+       actually switches) — degenerate partitions are rejected;
+    2. no *input* event is delayed by the new signal;
+    3. the expanded state graph is deterministic and commutative;
+    4. every event that was persistent before the insertion is still
+       persistent (this subsumes output-persistency preservation and the
+       persistency of the new signal itself).
+
+    Each failed check adds a reason; ``kind`` names the first failed one.
+    ``persistent_before`` can be supplied to avoid recomputing the set of
+    persistent events of ``sg`` for every candidate.  ``allow_input_delay``
+    relaxes check (2): some specifications (pure toggles, counters) have no
+    input-preserving solution at all — the "changes in the specification"
+    the paper mentions other tools resort to — and this switch makes that
+    trade-off explicit instead of silently failing.
+    """
+    reasons: List[str] = []
+
+    if not partition.splus or not partition.sminus:
+        reasons.append("the inserted signal would never switch (empty ER(x+) or ER(x-))")
+        return InsertionCheck(ok=False, reasons=reasons, kind="degenerate")
+
+    delayed = frozenset(delayed_events(sg.ts, partition))
+    if not allow_input_delay:
+        for event in delayed:
+            if isinstance(event, SignalEdge) and sg.is_input_edge(event):
+                reasons.append(f"input event {event} would be delayed by the new signal")
+    if reasons:
+        return InsertionCheck(ok=False, reasons=reasons, delayed=delayed, kind="input_delay")
+
+    try:
+        new_sg = insert_signal(sg, partition, signal, signal_type)
+    except IllegalInsertionError as error:
+        return InsertionCheck(ok=False, reasons=[str(error)], delayed=delayed, kind="illegal")
+
+    kinds: List[str] = []
+    if not is_deterministic(new_sg.ts):
+        reasons.append("insertion breaks determinism")
+        kinds.append("determinism")
+    if check_commutativity and not is_commutative(new_sg.ts):
+        reasons.append("insertion breaks commutativity")
+        kinds.append("commutativity")
+
+    if persistent_before is None:
+        persistent_before = {
+            event for event in sg.ts.events if is_event_persistent(sg.ts, event)
+        }
+    for event in persistent_before:
+        if isinstance(event, SignalEdge) and sg.is_input_edge(event):
+            # Input persistency is an assumption about the environment, not
+            # a property of the circuit; when inputs are not delayed it is
+            # preserved automatically, and when the user explicitly allows
+            # delaying inputs it is the environment timing that changes.
+            continue
+        if event in new_sg.ts.events and not is_event_persistent(new_sg.ts, event):
+            reasons.append(f"event {event} loses persistency")
+            kinds.append("persistency")
+
+    # The inserted signal is an output of the circuit: it must be persistent.
+    for edge in (SignalEdge.rise(signal), SignalEdge.fall(signal)):
+        if edge in new_sg.ts.events and not is_event_persistent(new_sg.ts, edge):
+            reasons.append(f"inserted transition {edge} is not persistent")
+            kinds.append("persistency")
+
+    return InsertionCheck(
+        ok=not reasons,
+        reasons=reasons,
+        new_sg=new_sg,
+        delayed=delayed,
+        kind=kinds[0] if kinds else None,
+    )

@@ -1,28 +1,38 @@
 """Tests for the baseline encoders and the benchmark generators/library."""
 
+import dataclasses
+
 import pytest
 
-from repro.baselines import solve_csc_assassin, solve_csc_exhaustive
+from repro.baselines import solve_csc_assassin
 from repro.baselines.assassin import assassin_settings
-from repro.baselines.exhaustive import exhaustive_settings
 from repro.bench_stg import generators as gen
 from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES, benchmark_names, get_case, load_benchmark
-from repro.core import csc_conflicts, has_csc
+from repro.core import SolverSettings, csc_conflicts, has_csc, solve_csc
 from repro.stg import build_state_graph
 
 
 class TestBaselines:
     def test_settings_restrict_brick_mode(self):
         assert assassin_settings().search.brick_mode == "excitation"
-        assert exhaustive_settings().search.brick_mode == "states"
+        base = SolverSettings(require_progress=False, kernel="bigint")
+        states = dataclasses.replace(
+            base, search=dataclasses.replace(base.search, brick_mode="states")
+        )
+        assert states.search.brick_mode == "states"
+        assert dataclasses.replace(states, search=base.search) == base
 
     def test_assassin_solves_vme(self, vme_sg):
         result = solve_csc_assassin(vme_sg)
         assert result.solved
         assert has_csc(result.final_sg)
 
-    def test_exhaustive_solves_vme(self, vme_sg):
-        result = solve_csc_exhaustive(vme_sg)
+    def test_state_bricks_solve_vme(self, vme_sg):
+        settings = SolverSettings()
+        settings = dataclasses.replace(
+            settings, search=dataclasses.replace(settings.search, brick_mode="states")
+        )
+        result = solve_csc(vme_sg, settings)
         assert result.solved
 
     def test_region_method_explores_no_worse_cost(self, sequencer2_sg):

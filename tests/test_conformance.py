@@ -1,9 +1,9 @@
 """Cross-engine conformance harness.
 
-Besides the frozen legacy object-space pipeline (``use_caches(False)``)
-there are several ways to produce an encoding, and per-PR differential
-files stopped scaling.  This module is the one parameterized harness
-that pins every one of them to the legacy oracle:
+There are several ways to produce an encoding, and this module is the
+one parameterized harness that pins every one of them to the golden
+records of ``tests/library_pins.json`` (read through
+``tests/library_pins.py``):
 
 * ``indexed`` — :func:`repro.api.encode_stg` with the default kernel
   (the bit-plane kernel wherever numpy imports);
@@ -16,40 +16,30 @@ that pins every one of them to the legacy oracle:
   ``settings_from_dict``, and the result comes back from the store;
 * ``hybrid`` — the symbolic tier's hybrid bridge.
 
-Every engine must agree with the oracle on:
+The records were computed by the object-space engine the indexed one
+replaced, before it was deleted.  Every engine must agree with its
+case's record on:
 
-* ``EncodingResult.fingerprint()`` (insertions, costs, conflict and
-  state counts, solved flag) must be byte-identical, JSON round-trip
-  included;
+* the SHA-256 of ``EncodingResult.fingerprint()`` (insertions, costs,
+  conflict and state counts, solved flag) as sorted-key JSON;
 * the inserted-signal *names* and the per-insertion :class:`Cost`
-  tuples must match exactly;
-* for the explicit engines, the benchmark table row (logic estimate
-  included) must match as well (``batch`` and ``service`` carry the
-  result as its JSON summary, which is checked in place of the
-  in-memory records);
-* every expanded graph the legacy oracle materialises must equal the
-  object-space insertion of ``tests/references.py``, every order
-  included (the oracle's ``insert_signal`` shares the indexed replay).
+  tuples;
+* for the explicit engines, the benchmark table row minus its timing,
+  logic estimate included (``batch`` and ``service`` carry the result
+  as its JSON summary, which is checked in place of the in-memory
+  records).
 
 Covered inputs: every solvable+enumerable library case of both tables
 (the ``pyetrify bench --all`` regime, each with its own library solver
-settings) plus the coupled ``pipeline(n)`` generator family, and
-hypothesis-generated STGs from the parametric families.  The hypothesis
-block solves random STGs on the legacy and the indexed engine, which
-must fingerprint identically (derandomized via the repository-wide
-``--repro-seed`` profile, like every hypothesis suite here).
-
-This file subsumes the solver-identity assertions that previously lived
-in ``tests/test_indexed_differential.py`` (library + random indexed vs
-legacy) and ``tests/test_symbolic_differential.py`` (hybrid bridge vs
-explicit solver); those files keep their representation-level checks
-(bitmask helper twins, census/ER/SR agreement).
+settings) plus the coupled ``pipeline(n)`` generator family, and every
+STG of the finite generator grid the hypothesis strategy
+:func:`random_stgs` draws from, solved at default settings.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import hashlib
 import json
 from typing import Dict
 
@@ -59,14 +49,11 @@ from hypothesis import HealthCheck, given, settings as hsettings, strategies as 
 from repro.api import EncodingService, encode_many, encode_stg
 from repro.bench_stg import generators as gen
 from library_pins import PINS, fingerprint_sha256, pin
-from references import insertion_outcome, reference_insert_signal, state_graph_layout
 
 from repro.bench_stg.library import BenchmarkCase, TABLE1_CASES, TABLE2_CASES
-from repro.core import search, sip
+from repro.core.cost import Cost
 from repro.core.csc import has_csc
-from repro.core.insertion import insert_signal
 from repro.core.solver import solve_csc
-from repro.engine import use_caches
 from repro.service.fingerprint import FINGERPRINT_VERSION
 from repro.stg import build_state_graph
 from repro.symbolic import symbolic_encode
@@ -85,97 +72,52 @@ _PIPELINE_FAMILY = [
         "table1",
         mode="relaxed",
     )
-    for n in (1, 2)  # pipeline3 is already a Table-1 library row
+    for n in (1, 2)  # pipeline3 and pipeline4 are Table-1 library rows
 ]
 CASES = _LIBRARY + _PIPELINE_FAMILY
 # Case names repeat across tables (e.g. master-read), so ids carry an index.
 _IDS = [f"{i:02d}-{case.name}" for i, case in enumerate(CASES)]
 
-#: The engines pinned against the legacy oracle.
+#: The engines pinned to the golden records.
 ENGINES = ("indexed", "bigint", "batch", "service", "hybrid")
 
 _MAX_STATES = 200000
-_reference_cache: Dict[int, Dict[str, object]] = {}
 
 
-def _reference(case_index: int) -> Dict[str, object]:
-    """The legacy-oracle record of one case (computed once per test run).
-
-    Every insertion the oracle materialises is checked against the
-    object-space reference on the way; ``insertions`` records one
-    ``(signal, matched)`` pair per insertion.
-    """
-    record = _reference_cache.get(case_index)
-    if record is None:
-        case = CASES[case_index]
-        insertions = []
-
-        def checked_insert(sg, partition, signal, *args, **kwargs):
-            expected = insertion_outcome(
-                reference_insert_signal, sg, partition, signal, *args, **kwargs
-            )
-            try:
-                new_sg = insert_signal(sg, partition, signal, *args, **kwargs)
-            except ValueError as error:
-                insertions.append((signal, (type(error).__name__, str(error)) == expected))
-                raise
-            insertions.append((signal, ("graph", state_graph_layout(new_sg)) == expected))
-            return new_sg
-
-        with use_caches(False), _patched_insert_signal(checked_insert):
-            report = encode_stg(
-                case.build(), settings=case.solver_settings(), max_states=_MAX_STATES
-            )
-        record = {
-            "fingerprint": report.result.fingerprint(),
-            "fingerprint_json": json.dumps(report.result.fingerprint(), sort_keys=True),
-            "signals": report.result.inserted_signals,
-            "costs": [insertion.cost for insertion in report.result.records],
-            "row": {k: v for k, v in report.table_row().items() if k != "cpu"},
-            "area": report.area_literals,
-            "solved": report.solved,
-            "insertions": insertions,
-        }
-        _reference_cache[case_index] = record
-    return record
+def _record(case: BenchmarkCase) -> Dict[str, object]:
+    """The golden record of one case."""
+    return PINS["conformance"][f"{case.table}/{case.name}"]
 
 
-@contextlib.contextmanager
-def _patched_insert_signal(replacement):
-    """Route the solver's ``insert_signal`` calls through ``replacement``."""
-    modules = (search, sip)
-    for module in modules:
-        module.insert_signal = replacement
-    try:
-        yield
-    finally:
-        for module in modules:
-            module.insert_signal = insert_signal
+def _sha256(fingerprint) -> str:
+    return hashlib.sha256(json.dumps(fingerprint, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _assert_result_conforms(result, reference) -> None:
-    assert result.fingerprint() == reference["fingerprint"]
-    assert json.dumps(result.fingerprint(), sort_keys=True) == reference["fingerprint_json"]
-    assert result.inserted_signals == reference["signals"]
-    assert [insertion.cost for insertion in result.records] == reference["costs"]
+def _assert_result_conforms(result, record) -> None:
+    assert _sha256(result.fingerprint()) == record["fingerprint_sha256"]
+    assert result.inserted_signals == record["signals"]
+    assert [list(insertion.cost) for insertion in result.records] == record["costs"]
 
 
-def _assert_item_conforms(item: Dict[str, object], reference) -> None:
+def _assert_report_conforms(report, record) -> None:
+    _assert_result_conforms(report.result, record)
+    assert {k: v for k, v in report.table_row().items() if k != "cpu"} == record["row"]
+
+
+def _assert_item_conforms(item: Dict[str, object], record) -> None:
     """A JSON result record (``BatchItem.as_dict()``, a stored service
-    payload) against the oracle: summary minus timing, table row minus
-    timing, and the inserted signals with their costs."""
+    payload) against the golden record: summary minus timing, table row
+    minus timing, and the inserted signals with their costs."""
     assert item["status"] == "ok", item["error"]
     assert item["engine"] == "explicit"
-    assert item["solved"] == reference["solved"]
+    assert item["solved"] == record["row"]["solved"]
     summary = {key: value for key, value in item["summary"].items() if key != "cpu_seconds"}
-    assert json.dumps(summary, sort_keys=True) == reference["fingerprint_json"]
+    assert _sha256(summary) == record["fingerprint_sha256"]
     insertions = item["summary"]["insertions"]
-    assert [insertion["signal"] for insertion in insertions] == reference["signals"]
-    assert [insertion["cost"] for insertion in insertions] == [
-        cost.as_dict() for cost in reference["costs"]
-    ]
+    assert [insertion["signal"] for insertion in insertions] == record["signals"]
+    assert [list(Cost(**insertion["cost"])) for insertion in insertions] == record["costs"]
     row = {key: value for key, value in item["table_row"].items() if key != "cpu"}
-    assert row == reference["row"]
+    assert row == record["row"]
 
 
 @pytest.fixture(scope="module")
@@ -210,21 +152,21 @@ def service_records(tmp_path_factory):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case_index", range(len(CASES)), ids=_IDS)
-def test_engine_conforms_to_legacy_oracle(case_index, engine, request):
+def test_engine_conforms_to_golden_record(case_index, engine, request):
     case = CASES[case_index]
-    reference = _reference(case_index)
+    record = _record(case)
     settings = case.solver_settings()
 
     if engine in ("batch", "service"):
         records = request.getfixturevalue(f"{engine}_records")
-        _assert_item_conforms(records[case_index], reference)
+        _assert_item_conforms(records[case_index], record)
         return
     if engine == "bigint":
         settings = dataclasses.replace(settings, kernel="bigint")
 
     if engine == "hybrid":
         outcome = symbolic_encode(case.build(), settings=settings)
-        if not reference["signals"] and reference["solved"]:
+        if not record["signals"] and record["row"]["solved"]:
             # no conflicts: the symbolic tier never materializes anything
             assert outcome.mode == "symbolic"
             assert outcome.solved
@@ -235,16 +177,13 @@ def test_engine_conforms_to_legacy_oracle(case_index, engine, request):
         explicit_sg = build_state_graph(case.build(), max_states=_MAX_STATES)
         assert outcome.result.initial_sg.states == explicit_sg.states
         assert outcome.result.initial_sg.encoding == explicit_sg.encoding
-        _assert_result_conforms(outcome.result, reference)
+        _assert_result_conforms(outcome.result, record)
         return
 
     report = encode_stg(case.build(), settings=settings, max_states=_MAX_STATES)
-    _assert_result_conforms(report.result, reference)
-    assert {k: v for k, v in report.table_row().items() if k != "cpu"} == reference["row"]
-    assert report.area_literals == reference["area"]
+    _assert_report_conforms(report, record)
     if report.solved:
-        with use_caches(False):
-            assert has_csc(report.result.final_sg)
+        assert has_csc(report.result.final_sg)
     if engine == "indexed":
         pinned = pin(case)
         if "solved" in pinned:
@@ -256,27 +195,55 @@ def test_engine_conforms_to_legacy_oracle(case_index, engine, request):
 
 def test_library_pins_cover_the_library_at_the_current_fingerprint_version():
     """Every Table-2 row and every Table-1 row but pipeline12 (pinned in
-    tests/test_symbolic.py) has pins, recorded under the current
-    ``FINGERPRINT_VERSION``: changing a pin means bumping it."""
+    tests/test_symbolic.py) has pins, every conformance case and every
+    member of the generator grid has a golden record, and all of them
+    were recorded under the current ``FINGERPRINT_VERSION``: changing a
+    pin means bumping it."""
     assert PINS["fingerprint_version"] == FINGERPRINT_VERSION
     assert list(PINS["table2"]) == [case.name for case in TABLE2_CASES]
     assert list(PINS["table1"]) == [
         case.name for case in TABLE1_CASES if case.name != "pipeline12"
     ]
-
-
-@pytest.mark.parametrize("case_index", range(len(CASES)), ids=_IDS)
-def test_legacy_insertions_match_object_space_reference(case_index):
-    """The oracle decides by materialising, so it builds an expanded graph
-    for every candidate it checks; each equals the reference's."""
-    reference = _reference(case_index)
-    insertions = reference["insertions"]
-    assert len(insertions) >= len(reference["signals"])
-    assert [signal for signal, matched in insertions if not matched] == []
+    assert list(PINS["conformance"]) == [f"{case.table}/{case.name}" for case in CASES]
+    assert list(PINS["generators"]) == list(GENERATOR_GRID)
 
 
 # ----------------------------------------------------------------------
-# hypothesis: legacy == indexed under random STGs
+# the generator grid: every STG random_stgs can draw
+# ----------------------------------------------------------------------
+#: Every member of :func:`random_stgs`'s domain, keyed by its generator
+#: call, in the order of the strategy's families.
+GENERATOR_GRID = {
+    **{f"sequencer({n})": (lambda n=n: gen.sequencer(n)) for n in range(2, 6)},
+    **{
+        f"mixed_controller({p},{s})": (lambda p=p, s=s: gen.mixed_controller(p, s))
+        for p in range(0, 3)
+        for s in range(1 if p == 0 else 0, 4)
+    },
+    **{f"parallel_toggles({n})": (lambda n=n: gen.parallel_toggles(n)) for n in range(1, 4)},
+    **{
+        f"independent_toggles({n})": (lambda n=n: gen.independent_toggles(n))
+        for n in range(1, 4)
+    },
+    **{f"ripple_counter({n})": (lambda n=n: gen.ripple_counter(n)) for n in range(2, 5)},
+    **{f"pipeline({n})": (lambda n=n: gen.pipeline(n)) for n in range(1, 4)},
+    **{
+        f"handshake_wire_chain({n})": (lambda n=n: gen.handshake_wire_chain(n))
+        for n in range(1, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(GENERATOR_GRID))
+def test_generator_grid_conforms_to_golden_record(key):
+    """Every STG of the grid, solved at default settings, gives its
+    golden record."""
+    report = encode_stg(GENERATOR_GRID[key](), max_states=20000)
+    _assert_report_conforms(report, PINS["generators"][key])
+
+
+# ----------------------------------------------------------------------
+# hypothesis: representation-level checks under random STGs
 # ----------------------------------------------------------------------
 @st.composite
 def random_stgs(draw):
@@ -312,24 +279,13 @@ def random_stgs(draw):
     return gen.handshake_wire_chain(draw(st.integers(min_value=1, max_value=4)))
 
 
-@hsettings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(stg=random_stgs())
-def test_random_stgs_indexed_matches_legacy(stg):
-    """Random STGs: the indexed engine fingerprints like the legacy oracle."""
-    with use_caches(False):
-        legacy = solve_csc(build_state_graph(stg, max_states=20000))
-    indexed = solve_csc(build_state_graph(stg, max_states=20000))
-    assert json.dumps(indexed.fingerprint(), sort_keys=True) == json.dumps(
-        legacy.fingerprint(), sort_keys=True
-    )
-
-
 @hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stg=random_stgs(), mode=st.sampled_from(["regions", "excitation"]))
 def test_random_stgs_bitset_adjacency_matches_object_space(stg, mode):
     """Random STGs: the brick masks and their bitset adjacency equal the
     object-space compute_bricks and brick_adjacency."""
-    from repro.core.bricks import brick_adjacency, compute_bricks
+    from references import brick_adjacency, compute_bricks
+
     from repro.core.indexed import bits_of, indexed_brick_bundle, indexed_state_graph
 
     sg = build_state_graph(stg, max_states=20000)

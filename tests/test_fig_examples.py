@@ -122,7 +122,9 @@ class TestFigure2Scheme:
     """The three insertion cases of Figure 2: entrance, inside, exit."""
 
     def test_transitions_routed_according_to_scheme(self, vme_sg):
-        from repro.core import compute_bricks, insert_signal, ipartition_from_block
+        from references import compute_bricks, ipartition_from_block
+
+        from repro.core import insert_signal
 
         brick = max(compute_bricks(vme_sg.ts), key=len)
         partition = ipartition_from_block(vme_sg.ts, brick)

@@ -1,13 +1,13 @@
 """Differential suite: indexed *representation* twins vs object space.
 
 The canonical integer/bitset representation (:mod:`repro.core.indexed`)
-must be invisible in the results.  The solver-level identity — legacy
-oracle vs indexed engine vs hybrid bridge, over the
-full library and random STGs — is pinned by the cross-engine harness in
+must be invisible in the results.  The solver-level identity — every
+engine against the golden records, over the full library and the
+generator grid — is pinned by the cross-engine harness in
 ``tests/test_conformance.py``; this file keeps the *representation*
-checks: every bitmask helper twin (exit borders, MWFEB, I-partition
-quads, ER/SR set masks, value bit-vectors) must equal its object-space
-definition state for state.
+checks: every bitmask computation (the cost kernel's I-partitions, ER/SR
+set masks, value bit-vectors) must equal its object-space definition
+state for state.
 """
 
 from __future__ import annotations
@@ -23,26 +23,26 @@ _HELPER_CASES = ["vme2int", "combuf2", "mod4-counter", "nak-pa", "par4"]
 
 
 @pytest.mark.parametrize("name", _HELPER_CASES)
-def test_exit_border_and_mwfeb_masks_match_object_space(name):
-    """The ipartition bitmask twins (exit border, MWFEB, I-partition
-    quads) equal the object-space recursion on every brick and on grown
-    brick unions."""
-    from repro.core.cost import evaluate_block
-    from repro.core.ipartition import (
-        exit_border,
-        exit_border_mask,
-        ipartition_masks_from_block,
-        min_wellformed_exit_border,
-        min_wellformed_exit_border_mask,
+def test_kernel_partitions_match_object_space_mwfeb(name):
+    """The I-partition the cost kernel derives from a block bitmask (its
+    side table) equals the object-space MWFEB recursion on every brick
+    and on grown brick unions."""
+    from references import ipartition_from_block
+
+    from repro.core.indexed import (
+        IndexedEvaluator,
+        bits_of,
+        indexed_brick_bundle,
+        indexed_state_graph,
     )
-    from repro.core.indexed import bits_of, indexed_brick_bundle, indexed_state_graph
     from repro.stg.state_graph import build_state_graph
 
     sg = build_state_graph(get_case(name, table="table2").build(), max_states=5000)
     isg = indexed_state_graph(sg)
     masks, adjacency = indexed_brick_bundle(sg)
     bricks = [isg.frozenset_of_mask(mask) for mask in masks]
-    conflicts = []  # irrelevant for the partition geometry
+    # no conflicts: irrelevant for the partition geometry
+    evaluator = IndexedEvaluator(sg, [], allow_input_delay=True)
 
     blocks = list(zip(bricks, masks))
     # grow each brick by its first adjacent brick to also cover
@@ -53,25 +53,14 @@ def test_exit_border_and_mwfeb_masks_match_object_space(name):
             blocks.append((brick | bricks[j], mask | masks[j]))
 
     for block, mask in blocks:
-        assert isg.mask_of(exit_border(sg.ts, block)) == exit_border_mask(
-            isg.succ_masks, mask
-        )
-        assert isg.mask_of(
-            min_wellformed_exit_border(sg.ts, block)
-        ) == min_wellformed_exit_border_mask(isg.succ_masks, mask)
-
-        quads = ipartition_masks_from_block(isg.succ_masks, mask, isg.full_mask)
-        reference = evaluate_block(sg, block, conflicts)
-        if reference is None or len(block) >= sg.num_states:
-            if len(block) < sg.num_states:
-                assert quads is None
+        if len(block) >= sg.num_states:
+            continue
+        side = evaluator.side_table(mask)
+        reference = ipartition_from_block(sg.ts, block)
+        if not reference.splus or not reference.sminus:
+            assert side is None
         else:
-            assert quads is not None
-            s0, splus, s1, sminus = quads
-            assert isg.frozenset_of_mask(s0) == reference.partition.s0
-            assert isg.frozenset_of_mask(splus) == reference.partition.splus
-            assert isg.frozenset_of_mask(s1) == reference.partition.s1
-            assert isg.frozenset_of_mask(sminus) == reference.partition.sminus
+            assert isg.partition_of(side) == reference
 
 
 @pytest.mark.parametrize("name", _HELPER_CASES)

@@ -3,17 +3,15 @@
 import pytest
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
-from repro.core import (
-    check_insertion,
-    csc_conflicts,
+from references import (
+    compute_bricks,
+    csc_conflicts_from_scratch,
     delayed_events,
-    insert_signal,
     ipartition_from_block,
-    is_sip_excitation_region,
-    is_sip_preregion_intersection,
-    is_sip_region,
-    minimal_preregions,
+    reference_check_insertion,
 )
+
+from repro.core import check_insertion, csc_conflicts, insert_signal
 from repro.core.insertion import IllegalInsertionError
 from repro.core.ipartition import IPartition
 from repro.stg import SignalEdge, SignalType
@@ -28,8 +26,6 @@ class TestInsertSignal:
         conflict = conflicts[0]
         # Use any block that firmly separates the conflicting pair.
         block = None
-        from repro.core import compute_bricks
-
         for brick in compute_bricks(vme_sg.ts):
             partition = ipartition_from_block(vme_sg.ts, brick)
             if partition.splus and partition.sminus and partition.separates(
@@ -78,28 +74,6 @@ class TestInsertSignal:
         assert plan is not None
         hidden = {SignalEdge.rise("x"), SignalEdge.fall("x")}
         assert language_equivalent(sequencer2_sg.ts, plan.new_sg.ts, hidden=hidden)
-
-
-class TestSIPProperties:
-    def test_p1_regions_are_sip(self, fig1_ts):
-        assert is_sip_region(fig1_ts, {"s2", "s4", "s6", "s8"})
-        assert not is_sip_region(fig1_ts, {"s2", "s6"})
-
-    def test_p2_excitation_regions(self, fig1_ts):
-        from repro.core import excitation_regions
-
-        for er in excitation_regions(fig1_ts, "a"):
-            assert is_sip_excitation_region(fig1_ts, er, "a")
-        assert not is_sip_excitation_region(fig1_ts, {"s1", "s5"}, "a")
-
-    def test_p3_preregion_intersections(self, fig1_ts):
-        pre = minimal_preregions(fig1_ts, "c")
-        assert pre
-        intersection = frozenset(pre[0])
-        for region in pre[1:]:
-            intersection &= region
-        assert is_sip_preregion_intersection(fig1_ts, intersection, pre)
-        assert not is_sip_preregion_intersection(fig1_ts, {"s1"}, pre)
 
 
 class TestCheckInsertion:
@@ -154,17 +128,14 @@ class TestCheckInsertion:
 def _oracle_decision(sg, partition, persistent_before, allow_input_delay=False):
     """``(ok, first rejection kind, remaining conflicts)`` from the
     object-space check on the materialised graph."""
-    from repro.engine import use_caches
-
-    with use_caches(False):
-        check = check_insertion(
-            sg,
-            partition,
-            signal="x",
-            persistent_before=persistent_before,
-            allow_input_delay=allow_input_delay,
-        )
-        remaining = len(csc_conflicts(check.new_sg)) if check.ok else None
+    check = reference_check_insertion(
+        sg,
+        partition,
+        signal="x",
+        persistent_before=persistent_before,
+        allow_input_delay=allow_input_delay,
+    )
+    remaining = len(csc_conflicts_from_scratch(check.new_sg)) if check.ok else None
     return check.ok, check.kind, remaining
 
 
@@ -440,16 +411,11 @@ def test_random_stg_decisions_match_object_space_oracle(drawn):
 # insert_signal vs the object-space reference
 # ----------------------------------------------------------------------
 def _assert_insertion_matches_reference(sg, partition, signal="x"):
-    """The same expanded graph (every order included) or the same error,
-    with the engine caches on and off."""
+    """The same expanded graph (every order included) or the same error."""
     from references import insertion_outcome, reference_insert_signal
 
-    from repro.engine import use_caches
-
     expected = insertion_outcome(reference_insert_signal, sg, partition, signal)
-    for caches in (True, False):
-        with use_caches(caches):
-            assert insertion_outcome(insert_signal, sg, partition, signal) == expected
+    assert insertion_outcome(insert_signal, sg, partition, signal) == expected
     return expected[0]
 
 
@@ -461,8 +427,7 @@ class TestInsertionMatchesObjectSpaceReference:
 
     def test_library_insertions_match_reference(self, monkeypatch):
         """Every insertion materialised while solving the 24 Table-2 rows
-        and the Table-1 rows the library solves (caches on; the caches-off
-        solves are covered by ``tests/test_conformance.py``)."""
+        and the Table-1 rows the library solves."""
         from references import reference_insert_signal, state_graph_layout
 
         from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES

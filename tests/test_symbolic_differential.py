@@ -51,9 +51,8 @@ from hypothesis import HealthCheck, given, settings as hsettings, strategies as 
 from repro.bench_stg import generators as gen
 from repro.bdd.bdd import prime_map
 from repro.bench_stg.library import TABLE1_CASES, TABLE2_CASES
-from repro.core.csc import csc_conflicts_from_scratch, has_csc, usc_conflicts
+from repro.core.csc import has_csc, usc_conflicts
 from repro.core.excitation import excitation_set, switching_set
-from repro.engine import use_caches
 from repro.stg import build_state_graph
 from repro.stg.state_graph import InconsistentSTGError
 from repro.stg.stg import STG
@@ -62,6 +61,7 @@ from repro.symbolic.csc import _code_equality
 
 from library_pins import pin
 from references import (
+    csc_conflicts_from_scratch,
     reference_chained_reached,
     reference_explore,
     reference_safety_failure,
@@ -80,10 +80,9 @@ _EXHAUSTIVE_LIMIT = 1200
 def test_census_and_conflict_counts_match_explicit(case):
     stg = case.build()
     sg = build_state_graph(stg, max_states=200000)
-    with use_caches(False):
-        explicit_usc = len(usc_conflicts(sg))
-        explicit_csc = len(csc_conflicts_from_scratch(sg))
-        explicit_holds = has_csc(sg)
+    explicit_usc = len(usc_conflicts(sg))
+    explicit_csc = len(csc_conflicts_from_scratch(sg))
+    explicit_holds = has_csc(sg)
 
     ssg = SymbolicStateGraph(case.build())
     report = detect_csc_conflicts(ssg)
@@ -99,10 +98,9 @@ def test_census_and_conflict_counts_match_explicit(case):
             assert ssg.contains(reached, state, sg.code(state))
         # ...and the conflict states are exactly the explicit ones
         explicit_conflict_states = set()
-        with use_caches(False):
-            for conflict in csc_conflicts_from_scratch(sg):
-                explicit_conflict_states.add(conflict.first)
-                explicit_conflict_states.add(conflict.second)
+        for conflict in csc_conflicts_from_scratch(sg):
+            explicit_conflict_states.add(conflict.first)
+            explicit_conflict_states.add(conflict.second)
         symbolic_conflict_states = {
             marking for marking, _code in ssg.states_of(report.conflict_states)
         }
@@ -328,10 +326,9 @@ def random_stgs(draw):
 @given(stg=random_stgs())
 def test_random_stgs_symbolic_matches_explicit(stg):
     sg = build_state_graph(stg, max_states=20000)
-    with use_caches(False):
-        explicit_usc = len(usc_conflicts(sg))
-        explicit_csc = len(csc_conflicts_from_scratch(sg))
-        explicit_holds = has_csc(sg)
+    explicit_usc = len(usc_conflicts(sg))
+    explicit_csc = len(csc_conflicts_from_scratch(sg))
+    explicit_holds = has_csc(sg)
     report = detect_csc_conflicts(SymbolicStateGraph(stg))
     assert report.states == sg.num_states
     assert report.usc_pairs == explicit_usc
